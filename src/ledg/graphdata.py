@@ -42,6 +42,9 @@ TASKS = ("link_prediction", "edge_classification", "node_classification")
 
 DATASET_FORMAT = "TGDS1"
 
+#: additive mask value that zeroes non-neighbors after an attention row softmax
+MASK_VALUE = -1e9
+
 
 def seed_from(base: int, *labels) -> np.random.SeedSequence:
     """Derive a child seed from a base seed plus arbitrary tag labels.
@@ -98,6 +101,7 @@ class SnapshotGraph:
         "features",
         "node_labels",
         "_adjacency",
+        "_attention_masks",
         "_edge_keys",
     )
 
@@ -126,6 +130,7 @@ class SnapshotGraph:
             node_labels.flags.writeable = False
         self.node_labels = node_labels
         self._adjacency = None
+        self._attention_masks = None
 
     @property
     def num_edges(self) -> int:
@@ -158,6 +163,16 @@ class SnapshotGraph:
         if self._adjacency is None:
             self._adjacency = normalize_adjacency(self.edges, self.num_nodes)
         return self._adjacency
+
+    @property
+    def attention_masks(self) -> tuple[Tensor, Tensor]:
+        """The 0/1 neighborhood mask (self-loops included) of the normalized
+        adjacency and the additive offset that is MASK_VALUE off the
+        neighborhood and 0 on it; constants, cached like the adjacency."""
+        if self._attention_masks is None:
+            mask = (self.normalized_adjacency.data > 0.0).astype(np.float64)
+            self._attention_masks = (Tensor(mask), Tensor((1.0 - mask) * MASK_VALUE))
+        return self._attention_masks
 
 
 def normalize_adjacency(edges, num_nodes: int) -> Tensor:

@@ -286,7 +286,9 @@ def outer_step(
     window's structure snapshot; the time term regresses the target's
     relative index. The gradient is taken with respect to the original
     (pre-adaptation) parameters on the same tape that recorded the inner
-    updates and every group is moved by one optimizer step.
+    updates and every group is moved by one optimizer step. Nothing
+    differentiates this gradient again, so it is not recorded, even on an
+    exact tape.
     """
     if len(adapted_states) != window.size:
         raise ContractError(
@@ -310,7 +312,7 @@ def outer_step(
             time_total = l_time if time_total is None else nx.add(time_total, l_time)
         objective = nx.add(task_total, nx.mul_scalar(time_total, config.lambda_time))
         pairs = params.items_in()
-        grads = tape.gradient(objective, [tensor for _, tensor in pairs])
+        grads = tape.gradient(objective, [tensor for _, tensor in pairs], create_graph=False)
     grad_map = {name: g for (name, _), g in zip(pairs, grads)}
     new_params = optimizer.apply(params, grad_map)
     record = EpisodeRecord(
@@ -464,7 +466,7 @@ def adapt_and_predict(
     probabilities for the batch (sampled here if not supplied).
 
     Adapted values do not depend on the tape mode, so a first_order tape is
-    always used.
+    always used, and the final prediction runs on no tape at all.
     """
     if batch is None:
         snapshot = sequence.snapshot_at(t)
@@ -480,7 +482,6 @@ def adapt_and_predict(
     tape = Tape("first_order")
     states, _ = inner_adapt(window, working, spec, config, tape)
     final_state = states[-1]
-    with tape:
-        bundle = embed(window.structure_snapshot, final_state, spec)
-        predictions = task_predict(bundle, final_state, spec, batch)
+    bundle = embed(window.structure_snapshot, final_state, spec)
+    predictions = task_predict(bundle, final_state, spec, batch)
     return bundle, predictions, batch, final_state

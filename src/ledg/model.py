@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ContractError, DatasetError, ShapeError, ValidationError
-from .graphdata import SnapshotGraph, TaskBatch, seed_from
+from .graphdata import MASK_VALUE, SnapshotGraph, TaskBatch, seed_from
 from .numerics import ParameterSet, Tensor
 
 __all__ = [
@@ -44,8 +44,6 @@ HEAD_ROLES = ("adapter", "time_predictor", "classifier_time", "classifier_graph"
 
 #: attention scores pass through a leaky ReLU with this negative slope
 ATTENTION_SLOPE = 0.2
-#: additive mask value that zeroes non-neighbors after the row softmax
-MASK_VALUE = -1e9
 #: probabilities are clamped here before the log in cross-entropy
 PROB_FLOOR = 1e-12
 
@@ -209,16 +207,14 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         return h
 
     n = snapshot.num_nodes
-    # 0/1 neighborhood mask with self-loops; a constant wrt the parameters
-    mask = nx.greater_than(snapshot.normalized_adjacency, 0.0)
-    anti_mask = nx.mul_scalar(nx.one_minus(mask), MASK_VALUE)
+    mask, offset = snapshot.attention_masks
     for layer in range(1, config.num_layers + 1):
         wh = nx.matmul(h, params[f"gnn_w{layer}"])
         left = nx.matmul(wh, params[f"gnn_al{layer}"])
         right = nx.matmul(wh, params[f"gnn_ar{layer}"])
         scores = nx.add(nx.broadcast_cols(left, n), nx.broadcast_rows(nx.transpose(right), n))
         scores = nx.leaky_relu(scores, ATTENTION_SLOPE)
-        scores = nx.add(nx.hadamard(scores, mask), anti_mask)
+        scores = nx.add(nx.hadamard(scores, mask), offset)
         weights = nx.softmax_rows(scores)
         h = _activate(nx.matmul(weights, wh), config.activation)
     return h

@@ -59,7 +59,6 @@ __all__ = [
     "slice_cols",
     "pad_cols",
     "mean_pool",
-    "elementwise",
     "grad",
     "l2_norm",
 ]
@@ -180,9 +179,6 @@ class Tape:
         self._producer[id(node.output)] = len(self.nodes)
         self.nodes.append(node)
 
-    def producer_index(self, tensor: Tensor) -> int | None:
-        return self._producer.get(id(tensor))
-
     def replay(self) -> int:
         """Recompute every node from its recorded inputs.
 
@@ -292,7 +288,9 @@ def _need_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # forward kernels (shared by execution and tape replay)
 
 def _k_matmul(d, p):
-    return d[0] @ d[1]
+    a = d[0].T if p["ta"] else d[0]
+    b = d[1].T if p["tb"] else d[1]
+    return a @ b
 
 
 def _k_transpose(d, p):
@@ -331,6 +329,16 @@ def _k_sigmoid(d, p):
 
 def _k_relu(d, p):
     return np.maximum(d[0], 0.0)
+
+
+def _slope_gate(x, slope):
+    # 1 where x > 0, slope elsewhere; the same arithmetic the composition
+    # hadamard(x, greater_than(x, 0) * (1 - slope) + slope) performed
+    return (x > 0.0).astype(np.float64) * (1.0 - slope) + slope
+
+
+def _k_leaky_relu(d, p):
+    return d[0] * _slope_gate(d[0], p["slope"])
 
 
 def _k_one_minus(d, p):
@@ -407,9 +415,13 @@ def _k_gather_rows(d, p):
 
 
 def _k_scatter_rows(d, p):
-    out = np.zeros((p["num_rows"], d[0].shape[1]))
-    np.add.at(out, p["indices"], d[0])
-    return out
+    # one bincount over flattened (row, column) slots; accumulates colliding
+    # rows in input order, as np.add.at does, at a fraction of its cost
+    x = d[0]
+    m = x.shape[1]
+    slots = (p["indices"][:, None] * m + np.arange(m)).ravel()
+    out = np.bincount(slots, weights=x.ravel(), minlength=p["num_rows"] * m)
+    return out.reshape(p["num_rows"], m)
 
 
 def _k_concat_cols(d, p):
@@ -434,6 +446,7 @@ _FORWARD = {
     "mul_scalar": _k_mul_scalar,
     "sigmoid": _k_sigmoid,
     "relu": _k_relu,
+    "leaky_relu": _k_leaky_relu,
     "one_minus": _k_one_minus,
     "reciprocal": _k_reciprocal,
     "log": _k_log,
@@ -461,11 +474,20 @@ _FORWARD = {
 # ---------------------------------------------------------------------------
 # public operations
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} disagree")
-    return _emit("matmul", (a, b))
+def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
+    """Matrix product op(a) @ op(b), where op transposes when its flag is set.
+
+    The flags read the operands transposed in place, so no transposed copy
+    is made or recorded.
+    """
+    inner_a = a.shape[0] if ta else a.shape[1]
+    inner_b = b.shape[1] if tb else b.shape[0]
+    if inner_a != inner_b:
+        raise ShapeError(
+            f"matmul: inner dimensions of {a.shape} and {b.shape} disagree"
+            f" (ta={bool(ta)}, tb={bool(tb)})"
+        )
+    return _emit("matmul", (a, b), {"ta": bool(ta), "tb": bool(tb)})
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -547,9 +569,8 @@ def clip_unit(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    """x for x > 0 else slope*x, built from primitives."""
-    gate = add_scalar(mul_scalar(greater_than(a, 0.0), 1.0 - slope), slope)
-    return hadamard(a, gate)
+    """x for x > 0 else slope*x."""
+    return _emit("leaky_relu", (a,), {"slope": float(slope)})
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -641,32 +662,25 @@ def mean_pool(h: Tensor) -> Tensor:
     return mul_scalar(col_sums(h), 1.0 / n)
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "hadamard": hadamard,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "one_minus": one_minus,
-}
-
-
-def elementwise(op: str, *args: Tensor) -> Tensor:
-    """Dispatch to a named elementwise operation."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValidationError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
-
-
 # ---------------------------------------------------------------------------
 # backward rules, each built from the public primitives above so that the
-# backward pass is itself differentiable when recorded
+# backward pass is itself differentiable when recorded. Rules with several
+# operands compute no contribution for an operand that does not require
+# grad: _walk_backward would drop it, and an exact tape would record it.
 
 def _b_matmul(node, g):
     a, b = node.inputs
-    return ((a, matmul(g, transpose(b))), (b, matmul(transpose(a), g)))
+    ta, tb = node.params["ta"], node.params["tb"]
+    out = []
+    if a.requires_grad:
+        # d op(a) = g @ op(b)^T, transposed back when a entered transposed
+        ga = matmul(b, g, ta=tb, tb=True) if ta else matmul(g, b, tb=not tb)
+        out.append((a, ga))
+    if b.requires_grad:
+        # d op(b) = op(a)^T @ g, transposed back when b entered transposed
+        gb = matmul(g, a, ta=True, tb=ta) if tb else matmul(a, g, ta=not ta)
+        out.append((b, gb))
+    return out
 
 
 def _b_transpose(node, g):
@@ -680,12 +694,20 @@ def _b_add(node, g):
 
 def _b_sub(node, g):
     a, b = node.inputs
-    return ((a, g), (b, mul_scalar(g, -1.0)))
+    out = [(a, g)]
+    if b.requires_grad:
+        out.append((b, mul_scalar(g, -1.0)))
+    return out
 
 
 def _b_hadamard(node, g):
     a, b = node.inputs
-    return ((a, hadamard(g, b)), (b, hadamard(g, a)))
+    out = []
+    if a.requires_grad:
+        out.append((a, hadamard(g, b)))
+    if b.requires_grad:
+        out.append((b, hadamard(g, a)))
+    return out
 
 
 def _b_add_scalar(node, g):
@@ -704,6 +726,12 @@ def _b_sigmoid(node, g):
 def _b_relu(node, g):
     x = node.inputs[0]
     return ((x, hadamard(g, greater_than(x, 0.0))),)
+
+
+def _b_leaky_relu(node, g):
+    # the gate is piecewise constant in x, so it enters as an untracked constant
+    x = node.inputs[0]
+    return ((x, hadamard(g, Tensor._raw(_slope_gate(x.data, node.params["slope"])))),)
 
 
 def _b_one_minus(node, g):
@@ -785,7 +813,12 @@ def _b_scatter_rows(node, g):
 def _b_concat_cols(node, g):
     a, b = node.inputs
     ca = a.shape[1]
-    return ((a, slice_cols(g, 0, ca)), (b, slice_cols(g, ca, ca + b.shape[1])))
+    out = []
+    if a.requires_grad:
+        out.append((a, slice_cols(g, 0, ca)))
+    if b.requires_grad:
+        out.append((b, slice_cols(g, ca, ca + b.shape[1])))
+    return out
 
 
 def _b_slice_cols(node, g):
@@ -810,6 +843,7 @@ _BACKWARD = {
     "mul_scalar": _b_mul_scalar,
     "sigmoid": _b_sigmoid,
     "relu": _b_relu,
+    "leaky_relu": _b_leaky_relu,
     "one_minus": _b_one_minus,
     "reciprocal": _b_reciprocal,
     "log": _b_log,

@@ -140,7 +140,14 @@ def _away_from(rng, rows, cols, center, margin, span=1.5):
 
 
 def _case_matmul(rng):
-    return [_u(rng, 3, 4), _u(rng, 4, 2)], nx.matmul
+    # one product per (ta, tb) flag pair; every operand feeds two of them
+    def call(a, a_t, b, b_t):
+        return nx.add(
+            nx.add(nx.matmul(a, b), nx.matmul(a_t, b, ta=True)),
+            nx.add(nx.matmul(a, b_t, tb=True), nx.matmul(a_t, b_t, ta=True, tb=True)),
+        )
+
+    return [_u(rng, 3, 4), _u(rng, 4, 3), _u(rng, 4, 2), _u(rng, 2, 4)], call
 
 
 def _case_transpose(rng):
@@ -175,6 +182,11 @@ def _case_sigmoid(rng):
 
 def _case_relu(rng):
     return [_away_from(rng, 3, 3, 0.0, 0.1)], nx.relu
+
+
+def _case_leaky_relu(rng):
+    slope = float(rng.uniform(0.05, 0.5))
+    return [_away_from(rng, 3, 3, 0.0, 0.1)], lambda a: nx.leaky_relu(a, slope)
 
 
 def _case_one_minus(rng):
@@ -266,6 +278,7 @@ PRIMITIVE_CASES = {
     "mul_scalar": _case_mul_scalar,
     "sigmoid": _case_sigmoid,
     "relu": _case_relu,
+    "leaky_relu": _case_leaky_relu,
     "one_minus": _case_one_minus,
     "reciprocal": _case_reciprocal,
     "log": _case_log,

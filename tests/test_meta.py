@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import benchmark
+import oracles
 from ledg import graphdata as gd
 from ledg import meta as mt
 from ledg import model as md
@@ -233,6 +234,71 @@ def test_run_episode_skips_targets_without_supervision():
     out, record = mt.run_episode(seq, 3, params, spec, config, epoch=1)
     assert record is None
     assert out is params
+
+
+def _attention_metagrad_instance():
+    """Two nodes, one attention layer of width two, window two."""
+    feats = np.array([[1.0], [0.2]])
+    snaps = [
+        gd.SnapshotGraph(1, 2, [(0, 1)], feats, node_labels=[0, 1]),
+        gd.SnapshotGraph(2, 2, [], feats, node_labels=[1, 0]),
+        gd.SnapshotGraph(3, 2, [(0, 1)], feats, node_labels=[0, 1]),
+    ]
+    seq = gd.DynamicGraphSequence(snaps, (3, 3, 3), "node_classification", 2)
+    spec = ModelSpec(
+        EncoderConfig(base_model="attention", num_layers=1, input_dim=1, hidden_dim=2),
+        task="node_classification",
+    )
+    config = TrainingConfig(
+        window_size=2, eta_in=0.3, eta_out=0.05, gradient_mode="exact", lambda_time=0.1
+    )
+    return seq, spec, config
+
+
+def _episode_objective(seq, spec, config, params, mode):
+    """Adapt over the window of target 3, then sum task + lambda * time over
+    every adapted state, as outer_step does."""
+    window = mt.build_window(seq, 3, config)
+    batch = gd.classification_batch(seq.snapshot_at(3), "node_classification")
+    tape = Tape(mode)
+    states, inner_losses = mt.inner_adapt(window, params, spec, config, tape)
+    total = None
+    with tape:
+        for state in states:
+            bundle = md.embed(window.structure_snapshot, state, spec)
+            l_task = md.task_loss(md.task_predict(bundle, state, spec, batch), batch.labels)
+            l_time = md.time_loss(
+                bundle.time_part, state, spec, float(window.target_regression_index)
+            )
+            term = nx.add(l_task, nx.mul_scalar(l_time, config.lambda_time))
+            total = term if total is None else nx.add(total, term)
+    return tape, total, inner_losses
+
+
+def test_attention_exact_meta_gradient_matches_central_differences():
+    seq, spec, config = _attention_metagrad_instance()
+    params = md.init_parameters(spec, seed=1)
+    tape, total, inner_losses = _episode_objective(seq, spec, config, params, "exact")
+    # a relu-dead time head would leave the inner loop standing still
+    assert abs(inner_losses[0] - 0.5) > 1e-3
+    pairs = params.items_in()
+    grads = tape.gradient(total, [tensor for _, tensor in pairs])
+    tape_fo, total_fo, _ = _episode_objective(seq, spec, config, params, "first_order")
+    grads_fo = tape_fo.gradient(total_fo, [tensor for _, tensor in pairs])
+
+    worst_exact = worst_fo = 0.0
+    for (name, tensor), exact, first_order in zip(pairs, grads, grads_fo):
+        def value_at(x, name=name):
+            moved = params.with_updates({name: Tensor(x, requires_grad=True)})
+            return _episode_objective(seq, spec, config, moved, "first_order")[1].item()
+
+        fd = oracles.central_difference(value_at, tensor.data.copy())
+        worst_exact = max(worst_exact, oracles.max_rel_err(exact.data, fd))
+        worst_fo = max(worst_fo, oracles.max_rel_err(first_order.data, fd))
+    assert worst_exact <= 1e-3, worst_exact
+    # the first-order approximation must miss, or the check could not tell
+    # an exact second-order path from a dropped one
+    assert worst_fo > 1e-2, worst_fo
 
 
 # -------------------------------------------- eta_in = 0 degeneracy (joint)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from ledg import graphdata as gd
+from ledg import meta as mt
+from ledg import model as md
 from ledg import numerics as nx
 from ledg.errors import ContractError, ShapeError, ValidationError
 from ledg.numerics import ParameterSet, Tape, Tensor
@@ -104,6 +107,38 @@ def test_smooth_l1_branch_values():
 def test_leaky_relu_values():
     out = nx.leaky_relu(Tensor([2.0, -2.0]), slope=0.25).data
     assert np.array_equal(out, [[2.0, -0.5]])
+
+
+def test_leaky_relu_matches_its_gate_composition_bitwise():
+    x = Tensor(np.random.default_rng(4).normal(size=(6, 7)))
+    gate = nx.add_scalar(nx.mul_scalar(nx.greater_than(x, 0.0), 1.0 - 0.2), 0.2)
+    assert np.array_equal(nx.leaky_relu(x, 0.2).data, nx.hadamard(x, gate).data)
+
+
+@pytest.mark.parametrize("ta, tb", [(False, False), (True, False), (False, True), (True, True)])
+def test_matmul_transpose_flags_read_operands_transposed(ta, tb):
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(4, 3) if ta else (3, 4))
+    b = rng.normal(size=(2, 4) if tb else (4, 2))
+    out = nx.matmul(Tensor(a), Tensor(b), ta=ta, tb=tb).data
+    assert out.shape == (3, 2)
+    reference = (a.T.copy() if ta else a) @ (b.T.copy() if tb else b)
+    assert np.allclose(out, reference, rtol=1e-13, atol=1e-13)
+    with pytest.raises(ShapeError):
+        nx.matmul(Tensor(a), Tensor(b), ta=not ta, tb=tb)
+
+
+def test_scatter_rows_matches_add_at_bitwise():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        rows, cols, num_rows = rng.integers(0, 30), rng.integers(0, 5), rng.integers(1, 8)
+        idx = rng.integers(0, num_rows, size=rows)
+        x = rng.normal(size=(rows, cols))
+        reference = np.zeros((num_rows, cols))
+        np.add.at(reference, idx, x)
+        out = nx.scatter_rows(Tensor(x), idx, num_rows).data
+        assert out.shape == reference.shape
+        assert np.array_equal(out, reference)
 
 
 def test_l2_norm_known_value():
@@ -235,6 +270,65 @@ def test_tape_replay_is_bit_identical():
     assert checked == len(tape) and checked > 0
 
 
+def test_tape_replay_is_bit_identical_with_flagged_matmuls():
+    rng = np.random.default_rng(6)
+    a, a_t = Tensor(rng.normal(size=(3, 4)), True), Tensor(rng.normal(size=(4, 3)), True)
+    b, b_t = Tensor(rng.normal(size=(4, 2)), True), Tensor(rng.normal(size=(2, 4)), True)
+    tape = Tape("exact")
+    with tape:
+        y = nx.sum_all(nx.sigmoid(nx.add(
+            nx.add(nx.matmul(a, b), nx.matmul(a_t, b, ta=True)),
+            nx.add(nx.matmul(a, b_t, tb=True), nx.matmul(a_t, b_t, ta=True, tb=True)),
+        )))
+    forward = len(tape)
+    tape.gradient(y, [a, a_t, b, b_t])
+    flags = {(n.params["ta"], n.params["tb"]) for n in tape.nodes[forward:] if n.op == "matmul"}
+    assert flags == {(False, False), (True, False), (False, True), (True, True)}
+    assert tape.replay() == len(tape)
+
+
+def _recorded_ancestors(tape, tensor):
+    """Indices of recorded nodes whose outputs ``tensor`` depends on."""
+    producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
+    found, stack = set(), [tensor]
+    while stack:
+        k = producer.get(id(stack.pop()))
+        if k is not None and k not in found:
+            found.add(k)
+            stack.extend(tape.nodes[k].inputs)
+    return found
+
+
+_CONSTANT_OPERAND_CASES = {
+    "matmul": ((3, 4), (4, 2), nx.matmul),
+    "matmul_ta": ((4, 3), (4, 2), lambda a, b: nx.matmul(a, b, ta=True)),
+    "matmul_tb": ((3, 4), (2, 4), lambda a, b: nx.matmul(a, b, tb=True)),
+    "hadamard": ((3, 4), (3, 4), nx.hadamard),
+    "sub": ((3, 4), (3, 4), nx.sub),
+    "concat_cols": ((3, 2), (3, 4), nx.concat_cols),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTANT_OPERAND_CASES))
+@pytest.mark.parametrize("tracked", [0, 1])
+def test_backward_records_nothing_for_constant_operands(case, tracked):
+    """Every node an exact backward records feeds the gradient it returns."""
+    shape_a, shape_b, op = _CONSTANT_OPERAND_CASES[case]
+    rng = np.random.default_rng(9)
+    operands = [
+        Tensor(rng.normal(size=shape), requires_grad=(k == tracked))
+        for k, shape in enumerate((shape_a, shape_b))
+    ]
+    tape = Tape("exact")
+    with tape:
+        y = nx.sum_all(nx.sigmoid(op(*operands)))
+    forward = len(tape)
+    grad = tape.gradient(y, [operands[tracked]])[0]
+    backward = set(range(forward, len(tape)))
+    assert backward, "the backward pass recorded nothing"
+    assert backward <= _recorded_ancestors(tape, grad)
+
+
 def test_operations_require_open_tape_context():
     tape = Tape("first_order")
     x = _scalar(1.0)
@@ -245,6 +339,33 @@ def test_operations_require_open_tape_context():
     g = tape.gradient(nx.sum_all(y) if y.shape != (1, 1) else y, [x])[0]
     assert np.isfinite(g.item())
     assert z.shape == (1, 1)
+
+
+def test_exact_outer_step_records_nothing_after_its_objective(monkeypatch):
+    seq = gd.generate_drifting_sbm(12, 2, 0.4, 0.1, 0.1, 5, seed=3, train_frac=0.8, val_frac=0.0)
+    spec = md.ModelSpec(
+        md.EncoderConfig(base_model="attention", num_layers=1, input_dim=12, hidden_dim=3)
+    )
+    config = mt.TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01, gradient_mode="exact")
+    params = md.init_parameters(spec, seed=0)
+    window = mt.build_window(seq, 3, config)
+    batch = gd.sample_link_prediction_batch(seq.snapshot_at(3), 1, seed=1)
+    targets = []
+    gradient = Tape.gradient
+
+    def spy(tape, output, *args, **kwargs):
+        targets.append(output)
+        return gradient(tape, output, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "gradient", spy)
+    tape = Tape("exact")
+    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    inner_nodes = len(tape)
+    _, record = mt.outer_step(window, states, batch, params, spec, config, tape)
+    objective = targets[-1]
+    assert len(tape) > inner_nodes
+    assert tape.nodes[-1].output is objective
+    assert objective.item() == record.objective
 
 
 # ------------------------------------------------------------- parameter sets
