@@ -18,7 +18,14 @@ from . import numerics as nx
 from .errors import ConfigError
 from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch
 from .meta import TrainingConfig, _target_batch, earliest_target_time
-from .model import ModelSpec, apply_head, encode, init_parameters, task_loss
+from .model import (
+    ModelSpec,
+    apply_head,
+    encode,
+    init_parameters,
+    symmetric_pair_probabilities,
+    task_loss,
+)
 from .numerics import ParameterSet, Tape, Tensor
 
 __all__ = [
@@ -60,10 +67,8 @@ def static_edge_scores(
     snapshot: SnapshotGraph, params: ParameterSet, spec: ModelSpec, batch: TaskBatch
 ) -> np.ndarray:
     """Positive-class probability averaged over both endpoint orders."""
-    forward = static_predict(snapshot, params, spec, batch)
-    swapped = TaskBatch(batch.time_index, "edge", batch.items[:, ::-1], batch.labels)
-    backward = static_predict(snapshot, params, spec, swapped)
-    return 0.5 * (forward.data[:, 1] + backward.data[:, 1])
+    parts = (("classifier_graph", encode(snapshot, params, spec.encoder).data),)
+    return symmetric_pair_probabilities(params, spec, parts, batch.items)[:, 1]
 
 
 def structure_snapshot_for(sequence: DynamicGraphSequence, t: int, config: TrainingConfig):

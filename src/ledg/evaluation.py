@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .graphdata import (
     sample_link_prediction_batch,
     seed_from,
 )
-from .model import ModelSpec, task_predict
+from .model import ModelSpec, symmetric_pair_probabilities, task_predict
 from .numerics import ParameterSet
 
 __all__ = [
@@ -73,6 +74,13 @@ class RankedQuery:
         """Candidate order: descending score, ties by ascending candidate id."""
         return np.lexsort((self.candidate_ids, -self.scores))
 
+    @cached_property
+    def ranked_relevance(self) -> np.ndarray:
+        """Relevance in ranking order, sorted once and shared by the metrics."""
+        ranked = self.relevance[self.ranking()]
+        ranked.flags.writeable = False
+        return ranked
+
 
 def _kept(queries) -> list[RankedQuery]:
     queries = list(queries)
@@ -93,7 +101,7 @@ def mean_average_precision(queries) -> float:
     """
     aps = []
     for q in _kept(queries):
-        rel = q.relevance[q.ranking()]
+        rel = q.ranked_relevance
         hits = np.cumsum(rel)
         ranks = np.arange(1, rel.size + 1)
         precisions = hits[rel == 1] / ranks[rel == 1]
@@ -105,8 +113,7 @@ def mean_reciprocal_rank(queries) -> float:
     """Mean over queries of 1 / rank of the best-ranked relevant candidate."""
     rrs = []
     for q in _kept(queries):
-        rel = q.relevance[q.ranking()]
-        first = int(np.argmax(rel)) + 1
+        first = int(np.argmax(q.ranked_relevance)) + 1
         rrs.append(1.0 / first)
     return float(np.mean(rrs))
 
@@ -141,36 +148,32 @@ def queries_from_batch(batch: TaskBatch, scores) -> list[RankedQuery]:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (batch.size,):
         raise ValidationError("need one score per batch item")
-    queries = []
     sources = batch.items[:, 0]
-    for src in np.unique(sources):
-        pick = sources == src
-        queries.append(
-            RankedQuery(
-                query_id=int(src),
-                candidate_ids=batch.items[pick, 1],
-                scores=scores[pick],
-                relevance=batch.labels[pick],
-            )
+    # a stable sort keeps each source's candidates in batch order
+    order = np.argsort(sources, kind="stable")
+    starts = np.flatnonzero(np.diff(sources[order])) + 1
+    return [
+        RankedQuery(
+            query_id=int(sources[pick[0]]),
+            candidate_ids=batch.items[pick, 1],
+            scores=scores[pick],
+            relevance=batch.labels[pick],
         )
-    return queries
+        for pick in np.split(order, starts)
+    ]
 
 
 def symmetrized_edge_scores(bundle, params: ParameterSet, spec: ModelSpec, batch: TaskBatch) -> np.ndarray:
     """Positive-class probability averaged over both endpoint orders."""
-    forward = task_predict(bundle, params, spec, batch)
-    swapped = TaskBatch(batch.time_index, "edge", batch.items[:, ::-1], batch.labels)
-    backward = task_predict(bundle, params, spec, swapped)
-    return 0.5 * (forward.data[:, 1] + backward.data[:, 1])
+    return _symmetrized_probabilities(bundle, params, spec, batch)[:, 1]
 
 
-def _symmetrized_class_predictions(bundle, params, spec, batch) -> np.ndarray:
-    forward = task_predict(bundle, params, spec, batch)
-    if batch.kind == "node":
-        return np.argmax(forward.data, axis=1)
-    swapped = TaskBatch(batch.time_index, "edge", batch.items[:, ::-1], batch.labels)
-    backward = task_predict(bundle, params, spec, swapped)
-    return np.argmax(0.5 * (forward.data + backward.data), axis=1)
+def _symmetrized_probabilities(bundle, params, spec, batch) -> np.ndarray:
+    parts = (
+        ("classifier_time", bundle.time_part.data),
+        ("classifier_graph", bundle.graph_part.data),
+    )
+    return symmetric_pair_probabilities(params, spec, parts, batch.items)
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,7 @@ def evaluate_sequence(
     times = [int(t) for t in times]
     if not times:
         raise ValidationError("no evaluation times given")
+    batch_seed = int(seed_from(config.seed, "evalbatch").generate_state(1)[0])
     per_time: dict[str, list[tuple[int, float]]] = {}
     for t in times:
         snapshot = sequence.snapshot_at(t)
@@ -229,19 +233,18 @@ def evaluate_sequence(
         elif sequence.task == "link_prediction":
             if snapshot.num_edges == 0:
                 continue
-            batch_seed = int(seed_from(config.seed, "evalbatch").generate_state(1)[0])
             batch = sample_link_prediction_batch(snapshot, negative_ratio, "eval", batch_seed)
         else:
             try:
                 batch = classification_batch(snapshot, sequence.task)
             except ValidationError:
                 continue
+        if scorer is None:
+            bundle, state = mt.adapt_and_predict(sequence, params, t, spec, config)
         if sequence.task == "link_prediction":
             if scorer is not None:
                 scores = np.asarray(scorer(batch), dtype=np.float64)
             else:
-                result = mt.adapt_and_predict(sequence, params, t, spec, config, batch=batch)
-                bundle, state = result[0], result[3]
                 scores = symmetrized_edge_scores(bundle, state, spec, batch)
             queries = queries_from_batch(batch, scores)
             per_time.setdefault("map", []).append((t, mean_average_precision(queries)))
@@ -249,10 +252,10 @@ def evaluate_sequence(
         else:
             if scorer is not None:
                 predicted = np.asarray(scorer(batch), dtype=np.int64)
+            elif batch.kind == "node":
+                predicted = np.argmax(task_predict(bundle, state, spec, batch).data, axis=1)
             else:
-                result = mt.adapt_and_predict(sequence, params, t, spec, config, batch=batch)
-                bundle, state = result[0], result[3]
-                predicted = _symmetrized_class_predictions(bundle, state, spec, batch)
+                predicted = np.argmax(_symmetrized_probabilities(bundle, state, spec, batch), axis=1)
             score = micro_f1(predicted, batch.labels, sequence.num_classes)
             per_time.setdefault("micro_f1", []).append((t, score))
     if not per_time:

@@ -29,7 +29,15 @@ from .graphdata import (
     sample_link_prediction_batch,
     seed_from,
 )
-from .model import ModelSpec, embed, init_parameters, task_loss, task_predict, time_loss
+from .model import (
+    EmbeddingBundle,
+    ModelSpec,
+    embed,
+    init_parameters,
+    task_loss,
+    task_predict,
+    time_loss,
+)
 from .numerics import INNER_LOOP_GROUPS, ParameterSet, Tape, Tensor, l2_norm
 
 __all__ = [
@@ -452,36 +460,23 @@ def adapt_and_predict(
     t: int,
     spec: ModelSpec,
     config: TrainingConfig,
-    batch: TaskBatch | None = None,
-    negative_ratio: int | None = None,
-    batch_seed: int | None = None,
-):
-    """Adapt to the window ending at evaluation time t, then predict.
+) -> tuple[EmbeddingBundle, ParameterSet]:
+    """Adapt to the window ending at evaluation time t and embed the snapshot
+    that encodes t's batch.
 
     Only the self-supervised time-regression loss drives the adaptation, so
     the target's task labels are never consulted before prediction (and in
     previous_snapshot mode the target snapshot is not looked at at all).
     The caller's parameters are cloned first and stay untouched. Returns
-    (bundle, predictions, batch, adapted_params) where predictions are class
-    probabilities for the batch (sampled here if not supplied).
+    (bundle, adapted_params); ``task_predict(bundle, adapted_params, spec,
+    batch)`` predicts any batch at t.
 
     Adapted values do not depend on the tape mode, so a first_order tape is
-    always used, and the final prediction runs on no tape at all.
+    always used, and the final embedding runs on no tape at all.
     """
-    if batch is None:
-        snapshot = sequence.snapshot_at(t)
-        if sequence.task == "link_prediction":
-            seed = batch_seed if batch_seed is not None else int(
-                seed_from(config.seed, "evalbatch").generate_state(1)[0]
-            )
-            batch = sample_link_prediction_batch(snapshot, negative_ratio, mode="eval", seed=seed)
-        else:
-            batch = classification_batch(snapshot, sequence.task)
     window = build_window(sequence, t, config)
     working = params.clone()
     tape = Tape("first_order")
     states, _ = inner_adapt(window, working, spec, config, tape)
     final_state = states[-1]
-    bundle = embed(window.structure_snapshot, final_state, spec)
-    predictions = task_predict(bundle, final_state, spec, batch)
-    return bundle, predictions, batch, final_state
+    return embed(window.structure_snapshot, final_state, spec), final_state

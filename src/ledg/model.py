@@ -33,6 +33,7 @@ __all__ = [
     "apply_head",
     "time_loss",
     "task_predict",
+    "symmetric_pair_probabilities",
     "task_loss",
     "save_checkpoint",
     "load_checkpoint",
@@ -137,6 +138,31 @@ class MlpHead:
         n = x.shape[0]
         h = nx.relu(nx.add(nx.matmul(x, w1), nx.broadcast_rows(b1, n)))
         return nx.add(nx.matmul(h, w2), nx.broadcast_rows(b2, n))
+
+    def pair_logits(self, params: ParameterSet, h: np.ndarray, items: np.ndarray):
+        """Untaped ``apply`` on the rows [h_u, h_v] and [h_v, h_u] of every
+        pair (u, v) in ``items``, as two arrays.
+
+        The first layer on a concatenated pair is h_u W1[:d] + h_v W1[d:], so
+        every node row is projected once by each half of W1 and both endpoint
+        orders gather the projections, instead of multiplying two concatenated
+        (M, 2d) matrices. Equal to ``apply`` up to rounding.
+        """
+        w1, b1, w2, b2 = (params[n].data for n in self.parameter_names)
+        d = h.shape[1]
+        if 2 * d != w1.shape[0]:
+            raise ShapeError(f"{self.role}: pair width {2 * d} != expected {w1.shape[0]}")
+        first, second = h @ w1[:d], h @ w1[d:]
+
+        def logits(src, dst):
+            # in place: each temporary is a fresh (M, hidden) array
+            x = first[src]
+            x += second[dst]
+            x += b1
+            return np.maximum(x, 0.0, out=x) @ w2 + b2
+
+        u, v = items[:, 0], items[:, 1]
+        return logits(u, v), logits(v, u)
 
 
 def _heads(spec: ModelSpec) -> dict[str, MlpHead]:
@@ -282,6 +308,35 @@ def task_predict(bundle: EmbeddingBundle, params: ParameterSet, spec: ModelSpec,
     logits_time = _heads(spec)["classifier_time"].apply(params, x_time)
     logits_graph = _heads(spec)["classifier_graph"].apply(params, x_graph)
     return nx.softmax_rows(nx.add(logits_time, logits_graph))
+
+
+def symmetric_pair_probabilities(params: ParameterSet, spec: ModelSpec, parts, items) -> np.ndarray:
+    """Class probabilities of (u, v) pairs averaged over both endpoint orders,
+    computed untaped.
+
+    ``parts`` lists (classifier head role, node embedding array) pairs; per
+    order the heads' logits are summed, in the listed order, before one
+    softmax, as in :func:`task_predict` (whose two heads read the time and
+    graph parts of a bundle). Each head projects node rows once
+    (:meth:`MlpHead.pair_logits`), so the cost grows with nodes plus pairs.
+    """
+    if spec.batch_kind != "edge":
+        raise ContractError(f"task {spec.task!r} has no edge pairs to score")
+    heads = _heads(spec)
+    forward = backward = 0.0
+    for role, h in parts:
+        f, b = heads[role].pair_logits(params, h, items)
+        forward, backward = forward + f, backward + b
+    return 0.5 * (_softmax_rows(forward) + _softmax_rows(backward))
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    # numerics.softmax_rows on a bare array, reduced down the columns of the
+    # transpose: numpy reduces a few long rows far faster than many short
+    # ones, and sums each row in the same order for fewer than 8 classes
+    t = np.ascontiguousarray(x.T)
+    e = np.exp(t - t.max(axis=0))
+    return (e / e.sum(axis=0)).T
 
 
 def task_loss(predictions: Tensor, labels) -> Tensor:

@@ -124,6 +124,59 @@ def uniform_rank_mrr_moments(num_candidates):
 
 
 # ---------------------------------------------------------------------------
+# negative sampling, one scalar draw at a time
+
+def scalar_link_prediction_batch(snapshot, negative_ratio=None, mode="train", seed=0):
+    """The link-prediction sampler as a plain loop: one ``rng.integers`` call
+    and one edge-set lookup per candidate. ``graphdata`` must reproduce its
+    items, labels and errors exactly."""
+    from ledg.errors import ValidationError
+    from ledg.graphdata import TaskBatch, seed_from
+
+    if mode not in ("train", "eval"):
+        raise ValidationError(f"mode must be 'train' or 'eval', not {mode!r}")
+    if negative_ratio is None:
+        negative_ratio = 1 if mode == "train" else 100
+    if negative_ratio < 1:
+        raise ValidationError("negative_ratio must be at least 1")
+    if snapshot.num_edges == 0:
+        raise ValidationError(f"snapshot {snapshot.time_index} has no edges to sample from")
+
+    n = snapshot.num_nodes
+    degree = np.zeros(n, dtype=np.int64)
+    for u, v, _, _ in snapshot.edges:
+        degree[u] += 1
+        degree[v] += 1
+    rng = np.random.default_rng(seed_from(seed, "negatives", snapshot.time_index, mode))
+    items = []
+    labels = []
+    for u, v, _, _ in snapshot.edges:
+        items.append((u, v))
+        labels.append(1)
+        if n - 1 - degree[u] < 1:
+            raise ValidationError(
+                f"node {u} is connected to every other node; "
+                "cannot sample negatives, lower the negative ratio or resplit"
+            )
+        got = 0
+        attempts = 0
+        limit = 200 * negative_ratio + 1000
+        while got < negative_ratio:
+            cand = int(rng.integers(0, n))
+            attempts += 1
+            if cand != u and not snapshot.has_edge(u, cand):
+                items.append((u, cand))
+                labels.append(0)
+                got += 1
+            elif attempts > limit:
+                raise ValidationError(
+                    f"negative sampling for source {u} exceeded {limit} attempts; "
+                    "the graph is too dense, lower the negative ratio"
+                )
+    return TaskBatch(snapshot.time_index, "edge", np.array(items), np.array(labels))
+
+
+# ---------------------------------------------------------------------------
 # per-primitive gradient checking
 
 def _u(rng, rows, cols, lo=-2.0, hi=2.0):

@@ -189,6 +189,106 @@ def test_symmetrized_edge_scores_are_order_invariant():
     assert np.all((a > 0.0) & (a < 1.0))
 
 
+def _two_order_probabilities(bundle, params, spec, batch):
+    # the symmetric formula as two taped-path predictions, one per order
+    swapped = gd.TaskBatch(batch.time_index, "edge", batch.items[:, ::-1], batch.labels)
+    forward = md.task_predict(bundle, params, spec, batch).data
+    backward = md.task_predict(bundle, params, spec, swapped).data
+    return 0.5 * (forward + backward)
+
+
+def test_symmetrized_edge_scores_match_two_task_predicts():
+    seq = _link_sequence()
+    spec = ModelSpec(EncoderConfig(num_layers=2, input_dim=16, hidden_dim=4))
+    params = md.init_parameters(spec, seed=3)
+    snap = seq.snapshot_at(5)
+    bundle = md.embed(snap, params, spec)
+    batch = gd.sample_link_prediction_batch(snap, 7, mode="eval", seed=2)
+    reference = _two_order_probabilities(bundle, params, spec, batch)
+    scores = ev.symmetrized_edge_scores(bundle, params, spec, batch)
+    assert np.max(np.abs(scores - reference[:, 1])) <= 1e-12
+
+
+def test_symmetric_edge_class_probabilities_match_two_task_predicts():
+    spec = ModelSpec(EncoderConfig(num_layers=2, input_dim=9, hidden_dim=5),
+                     task="edge_classification", num_classes=4)
+    params = md.init_parameters(spec, seed=5)
+    rng = np.random.default_rng(6)
+    pairs = [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.4]
+    snap = gd.SnapshotGraph(1, 9, pairs, rng.normal(size=(9, 9)))
+    bundle = md.embed(snap, params, spec)
+    items = rng.integers(0, 9, size=(40, 2))
+    batch = gd.TaskBatch(1, "edge", items, rng.integers(0, 4, size=40))
+    reference = _two_order_probabilities(bundle, params, spec, batch)
+    parts = (("classifier_time", bundle.time_part.data),
+             ("classifier_graph", bundle.graph_part.data))
+    probabilities = md.symmetric_pair_probabilities(params, spec, parts, batch.items)
+    assert np.max(np.abs(probabilities - reference)) <= 1e-12
+    assert np.array_equal(np.argmax(probabilities, axis=1), np.argmax(reference, axis=1))
+
+
+def test_static_edge_scores_match_the_two_order_static_predict():
+    from ledg import baselines as bl
+
+    seq = _link_sequence()
+    spec = ModelSpec(EncoderConfig(num_layers=2, input_dim=16, hidden_dim=4))
+    params = bl.init_static_parameters(spec, seed=1)
+    snap = seq.snapshot_at(4)
+    batch = gd.sample_link_prediction_batch(snap, 5, mode="eval", seed=1)
+    swapped = gd.TaskBatch(batch.time_index, "edge", batch.items[:, ::-1], batch.labels)
+    forward = bl.static_predict(snap, params, spec, batch).data[:, 1]
+    backward = bl.static_predict(snap, params, spec, swapped).data[:, 1]
+    scores = bl.static_edge_scores(snap, params, spec, batch)
+    assert np.max(np.abs(scores - 0.5 * (forward + backward))) <= 1e-12
+
+
+def test_evaluate_sequence_never_calls_task_predict(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return md.task_predict(*args, **kwargs)
+
+    for module in (ev, mt, md):
+        monkeypatch.setattr(module, "task_predict", counted)
+    seq, spec, params, config = _link_setup()
+    reports = ev.evaluate_sequence(seq, params, spec, config, seq.times_in("test"),
+                                   negative_ratio=5)
+    assert set(reports) == {"map", "mrr"} and calls == []
+
+
+def test_queries_from_batch_matches_per_source_masks():
+    rng = np.random.default_rng(9)
+    items = rng.integers(0, 12, size=(200, 2))
+    batch = gd.TaskBatch(1, "edge", items, rng.integers(0, 2, size=200))
+    scores = rng.random(200)
+    queries = ev.queries_from_batch(batch, scores)
+    sources = batch.items[:, 0]
+    assert [q.query_id for q in queries] == np.unique(sources).tolist()
+    for q in queries:
+        pick = sources == q.query_id
+        assert np.array_equal(q.candidate_ids, batch.items[pick, 1])
+        assert np.array_equal(q.scores, scores[pick])
+        assert np.array_equal(q.relevance, batch.labels[pick])
+
+
+def test_map_and_mrr_rank_each_query_once(monkeypatch):
+    rng = np.random.default_rng(10)
+    queries = _random_queries(rng, 6, allow_empty=False)
+    expected = (oracles.brute_force_map(queries), oracles.brute_force_mrr(queries))
+    calls = []
+    original = RankedQuery.ranking
+
+    def counted(self):
+        calls.append(self.query_id)
+        return original(self)
+
+    monkeypatch.setattr(RankedQuery, "ranking", counted)
+    got = (ev.mean_average_precision(queries), ev.mean_reciprocal_rank(queries))
+    assert sorted(calls) == sorted(q.query_id for q in queries)
+    assert abs(got[0] - expected[0]) <= 1e-12 and abs(got[1] - expected[1]) <= 1e-12
+
+
 # -------------------------------------------------------------------- reports
 
 

@@ -292,6 +292,111 @@ def test_link_batch_rejects_complete_graph_and_empty_snapshot():
         gd.sample_link_prediction_batch(snap, mode="validate")
 
 
+def _outcome(sampler, snapshot, ratio, mode, seed):
+    """A sampler's items and labels, or the type and message of its error."""
+    try:
+        batch = sampler(snapshot, ratio, mode, seed)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return batch.items.tobytes(), batch.labels.tobytes(), batch.items.shape
+
+
+def _assert_matches_scalar_reference(snapshot, ratio, mode, seed):
+    pooled = _outcome(gd.sample_link_prediction_batch, snapshot, ratio, mode, seed)
+    scalar = _outcome(oracles.scalar_link_prediction_batch, snapshot, ratio, mode, seed)
+    assert pooled == scalar, (snapshot.num_nodes, snapshot.num_edges, ratio, mode, seed)
+    return pooled
+
+
+def test_block_draws_equal_scalar_draws():
+    # the pooled sampler rests on this: a block of k draws is k scalar draws
+    for n in (7, 100, 150, 2000):
+        block = np.random.default_rng(n)
+        scalar = np.random.default_rng(n)
+        values = block.integers(0, n, size=500)
+        assert values.tolist() == [int(scalar.integers(0, n)) for _ in range(500)]
+        assert block.integers(0, n) == scalar.integers(0, n)
+
+
+def test_pooled_sampler_is_bit_identical_to_the_scalar_reference():
+    graphs = [
+        gd.generate_drifting_sbm(100, 2, 0.025, 0.003, 0.05, 3, seed=1),
+        gd.generate_drifting_sbm(40, 2, 0.5, 0.2, 0.1, 2, seed=2),
+        gd.generate_drifting_sbm(12, 3, 0.9, 0.4, 0.0, 1, seed=3),
+    ]
+    for seq in graphs:
+        for snap in seq:
+            for ratio in (1, 5, 50, 100):
+                for mode in ("train", "eval"):
+                    for seed in range(3):
+                        result = _assert_matches_scalar_reference(snap, ratio, mode, seed)
+                        assert isinstance(result[0], bytes)
+
+
+def test_pooled_sampler_matches_the_reference_on_random_dense_graphs():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(3, 30))
+        p = rng.uniform(0.1, 0.95)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if pairs:
+            snap = gd.SnapshotGraph(1, n, pairs, np.eye(n))
+            _assert_matches_scalar_reference(snap, int(rng.choice([1, 2, 5, 50])), "eval", trial)
+
+
+def test_pooled_sampler_trips_the_attempt_limit_like_the_reference():
+    # node 0 misses one edge of 2000, so its draws pass 1 time in 2000 and
+    # the limit (1200 draws at ratio 1, 2000 at ratio 5) stops the sampler
+    n = 2000
+    near_complete = [(0, v) for v in range(1, n - 1)] + [(5, 7)]
+    snap = gd.SnapshotGraph(1, n, near_complete, np.zeros((n, 1)))
+    for ratio, limit in ((1, 1200), (5, 2000)):
+        result = _assert_matches_scalar_reference(snap, ratio, "train", 0)
+        assert result == (
+            ValidationError,
+            f"negative sampling for source 0 exceeded {limit} attempts; "
+            "the graph is too dense, lower the negative ratio",
+        )
+    # the near-complete row comes after another source's positive
+    later = [(0, 3)] + [(1, v) for v in range(2, n - 1)]
+    snap = gd.SnapshotGraph(1, n, later, np.zeros((n, 1)))
+    result = _assert_matches_scalar_reference(snap, 2, "eval", 4)
+    assert result[0] is ValidationError and "source 1 exceeded" in result[1]
+
+
+def test_pooled_sampler_errors_match_the_reference():
+    complete = gd.SnapshotGraph(1, 3, [(0, 1), (0, 2), (1, 2)], np.eye(3))
+    # node 1's row is complete, but only after node 0's positive is served
+    late_complete = gd.SnapshotGraph(1, 5, [(0, 2), (1, 2), (1, 3), (1, 4), (0, 1)], np.eye(5))
+    empty = gd.SnapshotGraph(1, 3, [], np.eye(3))
+    snap = gd.SnapshotGraph(1, 4, [(0, 1)], np.eye(4))
+    cases = [
+        (complete, 1, "train", "node 0 is connected to every other node"),
+        (late_complete, 3, "eval", "node 1 is connected to every other node"),
+        (empty, None, "eval", "snapshot 1 has no edges to sample from"),
+        (snap, 0, "train", "negative_ratio must be at least 1"),
+        (snap, 1, "validate", "mode must be 'train' or 'eval'"),
+    ]
+    for snapshot, ratio, mode, message in cases:
+        result = _assert_matches_scalar_reference(snapshot, ratio, mode, 0)
+        assert result[0] is ValidationError and result[1].startswith(message)
+
+
+def test_degrees_and_edge_array_are_cached_arrays():
+    seq = gd.generate_drifting_sbm(30, 2, 0.4, 0.05, 0.0, 1, seed=12)
+    snap = seq.snapshot_at(1)
+    expected = np.zeros(30, dtype=np.int64)
+    for u, v, _, _ in snap.edges:
+        expected[u] += 1
+        expected[v] += 1
+    assert np.array_equal(snap.degrees(), expected)
+    assert snap.edge_array() is snap.edge_array()
+    assert not snap.edge_array().flags.writeable
+    empty = gd.SnapshotGraph(1, 3, [], np.eye(3))
+    assert empty.edge_array().shape == (0, 2)
+    assert np.array_equal(empty.degrees(), [0, 0, 0])
+
+
 def test_link_batch_same_seed_is_reproducible():
     seq = gd.generate_drifting_sbm(20, 2, 0.4, 0.05, 0.0, 1, seed=5)
     snap = seq.snapshot_at(1)

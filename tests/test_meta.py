@@ -452,9 +452,9 @@ def test_adapt_and_predict_zero_eta_equals_direct_forward():
     params = md.init_parameters(spec, seed=6)
     config = TrainingConfig(window_size=2, eta_in=0.0, eta_out=0.01)
     t = 5
-    bundle, preds, batch, _ = mt.adapt_and_predict(
-        seq, params, t, spec, config, negative_ratio=2
-    )
+    batch = gd.sample_link_prediction_batch(seq.snapshot_at(t), 2, mode="eval")
+    bundle, adapted = mt.adapt_and_predict(seq, params, t, spec, config)
+    preds = md.task_predict(bundle, adapted, spec, batch)
     window = mt.build_window(seq, t, config)
     direct = md.task_predict(
         md.embed(window.structure_snapshot, params, spec), params, spec, batch
@@ -469,8 +469,7 @@ def test_adapt_and_predict_leaves_caller_parameters_untouched():
     params = md.init_parameters(spec, seed=7)
     before = params.fingerprint()
     config = TrainingConfig(window_size=2, eta_in=0.5, eta_out=0.01)
-    _, _, _, adapted = mt.adapt_and_predict(seq, params, 5, spec, config,
-                                            negative_ratio=2)
+    _, adapted = mt.adapt_and_predict(seq, params, 5, spec, config)
     assert params.fingerprint() == before
     assert adapted.fingerprint("gnn") != params.fingerprint("gnn")
 
@@ -481,7 +480,7 @@ def test_adapt_and_predict_rejects_times_without_a_window():
     params = md.init_parameters(spec, seed=0)
     config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01)
     with pytest.raises(ValidationError):
-        mt.adapt_and_predict(seq, params, 2, spec, config, negative_ratio=2)
+        mt.adapt_and_predict(seq, params, 2, spec, config)
 
 
 def test_previous_snapshot_mode_never_reads_the_target_structure():
@@ -499,8 +498,10 @@ def test_previous_snapshot_mode_never_reads_the_target_structure():
     config = TrainingConfig(window_size=2, eta_in=0.2, eta_out=0.01,
                             target_structure_mode="previous_snapshot")
     batch = gd.TaskBatch(4, "edge", np.array([[0, 1], [2, 5]]), np.array([1, 0]))
-    _, preds_a, _, _ = mt.adapt_and_predict(seq_a, params, 4, spec, config, batch=batch)
-    _, preds_b, _, _ = mt.adapt_and_predict(seq_b, params, 4, spec, config, batch=batch)
+    bundle_a, adapted_a = mt.adapt_and_predict(seq_a, params, 4, spec, config)
+    bundle_b, adapted_b = mt.adapt_and_predict(seq_b, params, 4, spec, config)
+    preds_a = md.task_predict(bundle_a, adapted_a, spec, batch)
+    preds_b = md.task_predict(bundle_b, adapted_b, spec, batch)
     assert np.array_equal(preds_a.data, preds_b.data)
 
 
