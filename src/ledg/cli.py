@@ -18,7 +18,7 @@ from pathlib import Path
 from . import evaluation as ev
 from . import graphdata as gd
 from . import meta as mt
-from .errors import ConfigError, LedgError
+from .errors import ConfigError, LedgError, NumericalError
 from .model import EncoderConfig, ModelSpec, load_checkpoint, save_checkpoint
 
 #: config keys, their parsers, and defaults; eta_in "auto" means 10 * eta_out
@@ -443,6 +443,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NumericalError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
     except LedgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

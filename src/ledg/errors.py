@@ -27,3 +27,8 @@ class DatasetError(LedgError):
 
 class ConfigError(LedgError):
     """A run configuration is invalid or inconsistent."""
+
+
+class NumericalError(LedgError):
+    """A computation produced a non-finite value: a runtime failure of the
+    run, not a fault in its inputs."""

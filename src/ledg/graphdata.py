@@ -42,9 +42,6 @@ TASKS = ("link_prediction", "edge_classification", "node_classification")
 
 DATASET_FORMAT = "TGDS1"
 
-#: additive mask value that zeroes non-neighbors after an attention row softmax
-MASK_VALUE = -1e9
-
 
 def seed_from(base: int, *labels) -> np.random.SeedSequence:
     """Derive a child seed from a base seed plus arbitrary tag labels.
@@ -101,7 +98,7 @@ class SnapshotGraph:
         "features",
         "node_labels",
         "_adjacency",
-        "_attention_masks",
+        "_neighbourhood",
         "_edge_keys",
         "_edge_array",
     )
@@ -131,7 +128,7 @@ class SnapshotGraph:
             node_labels.flags.writeable = False
         self.node_labels = node_labels
         self._adjacency = None
-        self._attention_masks = None
+        self._neighbourhood = None
         self._edge_array = None
 
     @property
@@ -166,15 +163,27 @@ class SnapshotGraph:
             self._adjacency = normalize_adjacency(self.edges, self.num_nodes)
         return self._adjacency
 
-    @property
-    def attention_masks(self) -> tuple[Tensor, Tensor]:
-        """The 0/1 neighborhood mask (self-loops included) of the normalized
-        adjacency and the additive offset that is MASK_VALUE off the
-        neighborhood and 0 on it; constants, cached like the adjacency."""
-        if self._attention_masks is None:
-            mask = (self.normalized_adjacency.data > 0.0).astype(np.float64)
-            self._attention_masks = (Tensor(mask), Tensor((1.0 - mask) * MASK_VALUE))
-        return self._attention_masks
+    def neighbourhood(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The self-looped neighbour pairs as read-only arrays (rows, cols,
+        starts), built on first use and cached.
+
+        (rows[k], cols[k]) runs over both orientations of every edge plus
+        (i, i) for every node, sorted by (row, col): the nonzero pattern of
+        the normalized adjacency, 2E + N pairs. Node i's pairs begin at
+        starts[i], and none is empty.
+        """
+        if self._neighbourhood is None:
+            n = self.num_nodes
+            u, v = self.edge_array().T
+            nodes = np.arange(n)
+            # pair keys row * n + col sort in (row, col) order
+            keys = np.sort(np.concatenate([u * n + v, v * n + u, nodes * (n + 1)]))
+            rows, cols = np.divmod(keys, n)
+            starts = np.searchsorted(rows, nodes)
+            for arr in (rows, cols, starts):
+                arr.flags.writeable = False
+            self._neighbourhood = (rows, cols, starts)
+        return self._neighbourhood
 
 
 def normalize_adjacency(edges, num_nodes: int) -> Tensor:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nx
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ConfigError, ContractError, NumericalError, ValidationError
 from .graphdata import (
     DynamicGraphSequence,
     SnapshotGraph,
@@ -403,8 +403,10 @@ def train(
     parameters after every episode. ``val_hook(params, epoch) -> float``
     (higher is better) selects the best-scoring epoch's parameters and, when
     ``early_stop_patience`` is set, stops after that many non-improving
-    epochs; ``log_hook(record)`` sees every episode record as it is made.
-    Deterministic given (sequence, spec, config).
+    epochs; ``log_hook(record)`` sees every finite episode record as it is
+    made. Raises NumericalError at the first episode whose inner losses,
+    objective or gradient norm are not finite. Deterministic given
+    (sequence, spec, config).
     """
     train_end = sequence.split[0]
     first = earliest_target_time(config)
@@ -432,6 +434,7 @@ def train(
             )
             if record is None:
                 continue
+            _require_finite(record)
             result.records.append(record)
             if log_hook is not None:
                 log_hook(record)
@@ -452,6 +455,20 @@ def train(
                 break
     result.params = params if val_hook is None else best_params
     return result
+
+
+def _require_finite(record: EpisodeRecord) -> None:
+    """Raise NumericalError at the first non-finite value of an episode,
+    naming its epoch, target time and inner step."""
+    where = f"training went non-finite at epoch {record.epoch}, target time {record.target_time}"
+    for step, loss in enumerate(record.inner_losses, start=1):
+        if not np.isfinite(loss):
+            raise NumericalError(f"{where}, inner step {step}: inner loss {loss}")
+    last = len(record.inner_losses)
+    for name in ("objective", "grad_norm"):
+        value = getattr(record, name)
+        if not np.isfinite(value):
+            raise NumericalError(f"{where}, outer step after inner step {last}: {name} {value}")
 
 
 def adapt_and_predict(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ContractError, DatasetError, ShapeError, ValidationError
-from .graphdata import MASK_VALUE, SnapshotGraph, TaskBatch, seed_from
+from .graphdata import SnapshotGraph, TaskBatch, seed_from
 from .numerics import ParameterSet, Tensor
 
 __all__ = [
@@ -219,7 +219,10 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
     normalized adjacency. The attention base scores each (target, source)
     neighbor pair additively, leaky-ReLUs the score, softmax-normalizes over
     the target's neighborhood including its self-loop, aggregates, then
-    applies the activation. Single attention head.
+    applies the activation. Single attention head. Scores and their softmax
+    live on the 2E + N neighbour pairs (:meth:`SnapshotGraph.neighbourhood`);
+    only the aggregation scatters the weights into a dense N x N matrix,
+    because a BLAS product beats a numpy segment sum at these sizes.
     """
     if snapshot.feature_width != config.input_dim:
         raise ShapeError(
@@ -233,15 +236,14 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         return h
 
     n = snapshot.num_nodes
-    mask, offset = snapshot.attention_masks
+    rows, cols, starts = snapshot.neighbourhood()
     for layer in range(1, config.num_layers + 1):
         wh = nx.matmul(h, params[f"gnn_w{layer}"])
         left = nx.matmul(wh, params[f"gnn_al{layer}"])
         right = nx.matmul(wh, params[f"gnn_ar{layer}"])
-        scores = nx.add(nx.broadcast_cols(left, n), nx.broadcast_rows(nx.transpose(right), n))
-        scores = nx.leaky_relu(scores, ATTENTION_SLOPE)
-        scores = nx.add(nx.hadamard(scores, mask), offset)
-        weights = nx.softmax_rows(scores)
+        scores = nx.add(nx.gather_rows(left, rows), nx.gather_rows(right, cols))
+        alpha = nx.segment_softmax(nx.leaky_relu(scores, ATTENTION_SLOPE), rows, starts)
+        weights = nx.scatter_pairs(alpha, rows, cols, (n, n))
         h = _activate(nx.matmul(weights, wh), config.activation)
     return h
 

@@ -28,7 +28,6 @@ __all__ = [
     "PARAMETER_GROUPS",
     "INNER_LOOP_GROUPS",
     "matmul",
-    "transpose",
     "add",
     "sub",
     "hadamard",
@@ -40,13 +39,13 @@ __all__ = [
     "one_minus",
     "reciprocal",
     "log",
-    "exp",
     "greater_than",
     "clamp_min",
     "smooth_l1",
     "clip_unit",
     "unit_interval_mask",
     "softmax_rows",
+    "segment_softmax",
     "row_sums",
     "col_sums",
     "sum_all",
@@ -55,11 +54,12 @@ __all__ = [
     "broadcast_full",
     "gather_rows",
     "scatter_rows",
+    "gather_pairs",
+    "scatter_pairs",
     "concat_cols",
     "slice_cols",
     "pad_cols",
     "mean_pool",
-    "grad",
     "l2_norm",
 ]
 
@@ -293,10 +293,6 @@ def _k_matmul(d, p):
     return a @ b
 
 
-def _k_transpose(d, p):
-    return d[0].T.copy()
-
-
 def _k_add(d, p):
     return d[0] + d[1]
 
@@ -318,13 +314,11 @@ def _k_mul_scalar(d, p):
 
 
 def _k_sigmoid(d, p):
+    # exp(-|x|) never overflows; both branches are the textbook stable forms.
+    # min(x, -x) is -|x| that passes a NaN on with its own sign bit
     x = d[0]
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _k_relu(d, p):
@@ -351,10 +345,6 @@ def _k_reciprocal(d, p):
 
 def _k_log(d, p):
     return np.log(d[0])
-
-
-def _k_exp(d, p):
-    return np.exp(d[0])
 
 
 def _k_greater_than(d, p):
@@ -384,6 +374,14 @@ def _k_softmax_rows(d, p):
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _k_segment_softmax(d, p):
+    # every segment is nonempty, so reduceat reduces exactly its own entries
+    x = d[0][:, 0]
+    rows, starts = p["rows"], p["starts"]
+    e = np.exp(x - np.maximum.reduceat(x, starts)[rows])
+    return (e / np.add.reduceat(e, starts)[rows])[:, None]
 
 
 def _k_row_sums(d, p):
@@ -424,6 +422,17 @@ def _k_scatter_rows(d, p):
     return out.reshape(p["num_rows"], m)
 
 
+def _k_gather_pairs(d, p):
+    return d[0][p["rows"], p["cols"]][:, None]
+
+
+def _k_scatter_pairs(d, p):
+    # accumulates repeated pairs, so it is the exact adjoint of gather_pairs
+    n, m = p["shape"]
+    out = np.bincount(p["rows"] * m + p["cols"], weights=d[0][:, 0], minlength=n * m)
+    return out.reshape(n, m)
+
+
 def _k_concat_cols(d, p):
     return np.concatenate([d[0], d[1]], axis=1)
 
@@ -438,7 +447,6 @@ def _k_pad_cols(d, p):
 
 _FORWARD = {
     "matmul": _k_matmul,
-    "transpose": _k_transpose,
     "add": _k_add,
     "sub": _k_sub,
     "hadamard": _k_hadamard,
@@ -450,13 +458,13 @@ _FORWARD = {
     "one_minus": _k_one_minus,
     "reciprocal": _k_reciprocal,
     "log": _k_log,
-    "exp": _k_exp,
     "greater_than": _k_greater_than,
     "clamp_min": _k_clamp_min,
     "smooth_l1": _k_smooth_l1,
     "clip_unit": _k_clip_unit,
     "unit_interval_mask": _k_unit_mask,
     "softmax_rows": _k_softmax_rows,
+    "segment_softmax": _k_segment_softmax,
     "row_sums": _k_row_sums,
     "col_sums": _k_col_sums,
     "sum_all": _k_sum_all,
@@ -465,6 +473,8 @@ _FORWARD = {
     "broadcast_full": _k_broadcast_full,
     "gather_rows": _k_gather_rows,
     "scatter_rows": _k_scatter_rows,
+    "gather_pairs": _k_gather_pairs,
+    "scatter_pairs": _k_scatter_pairs,
     "concat_cols": _k_concat_cols,
     "slice_cols": _k_slice_cols,
     "pad_cols": _k_pad_cols,
@@ -488,10 +498,6 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
             f" (ta={bool(ta)}, tb={bool(tb)})"
         )
     return _emit("matmul", (a, b), {"ta": bool(ta), "tb": bool(tb)})
-
-
-def transpose(a: Tensor) -> Tensor:
-    return _emit("transpose", (a,))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -540,10 +546,6 @@ def log(a: Tensor) -> Tensor:
     return _emit("log", (a,))
 
 
-def exp(a: Tensor) -> Tensor:
-    return _emit("exp", (a,))
-
-
 def greater_than(a: Tensor, value: float) -> Tensor:
     """0/1 indicator of a > value. Not differentiable (zero gradient)."""
     return _emit("greater_than", (a,), {"value": float(value)}, track=False)
@@ -580,6 +582,27 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _emit("softmax_rows", (a,))
 
 
+def segment_softmax(a: Tensor, rows, starts) -> Tensor:
+    """Softmax of a (P, 1) column within each segment of consecutive entries.
+
+    ``rows[k]`` is the segment of entry k and segment i starts at
+    ``starts[i]``: rows must be sorted, and every segment nonempty.
+    """
+    rows = _frozen_indices(rows, None, "segment_softmax")
+    starts = _frozen_indices(starts, None, "segment_softmax")
+    if a.shape != (rows.size, 1):
+        raise ShapeError(f"segment_softmax: need a ({rows.size}, 1) column, got {a.shape}")
+    sizes = np.diff(starts, append=rows.size)
+    if (
+        starts.size == 0
+        or starts[0] != 0
+        or np.any(sizes <= 0)
+        or not np.array_equal(rows, np.repeat(np.arange(starts.size), sizes))
+    ):
+        raise ShapeError("segment_softmax: rows must number the nonempty segments begun at starts")
+    return _emit("segment_softmax", (a,), {"rows": rows, "starts": starts})
+
+
 def row_sums(a: Tensor) -> Tensor:
     return _emit("row_sums", (a,))
 
@@ -613,27 +636,53 @@ def broadcast_full(a: Tensor, shape: tuple[int, int]) -> Tensor:
     return _emit("broadcast_full", (a,), {"shape": (int(shape[0]), int(shape[1]))})
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
+def _frozen_indices(indices, bound: int | None, op: str) -> np.ndarray:
+    """A read-only 1-D index copy for the tape, checked against [0, bound)."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
-        raise ShapeError("gather_rows: indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+        raise ShapeError(f"{op}: indices must be 1-D")
+    if bound is not None and idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise ShapeError(f"{op}: index out of range [0, {bound})")
     idx = idx.copy()
     idx.flags.writeable = False
+    return idx
+
+
+def gather_rows(a: Tensor, indices) -> Tensor:
+    idx = _frozen_indices(indices, a.shape[0], "gather_rows")
     return _emit("gather_rows", (a,), {"indices": idx})
 
 
 def scatter_rows(a: Tensor, indices, num_rows: int) -> Tensor:
     """Add rows of ``a`` into a zero matrix at the given row indices."""
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = _frozen_indices(indices, num_rows, "scatter_rows")
     if idx.shape != (a.shape[0],):
         raise ShapeError("scatter_rows: need one index per input row")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise ShapeError(f"scatter_rows: index out of range for {num_rows} rows")
-    idx = idx.copy()
-    idx.flags.writeable = False
     return _emit("scatter_rows", (a,), {"indices": idx, "num_rows": int(num_rows)})
+
+
+def _pair_indices(rows, cols, shape, op: str):
+    rows = _frozen_indices(rows, shape[0], op)
+    cols = _frozen_indices(cols, shape[1], op)
+    if rows.shape != cols.shape:
+        raise ShapeError(f"{op}: {rows.size} row indices but {cols.size} column indices")
+    return rows, cols
+
+
+def gather_pairs(a: Tensor, rows, cols) -> Tensor:
+    """The entries a[rows[k], cols[k]] as a (P, 1) column."""
+    rows, cols = _pair_indices(rows, cols, a.shape, "gather_pairs")
+    return _emit("gather_pairs", (a,), {"rows": rows, "cols": cols})
+
+
+def scatter_pairs(a: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
+    """A zero matrix of the given shape with the (P, 1) column ``a`` added
+    at the entries (rows[k], cols[k]); the adjoint of gather_pairs."""
+    shape = (int(shape[0]), int(shape[1]))
+    rows, cols = _pair_indices(rows, cols, shape, "scatter_pairs")
+    if a.shape != (rows.size, 1):
+        raise ShapeError(f"scatter_pairs: need a ({rows.size}, 1) column, got {a.shape}")
+    return _emit("scatter_pairs", (a,), {"rows": rows, "cols": cols, "shape": shape})
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -681,10 +730,6 @@ def _b_matmul(node, g):
         gb = matmul(g, a, ta=True, tb=ta) if tb else matmul(a, g, ta=not ta)
         out.append((b, gb))
     return out
-
-
-def _b_transpose(node, g):
-    return ((node.inputs[0], transpose(g)),)
 
 
 def _b_add(node, g):
@@ -748,10 +793,6 @@ def _b_log(node, g):
     return ((x, hadamard(g, reciprocal(x))),)
 
 
-def _b_exp(node, g):
-    return ((node.inputs[0], hadamard(g, node.output)),)
-
-
 def _b_clamp_min(node, g):
     x = node.inputs[0]
     return ((x, hadamard(g, greater_than(x, node.params["value"]))),)
@@ -772,6 +813,14 @@ def _b_softmax_rows(node, g):
     weighted = row_sums(hadamard(g, y))
     centered = sub(g, broadcast_cols(weighted, y.shape[1]))
     return ((node.inputs[0], hadamard(y, centered)),)
+
+
+def _b_segment_softmax(node, g):
+    # y * (g - (segment sum of g * y), broadcast back to the segment's pairs)
+    y = node.output
+    rows = node.params["rows"]
+    weighted = scatter_rows(hadamard(g, y), rows, node.params["starts"].size)
+    return ((node.inputs[0], hadamard(y, sub(g, gather_rows(weighted, rows)))),)
 
 
 def _b_row_sums(node, g):
@@ -810,6 +859,15 @@ def _b_scatter_rows(node, g):
     return ((node.inputs[0], gather_rows(g, node.params["indices"])),)
 
 
+def _b_gather_pairs(node, g):
+    p = node.params
+    return ((node.inputs[0], scatter_pairs(g, p["rows"], p["cols"], node.inputs[0].shape)),)
+
+
+def _b_scatter_pairs(node, g):
+    return ((node.inputs[0], gather_pairs(g, node.params["rows"], node.params["cols"])),)
+
+
 def _b_concat_cols(node, g):
     a, b = node.inputs
     ca = a.shape[1]
@@ -835,7 +893,6 @@ def _b_pad_cols(node, g):
 
 _BACKWARD = {
     "matmul": _b_matmul,
-    "transpose": _b_transpose,
     "add": _b_add,
     "sub": _b_sub,
     "hadamard": _b_hadamard,
@@ -847,13 +904,13 @@ _BACKWARD = {
     "one_minus": _b_one_minus,
     "reciprocal": _b_reciprocal,
     "log": _b_log,
-    "exp": _b_exp,
     "greater_than": None,
     "clamp_min": _b_clamp_min,
     "smooth_l1": _b_smooth_l1,
     "clip_unit": _b_clip_unit,
     "unit_interval_mask": None,
     "softmax_rows": _b_softmax_rows,
+    "segment_softmax": _b_segment_softmax,
     "row_sums": _b_row_sums,
     "col_sums": _b_col_sums,
     "sum_all": _b_sum_all,
@@ -862,6 +919,8 @@ _BACKWARD = {
     "broadcast_full": _b_broadcast_full,
     "gather_rows": _b_gather_rows,
     "scatter_rows": _b_scatter_rows,
+    "gather_pairs": _b_gather_pairs,
+    "scatter_pairs": _b_scatter_pairs,
     "concat_cols": _b_concat_cols,
     "slice_cols": _b_slice_cols,
     "pad_cols": _b_pad_cols,
@@ -970,18 +1029,6 @@ class ParameterSet:
     @property
     def total_parameters(self) -> int:
         return sum(t.size for t in self._tensors.values())
-
-
-def grad(tape: Tape, output: Tensor, params: ParameterSet, groups=None) -> dict[str, Tensor]:
-    """Gradient of a scalar wrt every parameter in the named groups.
-
-    Parameters the output does not depend on get zero gradients. In exact
-    mode the returned tensors are recorded on the tape and can be
-    differentiated again.
-    """
-    pairs = params.items_in(*(groups or ()))
-    grads = tape.gradient(output, [t for _, t in pairs])
-    return {name: g for (name, _), g in zip(pairs, grads)}
 
 
 def l2_norm(tensors) -> float:

@@ -177,6 +177,60 @@ def scalar_link_prediction_batch(snapshot, negative_ratio=None, mode="train", se
 
 
 # ---------------------------------------------------------------------------
+# superseded kernels and encoders, kept as references
+
+def masked_sigmoid(x):
+    """The two-branch sigmoid kernel: 1/(1+exp(-x)) on x >= 0 and
+    exp(x)/(1+exp(x)) elsewhere, each on its own masked subset."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def random_snapshot(rng, time_index, num_nodes, edge_p, features, isolated=2, node_labels=None):
+    """A snapshot with each pair of the first num_nodes - isolated nodes
+    joined with probability edge_p; the last ``isolated`` nodes have no
+    edges (edge_p = 0 gives an edgeless snapshot)."""
+    from ledg.graphdata import SnapshotGraph
+
+    linked = num_nodes - isolated
+    edges = [
+        (u, v) for u in range(linked) for v in range(u + 1, linked) if rng.random() < edge_p
+    ]
+    return SnapshotGraph(time_index, num_nodes, edges, features, node_labels)
+
+
+#: additive offset that zeroes non-neighbours after a dense row softmax
+MASK_VALUE = -1e9
+
+
+def dense_attention_encode(snapshot, params, config):
+    """The attention encoder on dense N x N scores: every (target, source)
+    score is formed, non-neighbours are pushed to MASK_VALUE and each row is
+    softmax-normalized over all N columns. Recorded with the library's
+    primitives, so an exact tape differentiates through it."""
+    n = snapshot.num_nodes
+    mask = (snapshot.normalized_adjacency.data > 0.0).astype(np.float64)
+    mask, offset = nx.Tensor(mask), nx.Tensor((1.0 - mask) * MASK_VALUE)
+    h = snapshot.features
+    for layer in range(1, config.num_layers + 1):
+        wh = nx.matmul(h, params[f"gnn_w{layer}"])
+        left = nx.matmul(wh, params[f"gnn_al{layer}"])
+        right_row = nx.matmul(params[f"gnn_ar{layer}"], wh, ta=True, tb=True)
+        scores = nx.add(nx.broadcast_cols(left, n), nx.broadcast_rows(right_row, n))
+        scores = nx.leaky_relu(scores, 0.2)
+        scores = nx.add(nx.hadamard(scores, mask), offset)
+        h = nx.matmul(nx.softmax_rows(scores), wh)
+        if config.activation == "relu":
+            h = nx.relu(h)
+    return h
+
+
+# ---------------------------------------------------------------------------
 # per-primitive gradient checking
 
 def _u(rng, rows, cols, lo=-2.0, hi=2.0):
@@ -201,10 +255,6 @@ def _case_matmul(rng):
         )
 
     return [_u(rng, 3, 4), _u(rng, 4, 3), _u(rng, 4, 2), _u(rng, 2, 4)], call
-
-
-def _case_transpose(rng):
-    return [_u(rng, 2, 5)], nx.transpose
 
 
 def _case_add(rng):
@@ -255,10 +305,6 @@ def _case_log(rng):
     return [rng.uniform(0.2, 3.0, size=(2, 3))], nx.log
 
 
-def _case_exp(rng):
-    return [_u(rng, 2, 3)], nx.exp
-
-
 def _case_clamp_min(rng):
     return [_away_from(rng, 3, 3, 0.0, 0.1)], lambda a: nx.clamp_min(a, 0.0)
 
@@ -273,6 +319,14 @@ def _case_clip_unit(rng):
 
 def _case_softmax_rows(rng):
     return [_u(rng, 3, 4)], nx.softmax_rows
+
+
+def _case_segment_softmax(rng):
+    # segments of 3, 1, 2 and 4 entries: a lone entry has weight 1 and
+    # gradient 0, so the FD check sees it too
+    rows = [0, 0, 0, 1, 2, 2, 3, 3, 3, 3]
+    starts = [0, 3, 4, 6]
+    return [_u(rng, 10, 1)], lambda a: nx.segment_softmax(a, rows, starts)
 
 
 def _case_row_sums(rng):
@@ -309,6 +363,19 @@ def _case_scatter_rows(rng):
     return [_u(rng, 4, 2)], lambda a: nx.scatter_rows(a, idx, 6)
 
 
+# (1, 2) twice exercises accumulation in scatter_pairs
+_PAIR_ROWS = [0, 1, 1, 3, 1, 2]
+_PAIR_COLS = [0, 2, 4, 1, 2, 0]
+
+
+def _case_gather_pairs(rng):
+    return [_u(rng, 4, 5)], lambda a: nx.gather_pairs(a, _PAIR_ROWS, _PAIR_COLS)
+
+
+def _case_scatter_pairs(rng):
+    return [_u(rng, 6, 1)], lambda a: nx.scatter_pairs(a, _PAIR_ROWS, _PAIR_COLS, (4, 5))
+
+
 def _case_concat_cols(rng):
     return [_u(rng, 3, 2), _u(rng, 3, 4)], nx.concat_cols
 
@@ -323,7 +390,6 @@ def _case_pad_cols(rng):
 
 PRIMITIVE_CASES = {
     "matmul": _case_matmul,
-    "transpose": _case_transpose,
     "add": _case_add,
     "sub": _case_sub,
     "hadamard": _case_hadamard,
@@ -335,11 +401,11 @@ PRIMITIVE_CASES = {
     "one_minus": _case_one_minus,
     "reciprocal": _case_reciprocal,
     "log": _case_log,
-    "exp": _case_exp,
     "clamp_min": _case_clamp_min,
     "smooth_l1": _case_smooth_l1,
     "clip_unit": _case_clip_unit,
     "softmax_rows": _case_softmax_rows,
+    "segment_softmax": _case_segment_softmax,
     "row_sums": _case_row_sums,
     "col_sums": _case_col_sums,
     "sum_all": _case_sum_all,
@@ -348,6 +414,8 @@ PRIMITIVE_CASES = {
     "broadcast_full": _case_broadcast_full,
     "gather_rows": _case_gather_rows,
     "scatter_rows": _case_scatter_rows,
+    "gather_pairs": _case_gather_pairs,
+    "scatter_pairs": _case_scatter_pairs,
     "concat_cols": _case_concat_cols,
     "slice_cols": _case_slice_cols,
     "pad_cols": _case_pad_cols,

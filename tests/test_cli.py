@@ -264,6 +264,25 @@ def test_train_corrupted_dataset_is_a_runtime_error(dataset_dir, tmp_path, capsy
     assert "runtime error:" in capsys.readouterr().err
 
 
+def test_train_non_finite_run_is_a_runtime_error_without_checkpoint(tmp_path, capsys):
+    data, out = tmp_path / "desk", tmp_path / "run"
+    assert cli.main([
+        "generate", "--out", str(data), "--num-nodes", "100", "--num-communities", "2",
+        "--intra-p", "0.025", "--inter-p", "0.003", "--drift-rate", "0.05",
+        "--num-snapshots", "20", "--seed", "0", "--train-frac", "0.4", "--val-frac", "0.1",
+    ]) == 0
+    with np.errstate(all="ignore"):
+        rc = cli.main([
+            "train", "--dataset", str(data), "--out", str(out), "--hidden-dim", "32",
+            "--window-size", "3", "--epochs", "3", "--eta-out", "5", "--eta-in", "500",
+        ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "runtime error: training went non-finite at epoch 1, target time 8, inner step 1" in err
+    assert not (out / "checkpoint.npz").exists()
+    assert not (out / "episodes.jsonl").exists()
+
+
 def test_train_early_stopping_engages_validation(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli.main([

@@ -27,6 +27,23 @@ def test_snapshot_canonicalizes_edges():
     assert np.array_equal(snap.degrees(), [1, 1, 1, 1])
 
 
+def test_neighbourhood_is_the_cached_sorted_adjacency_pattern():
+    rng = np.random.default_rng(17)
+    for edge_p in (0.0, 0.05, 0.3, 1.0):
+        snap = oracles.random_snapshot(rng, 1, 12, edge_p, np.eye(12), isolated=3)
+        rows, cols, starts = snap.neighbourhood()
+        assert snap.neighbourhood() is snap.neighbourhood()
+        for arr in (rows, cols, starts):
+            assert not arr.flags.writeable
+        assert rows.size == 2 * snap.num_edges + snap.num_nodes
+        keys = rows * 12 + cols
+        assert np.all(np.diff(keys) > 0)
+        pattern = np.nonzero(snap.normalized_adjacency.data)
+        assert np.array_equal(rows, pattern[0]) and np.array_equal(cols, pattern[1])
+        assert np.array_equal(starts, np.searchsorted(rows, np.arange(12)))
+        assert np.array_equal(np.diff(starts, append=rows.size), snap.degrees() + 1)
+
+
 def test_snapshot_rejects_bad_edges():
     with pytest.raises(ValidationError):
         gd.SnapshotGraph(1, 3, [(0, 5)], np.eye(3))

@@ -1,5 +1,7 @@
 """Episode windows, inner adaptation, outer updates, the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from ledg import graphdata as gd
 from ledg import meta as mt
 from ledg import model as md
 from ledg import numerics as nx
-from ledg.errors import ConfigError, ContractError, ValidationError
+from ledg.errors import ConfigError, ContractError, NumericalError, ValidationError
 from ledg.meta import TrainingConfig
 from ledg.model import EncoderConfig, ModelSpec
 from ledg.numerics import Tape, Tensor
@@ -301,6 +303,42 @@ def test_attention_exact_meta_gradient_matches_central_differences():
     assert worst_fo > 1e-2, worst_fo
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_attention_exact_meta_gradient_matches_the_dense_masked_reference(
+    monkeypatch, layers, activation
+):
+    """The exact meta-gradient through the pair-list encoder equals the one
+    through the dense masked encoder, on windows with isolated nodes and an
+    edgeless snapshot."""
+    rng = np.random.default_rng([5, layers])
+    feats = rng.normal(size=(10, 2))
+    snaps = [
+        oracles.random_snapshot(rng, t, 10, p, feats, node_labels=rng.integers(0, 2, 10))
+        for t, p in ((1, 0.3), (2, 0.0), (3, 0.5))
+    ]
+    seq = gd.DynamicGraphSequence(snaps, (3, 3, 3), "node_classification", 2)
+    spec = ModelSpec(
+        EncoderConfig(base_model="attention", num_layers=layers, input_dim=2, hidden_dim=3,
+                      activation=activation),
+        task="node_classification",
+    )
+    config = TrainingConfig(window_size=2, eta_in=0.3, eta_out=0.05, gradient_mode="exact")
+    params = md.init_parameters(spec, seed=layers)
+    pairs = params.items_in()
+
+    def meta_gradient():
+        tape, total, _ = _episode_objective(seq, spec, config, params, "exact")
+        grads = tape.gradient(total, [tensor for _, tensor in pairs])
+        return total.item(), np.concatenate([g.data.ravel() for g in grads])
+
+    objective, grad = meta_gradient()
+    monkeypatch.setattr(md, "encode", oracles.dense_attention_encode)
+    reference_objective, reference_grad = meta_gradient()
+    assert objective == pytest.approx(reference_objective, rel=1e-12, abs=0.0)
+    assert oracles.norm_rel_err(grad, reference_grad) <= 1e-12
+
+
 # -------------------------------------------- eta_in = 0 degeneracy (joint)
 
 
@@ -432,6 +470,40 @@ def test_train_keeps_best_epoch_by_validation_score():
     assert result.stopped_early
     assert result.val_scores == [0.5, 0.9, 0.1, 0.1]
     assert result.params.fingerprint() == seen[2]
+
+
+def test_train_raises_at_the_first_non_finite_inner_loss():
+    """A desk-cell run with rates far too large overflows in epoch 1 and
+    must stop there, naming where, instead of training on NaNs."""
+    seq = benchmark.make_sequence(0)
+    config = TrainingConfig(window_size=3, eta_out=5.0, eta_in=500.0, epochs=3, seed=0)
+    seen = []
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+        mt.train(seq, benchmark.make_spec(), config, log_hook=seen.append)
+    assert "epoch 1, target time 8, inner step 1: inner loss inf" in str(err.value)
+    assert [record.target_time for record in seen] == [3, 4, 5, 6, 7]
+    assert all(np.isfinite(record.objective) for record in seen)
+
+
+@pytest.mark.parametrize("field", ["objective", "grad_norm"])
+def test_train_raises_on_a_non_finite_outer_step(monkeypatch, field):
+    seq = _small_sequence()
+    config = TrainingConfig(window_size=2, epochs=2)
+    episode = mt.run_episode
+
+    def poisoned(*args, **kwargs):
+        params, record = episode(*args, **kwargs)
+        if record is not None and record.epoch == 2:
+            record = replace(record, **{field: float("nan")})
+        return params, record
+
+    monkeypatch.setattr(mt, "run_episode", poisoned)
+    with pytest.raises(NumericalError) as err:
+        mt.train(seq, _small_spec(), config)
+    first = mt.earliest_target_time(config)
+    assert f"epoch 2, target time {first}, outer step after inner step 2: {field} nan" in str(
+        err.value
+    )
 
 
 def test_log_hook_sees_every_record():

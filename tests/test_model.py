@@ -75,6 +75,22 @@ def test_encode_permutation_equivariance():
         assert np.allclose(perm_h[perm[np.argsort(perm)]], base_h[np.argsort(perm)], atol=1e-10)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_attention_encode_matches_the_dense_masked_reference(layers, activation):
+    """Pair-list scores and the segment softmax give the dense masked
+    encoder's embeddings: its non-neighbour weights are exactly 0."""
+    config = EncoderConfig(base_model="attention", num_layers=layers, input_dim=3,
+                           hidden_dim=5, activation=activation)
+    params = md.init_parameters(ModelSpec(config), seed=layers)
+    rng = np.random.default_rng([layers, len(activation)])
+    for edge_p in (0.0, 0.1, 0.3, 0.8):
+        snap = oracles.random_snapshot(rng, 1, 14, edge_p, rng.normal(size=(14, 3)))
+        got = md.encode(snap, params, config).data
+        reference = oracles.dense_attention_encode(snap, params, config).data
+        assert oracles.norm_rel_err(got, reference) <= 1e-12, edge_p
+
+
 def test_encode_rejects_feature_width_mismatch():
     spec = _edge_spec(input_dim=4)
     params = md.init_parameters(spec, seed=0)

@@ -77,6 +77,70 @@ def test_sigmoid_range_on_moderate_inputs():
     assert np.all(s > 0.0) and np.all(s < 1.0)
 
 
+def test_sigmoid_matches_the_masked_two_branch_kernel_bitwise():
+    rng = np.random.default_rng(13)
+    special = [0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, -745.0, 745.0,
+               5e-324, -5e-324, 1e-310, -1e-310, np.nan, -np.nan]
+    for x in [rng.normal(size=(100, 32)) * scale for scale in (1.0, 5.0, 800.0)] + [
+        np.array([special])
+    ]:
+        x.ravel()[3::37] = np.nan
+        x.ravel()[5::41] = -np.nan
+        out = nx.sigmoid(Tensor(x)).data
+        # compared as integers: every bit, NaN signs included
+        assert np.array_equal(out.view(np.int64), oracles.masked_sigmoid(x).view(np.int64))
+
+
+def test_segment_softmax_normalizes_each_segment():
+    rows, starts = [0, 0, 0, 1, 2, 2], [0, 3, 4]
+    x = np.array([[1.0], [2.0], [3.0], [50.0], [1000.0], [0.0]])
+    out = nx.segment_softmax(Tensor(x), rows, starts).data[:, 0]
+    assert np.allclose(out[:3], np.exp([1.0, 2.0, 3.0]) / np.exp([1.0, 2.0, 3.0]).sum(),
+                       rtol=1e-15, atol=0.0)
+    assert out[3] == 1.0  # a lone entry, whatever its score
+    assert np.array_equal(out[4:], [1.0, 0.0])  # shifted by the segment max: no overflow
+
+
+def test_pair_primitives_are_mutually_adjoint():
+    rng = np.random.default_rng(14)
+    rows, cols = rng.integers(0, 4, size=9), rng.integers(0, 6, size=9)
+    x, y = rng.normal(size=(9, 1)), rng.normal(size=(4, 6))
+    scattered = nx.scatter_pairs(Tensor(x), rows, cols, (4, 6)).data
+    gathered = nx.gather_pairs(Tensor(y), rows, cols).data
+    assert gathered.shape == (9, 1)
+    assert np.array_equal(gathered[:, 0], y[rows, cols])
+    assert math.isclose(float((scattered * y).sum()), float((x * gathered).sum()), rel_tol=1e-13)
+    dense = np.zeros((4, 6))
+    np.add.at(dense, (rows, cols), x[:, 0])
+    assert np.allclose(scattered, dense, rtol=1e-15, atol=1e-15)
+
+
+def _zeros(rows, cols):
+    return Tensor(np.zeros((rows, cols)))
+
+
+_MISSHAPED_CALLS = {
+    "segment_softmax column": lambda: nx.segment_softmax(_zeros(1, 3), [0, 0, 1], [0, 2]),
+    "segment_softmax row count": lambda: nx.segment_softmax(_zeros(2, 1), [0, 0, 1], [0, 2]),
+    "segment_softmax empty segment": lambda: nx.segment_softmax(_zeros(3, 1), [0, 0, 2], [0, 2, 2]),
+    "segment_softmax unsorted rows": lambda: nx.segment_softmax(_zeros(3, 1), [0, 1, 0], [0, 2]),
+    "segment_softmax late start": lambda: nx.segment_softmax(_zeros(3, 1), [0, 0, 0], [1]),
+    "segment_softmax no segments": lambda: nx.segment_softmax(_zeros(0, 1), [], []),
+    "gather_pairs lengths": lambda: nx.gather_pairs(_zeros(3, 3), [0, 1], [0]),
+    "gather_pairs range": lambda: nx.gather_pairs(_zeros(3, 3), [0, 3], [0, 1]),
+    "gather_pairs 2-D": lambda: nx.gather_pairs(_zeros(3, 3), [[0, 1]], [[0, 1]]),
+    "scatter_pairs column": lambda: nx.scatter_pairs(_zeros(1, 2), [0, 1], [0, 1], (3, 3)),
+    "scatter_pairs range": lambda: nx.scatter_pairs(_zeros(2, 1), [0, 1], [0, 3], (3, 3)),
+    "scatter_pairs lengths": lambda: nx.scatter_pairs(_zeros(2, 1), [0, 1], [0], (3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSHAPED_CALLS))
+def test_pair_list_primitives_reject_misshaped_inputs(case):
+    with pytest.raises(ShapeError):
+        _MISSHAPED_CALLS[case]()
+
+
 def test_softmax_rows_examples():
     assert np.array_equal(nx.softmax_rows(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
     # large logits must not overflow
