@@ -79,66 +79,3 @@ from .model import (
 from .numerics import ParameterSet, Tape, Tensor
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "ContractError",
-    "DatasetError",
-    "LedgError",
-    "NumericalError",
-    "ParseError",
-    "ShapeError",
-    "ValidationError",
-    "MetricReport",
-    "RankedQuery",
-    "evaluate_sequence",
-    "mean_average_precision",
-    "mean_reciprocal_rank",
-    "micro_f1",
-    "queries_from_batch",
-    "reports_to_csv",
-    "symmetrized_edge_scores",
-    "DynamicGraphSequence",
-    "EqualEdgeCountBucketing",
-    "FixedIntervalBucketing",
-    "SnapshotGraph",
-    "TaskBatch",
-    "classification_batch",
-    "degree_bucket_features",
-    "generate_drifting_sbm",
-    "identity_features",
-    "ingest_edge_stream",
-    "load_dataset",
-    "normalize_adjacency",
-    "sample_link_prediction_batch",
-    "save_dataset",
-    "seed_from",
-    "split_by_fraction",
-    "EpisodeRecord",
-    "EpisodeWindow",
-    "TrainingConfig",
-    "TrainResult",
-    "adapt_and_predict",
-    "build_window",
-    "inner_adapt",
-    "outer_step",
-    "run_episode",
-    "train",
-    "EmbeddingBundle",
-    "EncoderConfig",
-    "MlpHead",
-    "ModelSpec",
-    "apply_head",
-    "disentangle",
-    "embed",
-    "encode",
-    "init_parameters",
-    "load_checkpoint",
-    "save_checkpoint",
-    "task_loss",
-    "task_predict",
-    "time_loss",
-    "ParameterSet",
-    "Tape",
-    "Tensor",
-]

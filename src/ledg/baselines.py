@@ -16,8 +16,8 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ConfigError
-from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch
-from .meta import TrainingConfig, _target_batch, earliest_target_time
+from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch, supervised_batch
+from .meta import TrainingConfig, _episode_seed, _SgdState, build_window, earliest_target_time
 from .model import (
     ModelSpec,
     apply_head,
@@ -71,13 +71,6 @@ def static_edge_scores(
     return symmetric_pair_probabilities(params, spec, parts, batch.items)[:, 1]
 
 
-def structure_snapshot_for(sequence: DynamicGraphSequence, t: int, config: TrainingConfig):
-    """The snapshot whose adjacency encodes time t's batch under the config mode."""
-    if config.target_structure_mode == "same_snapshot":
-        return sequence.snapshot_at(t)
-    return sequence.snapshot_at(t - 1)
-
-
 def static_scorer(sequence: DynamicGraphSequence, params: ParameterSet, spec: ModelSpec):
     """Edge scorer that embeds the last training snapshot, whatever time is asked.
 
@@ -101,9 +94,10 @@ def train_static_gcn(
     """Accumulated-gradient training: sum the task loss over every training
     target, then take one gradient step per epoch.
 
-    Ignores ``eta_in`` and ``lambda_time``; uses ``eta_out`` as the step
-    size and the shared batch-sampling seeds. Returns the trained
-    parameters and the per-epoch summed losses.
+    Ignores ``eta_in``, ``lambda_time`` and ``outer_optimizer``; takes plain
+    SGD steps of size ``eta_out``, encodes each target on the trainer's
+    structure snapshot and uses the trainer's batch-sampling seeds. Returns
+    the trained parameters and the per-epoch summed losses.
     """
     train_end = sequence.split[0]
     first = earliest_target_time(config)
@@ -112,16 +106,23 @@ def train_static_gcn(
     params = (
         initial_params if initial_params is not None else init_static_parameters(spec, config.seed)
     )
+    optimizer = _SgdState(config.eta_out)
     losses = []
     for epoch in range(1, config.epochs + 1):
         tape = Tape("first_order")
         total = None
         with tape:
             for t in range(first, train_end + 1):
-                batch = _target_batch(sequence, t, config, epoch)
+                batch = supervised_batch(
+                    sequence.snapshot_at(t),
+                    sequence.task,
+                    config.train_negative_ratio,
+                    "train",
+                    _episode_seed(config, epoch),
+                )
                 if batch is None:
                     continue
-                structure = structure_snapshot_for(sequence, t, config)
+                structure = build_window(sequence, t, config).structure_snapshot
                 predictions = static_predict(structure, params, spec, batch)
                 loss = task_loss(predictions, batch.labels)
                 total = loss if total is None else nx.add(total, loss)
@@ -129,10 +130,6 @@ def train_static_gcn(
                 raise ConfigError("no training target produced a batch")
             pairs = params.items_in()
             grads = tape.gradient(total, [tensor for _, tensor in pairs])
-        updates = {
-            name: Tensor(tensor.data - config.eta_out * g.data, requires_grad=True)
-            for (name, tensor), g in zip(pairs, grads)
-        }
-        params = params.with_updates(updates)
+        params = optimizer.apply(params, {name: g for (name, _), g in zip(pairs, grads)})
         losses.append(total.item())
     return params, losses

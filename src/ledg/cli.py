@@ -1,11 +1,14 @@
 """Command-line interface: dataset generation/ingestion, training, evaluation.
 
 Configuration is a flat ``key=value`` text file with flag overrides
-(precedence: flags > file > defaults). Every command echoes the resolved
-configuration in a canonical byte-stable form whose SHA-256 fingerprints all
-outputs, so identical (config, seed) runs are byte-identical.
+(precedence: flags > file > defaults). Every config key has a flag, and its
+default and checks come from the library class that owns it (TrainingConfig
+or EncoderConfig). Every command echoes the resolved configuration in a
+canonical byte-stable form whose SHA-256 fingerprints all outputs, so
+identical (config, seed) runs are byte-identical.
 
-Exit codes: 0 success, 1 invalid configuration or input, 2 runtime failure.
+Exit codes: 0 success, 1 invalid configuration, input or usage, 2 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -13,40 +16,63 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation as ev
 from . import graphdata as gd
 from . import meta as mt
-from .errors import ConfigError, LedgError, NumericalError
+from .errors import ConfigError, LedgError, NumericalError, ValidationError
 from .model import EncoderConfig, ModelSpec, load_checkpoint, save_checkpoint
 
-#: config keys, their parsers, and defaults; eta_in "auto" means 10 * eta_out
-CONFIG_FIELDS: dict[str, tuple] = {
-    "task": (str, "link_prediction"),
-    "dataset": (str, ""),
-    "base_model": (str, "gcn"),
-    "num_layers": (int, 2),
-    "hidden_dim": (int, 128),
-    "window_size": (int, 5),
-    "eta_out": (float, 0.002),
-    "eta_in": (str, "auto"),
-    "lambda_time": (float, 0.1),
-    "gradient_mode": (str, "first_order"),
-    "target_structure_mode": (str, "same_snapshot"),
-    "epochs": (int, 20),
-    "seed": (int, 0),
-    "outer_optimizer": (str, "sgd"),
-    "train_negative_ratio": (int, 1),
-    "eval_negative_ratio": (int, 100),
-    "early_stop_patience": (str, "none"),
+#: every config key and its parser; each key but ``dataset``, ``task`` and
+#: ``eval_negative_ratio`` is a field of TrainingConfig or EncoderConfig,
+#: which own its default and its checks
+CONFIG_FIELDS: dict[str, type] = {
+    "dataset": str,
+    "task": str,
+    "base_model": str,
+    "num_layers": int,
+    "hidden_dim": int,
+    "window_size": int,
+    "eta_out": float,
+    "eta_in": float,
+    "lambda_time": float,
+    "gradient_mode": str,
+    "target_structure_mode": str,
+    "epochs": int,
+    "seed": int,
+    "outer_optimizer": str,
+    "train_negative_ratio": int,
+    "eval_negative_ratio": int,
+    "early_stop_patience": int,
 }
 
+#: defaults of the keys no library config class owns
+_RUN_DEFAULTS = {"dataset": "", "task": "link_prediction", "eval_negative_ratio": 100}
 
-def _format_value(value) -> str:
+#: the text that stands for None: eta_in "auto" is ten times eta_out
+_NONE_TEXT = {"eta_in": "auto", "early_stop_patience": "none"}
+
+
+def _format_value(key: str, value) -> str:
+    if value is None:
+        return _NONE_TEXT[key]
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+def _default_text() -> dict[str, str]:
+    """Every config key's default as config text."""
+    owned = {
+        f.name: f.default
+        for cls in (mt.TrainingConfig, EncoderConfig)
+        for f in fields(cls)
+        if f.name in CONFIG_FIELDS
+    }
+    defaults = {**_RUN_DEFAULTS, **owned}
+    return {key: _format_value(key, defaults[key]) for key in CONFIG_FIELDS}
 
 
 class RunConfig:
@@ -60,93 +86,66 @@ class RunConfig:
 
     @classmethod
     def resolve(cls, file_text: str | None, overrides: dict, base: dict | None = None) -> "RunConfig":
-        """Layer defaults, an optional base, file contents, then overrides."""
-        raw = {key: _format_value(default) for key, (_, default) in CONFIG_FIELDS.items()}
+        """Layer defaults, an optional base, file contents, then overrides.
+
+        Each value is parsed once and checked by the config class that owns
+        it; every problem is reported in one ConfigError. The resolved
+        ``eta_in`` is the number TrainingConfig settled on.
+        """
+        raw = _default_text()
         if base:
             raw.update(base)
         if file_text is not None:
             raw.update(parse_config_text(file_text))
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})
         errors = []
-        typed: dict = {}
+        values: dict = {}
         for key, text in raw.items():
             if key not in CONFIG_FIELDS:
                 errors.append(f"unknown config key {key!r}")
                 continue
-            caster, _ = CONFIG_FIELDS[key]
             try:
-                typed[key] = caster(text)
+                values[key] = None if text == _NONE_TEXT.get(key) else CONFIG_FIELDS[key](text)
             except ValueError:
-                errors.append(f"{key}: cannot parse {text!r} as {caster.__name__}")
-        if "eta_in" in typed and "eta_out" in typed:
-            if typed["eta_in"] == "auto":
-                typed["eta_in"] = 10.0 * typed["eta_out"]
-            else:
-                try:
-                    typed["eta_in"] = float(typed["eta_in"])
-                except ValueError:
-                    errors.append(f"eta_in: cannot parse {typed['eta_in']!r} as float")
+                errors.append(f"{key}: cannot parse {text!r} as {CONFIG_FIELDS[key].__name__}")
         if errors:
             raise ConfigError("; ".join(errors))
-        cfg = cls(typed)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        """Check every field, reporting all problems in one error."""
-        errors = []
-        v = self.values
-        try:
-            self.training_config()
-        except LedgError as exc:
-            errors.append(str(exc))
-        if v["task"] not in gd.TASKS:
-            errors.append(f"task must be one of {gd.TASKS}")
-        if v["base_model"] not in ("gcn", "attention"):
-            errors.append("base_model must be gcn or attention")
-        if v["num_layers"] < 1:
-            errors.append("num_layers must be at least 1")
-        if v["hidden_dim"] < 1:
-            errors.append("hidden_dim must be positive")
-        if v["eval_negative_ratio"] < 1:
+        config = cls(values)
+        checks = (
+            config.training_config,
+            lambda: EncoderConfig(**config._owned(EncoderConfig)),
+            lambda: ModelSpec(EncoderConfig(), task=values["task"]),
+        )
+        for check in checks:
+            try:
+                check()
+            except ValidationError as exc:
+                errors.append(str(exc))
+        if values["eval_negative_ratio"] < 1:
             errors.append("eval_negative_ratio must be at least 1")
         if errors:
             raise ConfigError("; ".join(errors))
+        config.values["eta_in"] = config.training_config().eta_in
+        return config
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     def to_text(self) -> str:
-        return "".join(f"{k}={_format_value(self.values[k])}\n" for k in sorted(self.values))
+        return "".join(f"{k}={_format_value(k, self.values[k])}\n" for k in sorted(self.values))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
+    def _owned(self, cls) -> dict:
+        """The values of the config keys that are fields of ``cls``."""
+        return {f.name: self.values[f.name] for f in fields(cls) if f.name in CONFIG_FIELDS}
+
     def training_config(self) -> mt.TrainingConfig:
-        v = self.values
-        patience = v["early_stop_patience"]
-        patience = None if str(patience) == "none" else int(patience)
-        return mt.TrainingConfig(
-            window_size=v["window_size"],
-            eta_out=v["eta_out"],
-            eta_in=float(v["eta_in"]),
-            lambda_time=v["lambda_time"],
-            gradient_mode=v["gradient_mode"],
-            target_structure_mode=v["target_structure_mode"],
-            epochs=v["epochs"],
-            seed=v["seed"],
-            outer_optimizer=v["outer_optimizer"],
-            train_negative_ratio=v["train_negative_ratio"],
-            early_stop_patience=patience,
-        )
+        return mt.TrainingConfig(**self._owned(mt.TrainingConfig))
 
     def model_spec(self, sequence: gd.DynamicGraphSequence) -> ModelSpec:
-        encoder = EncoderConfig(
-            base_model=self.values["base_model"],
-            num_layers=self.values["num_layers"],
-            input_dim=sequence.feature_width,
-            hidden_dim=self.values["hidden_dim"],
-        )
+        encoder = EncoderConfig(input_dim=sequence.feature_width, **self._owned(EncoderConfig))
         return ModelSpec(encoder, task=sequence.task, num_classes=sequence.num_classes)
 
 
@@ -360,31 +359,24 @@ def cmd_eval(args) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One string flag per config key; RunConfig.resolve parses and checks it."""
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--dataset", help="dataset directory")
-    parser.add_argument("--task", help="dataset task name")
-    parser.add_argument("--base-model", dest="base_model", choices=("gcn", "attention"))
-    parser.add_argument("--num-layers", dest="num_layers", type=int)
-    parser.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    parser.add_argument("--window-size", dest="window_size", type=int)
-    parser.add_argument("--eta-out", dest="eta_out", type=float)
-    parser.add_argument("--eta-in", dest="eta_in", type=float)
-    parser.add_argument("--lambda-time", dest="lambda_time", type=float)
-    parser.add_argument("--gradient-mode", dest="gradient_mode", choices=mt.GRADIENT_MODES)
-    parser.add_argument(
-        "--target-structure-mode", dest="target_structure_mode", choices=mt.STRUCTURE_MODES
-    )
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--outer-optimizer", dest="outer_optimizer", choices=mt.OUTER_OPTIMIZERS)
-    parser.add_argument("--train-negative-ratio", dest="train_negative_ratio", type=int)
-    parser.add_argument("--eval-negative-ratio", dest="eval_negative_ratio", type=int)
-    parser.add_argument("--early-stop-patience", dest="early_stop_patience")
+    for key, text in _default_text().items():
+        parser.add_argument(
+            f"--{key.replace('_', '-')}", dest=key, help=f"default {text}" if text else None
+        )
     parser.add_argument("--set", action="append", help="generic key=value override")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError, so they exit 1 like any invalid input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ledg",
         description="Meta-learned message-passing GNNs for discrete dynamic graphs",
     )
@@ -439,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NumericalError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -16,14 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from . import meta as mt
-from .errors import ValidationError
-from .graphdata import (
-    DynamicGraphSequence,
-    TaskBatch,
-    classification_batch,
-    sample_link_prediction_batch,
-    seed_from,
-)
+from .errors import NumericalError, ValidationError
+from .graphdata import DynamicGraphSequence, TaskBatch, seed_from, supervised_batch
 from .model import ModelSpec, symmetric_pair_probabilities, task_predict
 from .numerics import ParameterSet
 
@@ -209,7 +203,6 @@ def evaluate_sequence(
     times,
     negative_ratio: int = 100,
     scorer=None,
-    batch_provider=None,
 ) -> dict[str, MetricReport]:
     """Adapt to each evaluation time, score its batch, and aggregate metrics.
 
@@ -217,9 +210,8 @@ def evaluate_sequence(
     classification tasks report ``micro_f1``. Aggregation is the unweighted
     mean over snapshots; times whose snapshot has no supervised items are
     skipped. ``scorer`` (a callable ``batch -> scores``) replaces the whole
-    model path, for oracle tests. ``batch_provider`` (``t -> TaskBatch``)
-    overrides batch construction, so different methods can be compared on
-    identical batches.
+    model path, for oracle tests. Raises NumericalError, naming the time,
+    when the adapted model's scores or class probabilities are not finite.
     """
     times = [int(t) for t in times]
     if not times:
@@ -227,40 +219,41 @@ def evaluate_sequence(
     batch_seed = int(seed_from(config.seed, "evalbatch").generate_state(1)[0])
     per_time: dict[str, list[tuple[int, float]]] = {}
     for t in times:
-        snapshot = sequence.snapshot_at(t)
-        if batch_provider is not None:
-            batch = batch_provider(t)
-        elif sequence.task == "link_prediction":
-            if snapshot.num_edges == 0:
-                continue
-            batch = sample_link_prediction_batch(snapshot, negative_ratio, "eval", batch_seed)
-        else:
-            try:
-                batch = classification_batch(snapshot, sequence.task)
-            except ValidationError:
-                continue
+        batch = supervised_batch(
+            sequence.snapshot_at(t), sequence.task, negative_ratio, "eval", batch_seed
+        )
+        if batch is None:
+            continue
         if scorer is None:
             bundle, state = mt.adapt_and_predict(sequence, params, t, spec, config)
         if sequence.task == "link_prediction":
             if scorer is not None:
                 scores = np.asarray(scorer(batch), dtype=np.float64)
             else:
-                scores = symmetrized_edge_scores(bundle, state, spec, batch)
+                scores = _require_finite(t, symmetrized_edge_scores(bundle, state, spec, batch))
             queries = queries_from_batch(batch, scores)
             per_time.setdefault("map", []).append((t, mean_average_precision(queries)))
             per_time.setdefault("mrr", []).append((t, mean_reciprocal_rank(queries)))
         else:
             if scorer is not None:
                 predicted = np.asarray(scorer(batch), dtype=np.int64)
-            elif batch.kind == "node":
-                predicted = np.argmax(task_predict(bundle, state, spec, batch).data, axis=1)
             else:
-                predicted = np.argmax(_symmetrized_probabilities(bundle, state, spec, batch), axis=1)
+                if batch.kind == "node":
+                    probabilities = task_predict(bundle, state, spec, batch).data
+                else:
+                    probabilities = _symmetrized_probabilities(bundle, state, spec, batch)
+                predicted = np.argmax(_require_finite(t, probabilities), axis=1)
             score = micro_f1(predicted, batch.labels, sequence.num_classes)
             per_time.setdefault("micro_f1", []).append((t, score))
     if not per_time:
         raise ValidationError("no evaluation time produced a scoreable batch")
     return {name: MetricReport.from_breakdown(name, pairs) for name, pairs in per_time.items()}
+
+
+def _require_finite(t: int, values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"evaluation at time {t}: the adapted model's outputs are not finite")
+    return values
 
 
 def reports_to_csv(reports: dict[str, MetricReport], fingerprint: str | None = None) -> str:

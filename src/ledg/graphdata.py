@@ -32,6 +32,7 @@ __all__ = [
     "generate_drifting_sbm",
     "sample_link_prediction_batch",
     "classification_batch",
+    "supervised_batch",
     "split_by_fraction",
     "seed_from",
     "save_dataset",
@@ -691,6 +692,25 @@ def classification_batch(snapshot: SnapshotGraph, task: str) -> TaskBatch:
         items = np.arange(snapshot.num_nodes)
         return TaskBatch(snapshot.time_index, "node", items, snapshot.node_labels)
     raise ValidationError(f"no classification batch for task {task!r}")
+
+
+def supervised_batch(
+    snapshot: SnapshotGraph, task: str, negative_ratio: int, mode: str, seed: int
+) -> TaskBatch | None:
+    """A snapshot's supervised batch for the task, or None when it offers no
+    supervised items (no edges to rank, no labeled edges, no node labels).
+
+    Link prediction samples ``negative_ratio`` negatives per edge with the
+    given mode and seed; the classification tasks take every labeled item.
+    """
+    if task == "link_prediction":
+        if snapshot.num_edges == 0:
+            return None
+        return sample_link_prediction_batch(snapshot, negative_ratio, mode, seed)
+    try:
+        return classification_batch(snapshot, task)
+    except ValidationError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ eta_in = 0 both modes collapse, bit for bit, to joint training.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,9 +26,8 @@ from .graphdata import (
     DynamicGraphSequence,
     SnapshotGraph,
     TaskBatch,
-    classification_batch,
-    sample_link_prediction_batch,
     seed_from,
+    supervised_batch,
 )
 from .model import (
     EmbeddingBundle,
@@ -69,10 +69,12 @@ class TrainingConfig:
     the target snapshot itself (``same_snapshot``) or one step earlier
     (``previous_snapshot``, which also encodes the target batch with the
     previous snapshot's structure and never touches the target's edges).
+    Every invalid field is named in one ValidationError; the rates must be
+    finite.
     """
 
-    window_size: int = 3
-    eta_out: float = 0.005
+    window_size: int = 5
+    eta_out: float = 0.002
     eta_in: float | None = None
     lambda_time: float = 0.1
     gradient_mode: str = "first_order"
@@ -84,28 +86,32 @@ class TrainingConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
-        if self.window_size < 1:
-            raise ValidationError("window_size must be at least 1")
-        if self.eta_out <= 0:
-            raise ValidationError("eta_out must be positive")
         if self.eta_in is None:
             object.__setattr__(self, "eta_in", 10.0 * self.eta_out)
-        if self.eta_in < 0:
-            raise ValidationError("eta_in must be nonnegative")
-        if self.lambda_time < 0:
-            raise ValidationError("lambda_time must be nonnegative")
+        problems = []
+        if self.window_size < 1:
+            problems.append("window_size must be at least 1")
+        # each rate check is written so that NaN fails it
+        if not 0 < self.eta_out < math.inf:
+            problems.append("eta_out must be positive and finite")
+        if not 0 <= self.eta_in < math.inf:
+            problems.append("eta_in must be nonnegative and finite")
+        if not 0 <= self.lambda_time < math.inf:
+            problems.append("lambda_time must be nonnegative and finite")
         if self.gradient_mode not in GRADIENT_MODES:
-            raise ValidationError(f"gradient_mode must be one of {GRADIENT_MODES}")
+            problems.append(f"gradient_mode must be one of {GRADIENT_MODES}")
         if self.target_structure_mode not in STRUCTURE_MODES:
-            raise ValidationError(f"target_structure_mode must be one of {STRUCTURE_MODES}")
+            problems.append(f"target_structure_mode must be one of {STRUCTURE_MODES}")
         if self.epochs < 0:
-            raise ValidationError("epochs must be nonnegative")
+            problems.append("epochs must be nonnegative")
         if self.outer_optimizer not in OUTER_OPTIMIZERS:
-            raise ValidationError(f"outer_optimizer must be one of {OUTER_OPTIMIZERS}")
+            problems.append(f"outer_optimizer must be one of {OUTER_OPTIMIZERS}")
         if self.train_negative_ratio < 1:
-            raise ValidationError("train_negative_ratio must be at least 1")
+            problems.append("train_negative_ratio must be at least 1")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValidationError("early_stop_patience must be at least 1 when set")
+            problems.append("early_stop_patience must be at least 1 when set")
+        if problems:
+            raise ValidationError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -294,7 +300,8 @@ def outer_step(
     window's structure snapshot; the time term regresses the target's
     relative index. The gradient is taken with respect to the original
     (pre-adaptation) parameters on the same tape that recorded the inner
-    updates and every group is moved by one optimizer step. Nothing
+    updates and every group is moved by one step of ``optimizer`` (a fresh
+    one of the config's ``outer_optimizer`` kind when none is given). Nothing
     differentiates this gradient again, so it is not recorded, even on an
     exact tape.
     """
@@ -305,7 +312,7 @@ def outer_step(
     if target_batch is None:
         raise ContractError("outer_step needs the target snapshot's task batch")
     if optimizer is None:
-        optimizer = _SgdState(config.eta_out)
+        optimizer = _make_optimizer(config)
     task_total = None
     time_total = None
     with tape:
@@ -335,19 +342,9 @@ def outer_step(
     return new_params, record
 
 
-def _target_batch(sequence: DynamicGraphSequence, t: int, config: TrainingConfig, epoch: int):
-    snapshot = sequence.snapshot_at(t)
-    if sequence.task == "link_prediction":
-        if snapshot.num_edges == 0:
-            return None
-        batch_seed = int(seed_from(config.seed, "episode", epoch).generate_state(1)[0])
-        return sample_link_prediction_batch(
-            snapshot, config.train_negative_ratio, mode="train", seed=batch_seed
-        )
-    try:
-        return classification_batch(snapshot, sequence.task)
-    except ValidationError:
-        return None
+def _episode_seed(config: TrainingConfig, epoch: int) -> int:
+    """Negative-sampling seed of every training batch in an epoch."""
+    return int(seed_from(config.seed, "episode", epoch).generate_state(1)[0])
 
 
 def run_episode(
@@ -366,7 +363,13 @@ def run_episode(
     snapshot offers no supervised items.
     """
     if target_batch is None:
-        target_batch = _target_batch(sequence, t, config, epoch)
+        target_batch = supervised_batch(
+            sequence.snapshot_at(t),
+            sequence.task,
+            config.train_negative_ratio,
+            "train",
+            _episode_seed(config, epoch),
+        )
     if target_batch is None:
         return params, None
     window = build_window(sequence, t, config)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ContractError, DatasetError, ShapeError, ValidationError
-from .graphdata import SnapshotGraph, TaskBatch, seed_from
+from .graphdata import TASKS, SnapshotGraph, TaskBatch, seed_from
 from .numerics import ParameterSet, Tensor
 
 __all__ = [
@@ -58,18 +58,23 @@ class EncoderConfig:
     base_model: str = "gcn"
     num_layers: int = 2
     input_dim: int = 1
-    hidden_dim: int = 64
+    hidden_dim: int = 128
     activation: str = "relu"
 
     def __post_init__(self):
+        problems = []
         if self.base_model not in BASE_MODELS:
-            raise ValidationError(f"base_model must be one of {BASE_MODELS}")
+            problems.append(f"base_model must be one of {BASE_MODELS}")
         if self.num_layers < 1:
-            raise ValidationError("num_layers must be at least 1")
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise ValidationError("dimensions must be positive")
+            problems.append("num_layers must be at least 1")
+        if self.input_dim < 1:
+            problems.append("input_dim must be positive")
+        if self.hidden_dim < 1:
+            problems.append("hidden_dim must be positive")
         if self.activation not in ACTIVATIONS:
-            raise ValidationError(f"activation must be one of {ACTIVATIONS}")
+            problems.append(f"activation must be one of {ACTIVATIONS}")
+        if problems:
+            raise ValidationError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ class ModelSpec:
     num_classes: int = 2
 
     def __post_init__(self):
-        if self.task not in ("link_prediction", "edge_classification", "node_classification"):
-            raise ValidationError(f"unknown task {self.task!r}")
+        if self.task not in TASKS:
+            raise ValidationError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.num_classes < 2:
             raise ValidationError("num_classes must be at least 2")
 

@@ -1,5 +1,6 @@
 """Command-line workflows: config resolution, exit codes, artifacts."""
 
+import dataclasses
 import json
 import shutil
 
@@ -8,9 +9,11 @@ import pytest
 
 from ledg import cli
 from ledg import graphdata as gd
+from ledg import meta as mt
 from ledg import model as md
 from ledg.cli import RunConfig
 from ledg.errors import ConfigError
+from ledg.numerics import Tensor
 
 EDGE_FILE = "a b 0\nb c 1\nc d 10\na d 11\n"
 
@@ -76,6 +79,68 @@ def test_config_reports_every_problem_at_once():
     assert "decay" in str(err.value)
     with pytest.raises(ConfigError):
         RunConfig.resolve("epochs\n", {})
+
+
+def test_config_defaults_are_the_config_classes_defaults():
+    config = RunConfig.resolve(None, {})
+    owned = [f for cls in (mt.TrainingConfig, md.EncoderConfig)
+             for f in dataclasses.fields(cls) if f.name in cli.CONFIG_FIELDS]
+    assert len(owned) == len(cli.CONFIG_FIELDS) - 3  # dataset, task, eval_negative_ratio
+    for f in owned:
+        if f.name != "eta_in":
+            assert config[f.name] == f.default, f.name
+    assert config["eta_in"] == 10.0 * config["eta_out"]
+    assert config.training_config() == mt.TrainingConfig()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "abc"), ("base_model", "foo"), ("eta_out", "nan"), ("task", "bar"),
+])
+def test_bad_value_is_one_config_error_as_flag_or_set(dataset_dir, tmp_path, capsys, key, value):
+    messages = []
+    for name, form in (("flag", [f"--{key.replace('_', '-')}", value]),
+                       ("set", ["--set", f"{key}={value}"])):
+        out = tmp_path / name
+        rc = cli.main(["train", "--dataset", str(dataset_dir), "--out", str(out)] + form)
+        assert rc == 1
+        assert not (out / "config.resolved").exists()
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("error: ") and key in messages[0]
+
+
+def test_eta_in_auto_is_accepted_as_a_flag(dataset_dir, tmp_path):
+    out = tmp_path / "run"
+    rc = cli.main([
+        "train", "--dataset", str(dataset_dir), "--out", str(out), "--hidden-dim", "4",
+        "--window-size", "2", "--epochs", "0", "--eta-out", "0.004", "--eta-in", "auto",
+    ])
+    assert rc == 0
+    assert "eta_in=0.04\n" in (out / "config.resolved").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["train", "--epochs", "1"],
+    ["eval", "--out", "unused"],
+    ["eval", "--checkpoint", "c.npz", "--out", "unused", "--split", "train"],
+    ["generate", "--out", "unused", "--num-nodes", "many"],
+    ["ingest", "--input", "e.txt", "--out", "unused", "--task", "node_classification"],
+    ["train", "--out", "unused", "--no-such-flag", "1"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ledg")
+
+
+def test_help_lists_every_config_key_and_exits_0(capsys):
+    for command in ("train", "eval"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for key in cli.CONFIG_FIELDS:
+            assert f"--{key.replace('_', '-')}" in text
 
 
 def test_set_flag_overrides_arbitrary_keys(dataset_dir, tmp_path):
@@ -362,6 +427,26 @@ def test_eval_rejects_feature_width_mismatch(trained_dir, tmp_path, capsys):
     ])
     assert rc == 1
     assert "gnn_w1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["nan_checkpoint", "diverging_eta_in"])
+def test_eval_non_finite_model_is_a_runtime_error(trained_dir, tmp_path, capsys, case):
+    checkpoint = trained_dir / "checkpoint.npz"
+    extra_args = []
+    if case == "nan_checkpoint":
+        params, spec, extra = md.load_checkpoint(checkpoint)
+        nan = np.full(params["gnn_w1"].shape, np.nan)
+        broken = params.with_updates({"gnn_w1": Tensor(nan, requires_grad=True)})
+        checkpoint = tmp_path / "nan.npz"
+        md.save_checkpoint(broken, spec, checkpoint, extra_meta=extra)
+    else:
+        extra_args = ["--eta-in", "1e300"]
+    with np.errstate(all="ignore"):
+        rc = cli.main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval"),
+                       "--eval-negative-ratio", "5"] + extra_args)
+    assert rc == 2
+    assert "runtime error: evaluation at time" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics_test.csv").exists()
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

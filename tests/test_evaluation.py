@@ -8,10 +8,11 @@ from ledg import evaluation as ev
 from ledg import graphdata as gd
 from ledg import meta as mt
 from ledg import model as md
-from ledg.errors import ValidationError
+from ledg.errors import NumericalError, ValidationError
 from ledg.evaluation import MetricReport, RankedQuery
 from ledg.meta import TrainingConfig
 from ledg.model import EncoderConfig, ModelSpec
+from ledg.numerics import Tensor
 
 
 def _query(ids, scores, relevance, query_id=0):
@@ -376,6 +377,27 @@ def test_evaluate_sequence_micro_f1_path():
                                    scorer=lambda batch: batch.labels)
     assert set(reports) == {"micro_f1"}
     assert reports["micro_f1"].value == 1.0
+
+
+@pytest.mark.parametrize("task", ["link_prediction", "node_classification"])
+def test_evaluate_sequence_non_finite_model_is_a_numerical_error(task):
+    seq = gd.generate_drifting_sbm(12, 2, 0.8, 0.1, 0.1, 5, seed=4, task=task,
+                                   train_frac=0.7, val_frac=0.1)
+    spec = ModelSpec(EncoderConfig(num_layers=1, input_dim=12, hidden_dim=3), task=task)
+    params = md.init_parameters(spec, seed=1)
+    broken = params.with_updates(
+        {"gnn_w1": Tensor(np.full(params["gnn_w1"].shape, np.nan), requires_grad=True)}
+    )
+    config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="time 5"):
+        ev.evaluate_sequence(seq, broken, spec, config, [5], negative_ratio=2)
+
+
+def test_evaluate_sequence_non_finite_oracle_scores_are_invalid_input():
+    seq, spec, params, config = _link_setup()
+    with pytest.raises(ValidationError, match="finite"):
+        ev.evaluate_sequence(seq, params, spec, config, [6], negative_ratio=5,
+                             scorer=lambda batch: np.full(batch.size, np.nan))
 
 
 def test_evaluate_sequence_validation():

@@ -57,6 +57,24 @@ def test_config_defaults_and_validation():
         TrainingConfig(early_stop_patience=0)
 
 
+@pytest.mark.parametrize("field", ["eta_out", "eta_in", "lambda_time"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ValidationError, match=field):
+        TrainingConfig(**{field: value})
+
+
+def test_config_names_every_invalid_field_at_once():
+    with pytest.raises(ValidationError) as err:
+        TrainingConfig(window_size=0, lambda_time=np.nan, epochs=-1, outer_optimizer="rmsprop")
+    for field in ("window_size", "lambda_time", "epochs", "outer_optimizer"):
+        assert field in str(err.value)
+    with pytest.raises(ValidationError) as err:
+        EncoderConfig(base_model="sage", input_dim=0, hidden_dim=0)
+    for field in ("base_model", "input_dim", "hidden_dim"):
+        assert field in str(err.value)
+
+
 # ------------------------------------------------------------------- windows
 
 
@@ -207,6 +225,23 @@ def test_outer_step_lambda_zero_leaves_time_predictor_alone():
     assert new_params.fingerprint("gnn") != params.fingerprint("gnn")
     assert np.isfinite(record.objective)
     assert record.objective == record.task_loss_sum
+
+
+def test_outer_step_without_optimizer_takes_one_step_of_the_configured_kind():
+    seq = _small_sequence()
+    spec = _small_spec()
+    config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01, outer_optimizer="adam")
+    params, window, batch = _episode_pieces(seq, spec, config)
+    stepped = []
+    for optimizer in (None, mt._AdamState(config.eta_out), mt._SgdState(config.eta_out)):
+        tape = Tape(config.gradient_mode)
+        states, _ = mt.inner_adapt(window, params, spec, config, tape)
+        new_params, _ = mt.outer_step(
+            window, states, batch, params, spec, config, tape, optimizer
+        )
+        stepped.append(new_params)
+    assert _bit_equal(stepped[0], stepped[1])
+    assert not _bit_equal(stepped[0], stepped[2])
 
 
 def test_episode_objective_is_task_plus_weighted_time():
@@ -595,3 +630,23 @@ def test_adaptation_beats_frozen_inner_loop_on_held_out_snapshots(desk_benchmark
     # both arms' validation hooks scored real epochs
     for key in ("ledg_best_val", "ablation_best_val"):
         assert all(score > 0.0 for score in desk_benchmark[key])
+
+
+@pytest.mark.parametrize("mode, fingerprint, losses", [
+    ("same_snapshot",
+     "4280b2f8922d6b76b84b16f6101f62503abc3a4c9688f88014f21bfcce45e136",
+     ["0x1.0994a5fb7eb89p+1", "0x1.09122940d88c2p+1"]),
+    ("previous_snapshot",
+     "116b5f469f8ab1df0f7e48eb7f08850b0cb8c22ab3e0e69cc934c65828b511a5",
+     ["0x1.62c7411a5fb6ep+0", "0x1.62395b417ff22p+0"]),
+])
+def test_static_gcn_training_reproduces_its_recorded_bits(mode, fingerprint, losses):
+    # recorded from the static trainer with its own inline SGD step and
+    # structure-snapshot choice; the shared trainer code must not move a bit
+    from ledg import baselines as bl
+
+    config = TrainingConfig(window_size=2, eta_out=0.05, epochs=2, seed=3,
+                            target_structure_mode=mode)
+    params, epoch_losses = bl.train_static_gcn(_small_sequence(), _small_spec(), config)
+    assert params.fingerprint() == fingerprint
+    assert [loss.hex() for loss in epoch_losses] == losses
