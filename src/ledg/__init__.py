@@ -65,10 +65,10 @@ from .model import (
     EncoderConfig,
     MlpHead,
     ModelSpec,
-    apply_head,
     disentangle,
     embed,
     encode,
+    head_logits,
     init_parameters,
     load_checkpoint,
     save_checkpoint,

@@ -20,8 +20,8 @@ from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch, supervise
 from .meta import TrainingConfig, _episode_seed, _SgdState, build_window, earliest_target_time
 from .model import (
     ModelSpec,
-    apply_head,
     encode,
+    head_logits,
     init_parameters,
     symmetric_pair_probabilities,
     task_loss,
@@ -54,13 +54,7 @@ def static_predict(
 ) -> Tensor:
     """Class probabilities from the plain encoder and the single head."""
     h = encode(snapshot, params, spec.encoder)
-    if batch.kind == "edge":
-        x = nx.concat_cols(
-            nx.gather_rows(h, batch.items[:, 0]), nx.gather_rows(h, batch.items[:, 1])
-        )
-    else:
-        x = nx.gather_rows(h, batch.items)
-    return nx.softmax_rows(apply_head(params, spec, "classifier_graph", x))
+    return nx.softmax_rows(head_logits(params, spec, "classifier_graph", h, batch))
 
 
 def static_edge_scores(

@@ -341,8 +341,8 @@ class FixedIntervalBucketing:
     interval: float
 
     def __post_init__(self):
-        if self.interval <= 0:
-            raise ValidationError("bucketing interval must be positive")
+        if not 0 < self.interval < np.inf:
+            raise ValidationError("bucketing interval must be positive and finite")
 
     def assign(self, timestamps: np.ndarray) -> np.ndarray:
         start = timestamps.min()
@@ -513,6 +513,8 @@ def generate_drifting_sbm(
     node id, the default, so embeddings can track individual nodes) or
     ``degree_buckets``.
     """
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     if not (0 <= inter_p < intra_p <= 1):
         raise ValidationError("need 0 <= inter_p < intra_p <= 1")
     if not (0 <= drift_rate <= 1):

@@ -104,6 +104,8 @@ class TrainingConfig:
             problems.append(f"target_structure_mode must be one of {STRUCTURE_MODES}")
         if self.epochs < 0:
             problems.append("epochs must be nonnegative")
+        if self.seed < 0:
+            problems.append("seed must be nonnegative")
         if self.outer_optimizer not in OUTER_OPTIMIZERS:
             problems.append(f"outer_optimizer must be one of {OUTER_OPTIMIZERS}")
         if self.train_negative_ratio < 1:
@@ -187,7 +189,10 @@ def inner_adapt(
     eta_in times the gradient. Returns all w intermediate states (each a
     full parameter set sharing the untouched heads) and the w loss values.
     The update arithmetic runs on the given tape, so an exact tape makes
-    later outer gradients flow through every step.
+    later outer gradients flow through every step. A first-order update reads
+    its gradient as a constant, so on a first_order tape each step's
+    forward pass and gradient run on a throwaway tape and only the updates
+    are recorded.
     """
     if window.size != config.window_size:
         raise ContractError(
@@ -198,10 +203,12 @@ def inner_adapt(
     current = params
     with tape:
         for i, snap in enumerate(window.snapshots, start=1):
-            bundle = embed(snap, current, spec)
-            loss = time_loss(bundle.time_part, current, spec, target_time=float(i))
-            pairs = current.items_in(*INNER_LOOP_GROUPS)
-            grads = tape.gradient(loss, [tensor for _, tensor in pairs])
+            step_tape = tape if tape.mode == "exact" else Tape("first_order")
+            with step_tape:
+                bundle = embed(snap, current, spec)
+                loss = time_loss(bundle.time_part, current, spec, target_time=float(i))
+                pairs = current.items_in(*INNER_LOOP_GROUPS)
+                grads = step_tape.gradient(loss, [tensor for _, tensor in pairs])
             updates = {
                 name: nx.sub(tensor, nx.mul_scalar(g, config.eta_in))
                 for (name, tensor), g in zip(pairs, grads)

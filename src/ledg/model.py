@@ -30,7 +30,7 @@ __all__ = [
     "encode",
     "disentangle",
     "embed",
-    "apply_head",
+    "head_logits",
     "time_loss",
     "task_predict",
     "symmetric_pair_probabilities",
@@ -97,7 +97,7 @@ class ModelSpec:
 
     @property
     def classifier_input_dim(self) -> int:
-        # edge tasks concatenate source and destination embeddings
+        # an edge task's first layer reads the pair [h_src, h_dst]
         d = self.encoder.hidden_dim
         return d if self.batch_kind == "node" else 2 * d
 
@@ -135,23 +135,46 @@ class MlpHead:
         return (f"{r}_w1", f"{r}_b1", f"{r}_w2", f"{r}_b2")
 
     def apply(self, params: ParameterSet, x: Tensor) -> Tensor:
-        w1, b1, w2, b2 = (params[n] for n in self.parameter_names)
+        w1 = params[self.parameter_names[0]]
         if x.shape[1] != w1.shape[0]:
             raise ShapeError(
                 f"{self.role}: input width {x.shape[1]} != expected {w1.shape[0]}"
             )
-        n = x.shape[0]
-        h = nx.relu(nx.add(nx.matmul(x, w1), nx.broadcast_rows(b1, n)))
+        return self._finish(params, nx.matmul(x, w1))
+
+    def apply_pairs(self, params: ParameterSet, h: Tensor, items: np.ndarray) -> Tensor:
+        """``apply`` on the rows [h_u, h_v] of every pair (u, v) in ``items``.
+
+        The first layer on a pair is h_u W1[:d] + h_v W1[d:], so every node
+        row is projected once by each half of W1 and the pairs gather those
+        projections. The same arithmetic as ``pair_logits``' first output,
+        recorded on the active tape.
+        """
+        w1 = params[self.parameter_names[0]]
+        d = h.shape[1]
+        if 2 * d != w1.shape[0]:
+            raise ShapeError(f"{self.role}: pair width {2 * d} != expected {w1.shape[0]}")
+        first = nx.matmul(h, nx.gather_rows(w1, np.arange(d)))
+        second = nx.matmul(h, nx.gather_rows(w1, np.arange(d, 2 * d)))
+        return self._finish(
+            params, nx.add(nx.gather_rows(first, items[:, 0]), nx.gather_rows(second, items[:, 1]))
+        )
+
+    def _finish(self, params: ParameterSet, projected: Tensor) -> Tensor:
+        # b1, ReLU and the second layer on first-layer products
+        _, b1, w2, b2 = (params[n] for n in self.parameter_names)
+        n = projected.shape[0]
+        h = nx.relu(nx.add(projected, nx.broadcast_rows(b1, n)))
         return nx.add(nx.matmul(h, w2), nx.broadcast_rows(b2, n))
 
     def pair_logits(self, params: ParameterSet, h: np.ndarray, items: np.ndarray):
-        """Untaped ``apply`` on the rows [h_u, h_v] and [h_v, h_u] of every
-        pair (u, v) in ``items``, as two arrays.
+        """Untaped ``apply_pairs`` on both endpoint orders of every pair
+        (u, v) in ``items``, as two arrays; the first equals ``apply_pairs``
+        bit for bit.
 
-        The first layer on a concatenated pair is h_u W1[:d] + h_v W1[d:], so
-        every node row is projected once by each half of W1 and both endpoint
-        orders gather the projections, instead of multiplying two concatenated
-        (M, 2d) matrices. Equal to ``apply`` up to rounding.
+        Both orders gather the same two node projections, and each
+        (M, hidden) temporary is reused in place, which matters at
+        evaluation's negative ratios.
         """
         w1, b1, w2, b2 = (params[n].data for n in self.parameter_names)
         d = h.shape[1]
@@ -271,8 +294,19 @@ def embed(snapshot: SnapshotGraph, params: ParameterSet, spec: ModelSpec) -> Emb
     return disentangle(encode(snapshot, params, spec.encoder), params, spec)
 
 
-def apply_head(params: ParameterSet, spec: ModelSpec, role: str, x: Tensor) -> Tensor:
-    return _heads(spec)[role].apply(params, x)
+def head_logits(
+    params: ParameterSet, spec: ModelSpec, role: str, h: Tensor, batch: TaskBatch
+) -> Tensor:
+    """Logits of one classifier head for a batch, read from node rows ``h``:
+    on the pairs of an edge batch, on the gathered rows of a node batch."""
+    if batch.kind != spec.batch_kind:
+        raise ContractError(
+            f"task {spec.task!r} needs {spec.batch_kind!r} batches, got {batch.kind!r}"
+        )
+    head = _heads(spec)[role]
+    if batch.kind == "edge":
+        return head.apply_pairs(params, h, batch.items)
+    return head.apply(params, nx.gather_rows(h, batch.items))
 
 
 def time_loss(time_part: Tensor, params: ParameterSet, spec: ModelSpec, target_time: float) -> Tensor:
@@ -289,31 +323,14 @@ def time_loss(time_part: Tensor, params: ParameterSet, spec: ModelSpec, target_t
     return nx.smooth_l1(residual)
 
 
-def _pair_rows(h: Tensor, batch: TaskBatch) -> Tensor:
-    src = nx.gather_rows(h, batch.items[:, 0])
-    dst = nx.gather_rows(h, batch.items[:, 1])
-    return nx.concat_cols(src, dst)
-
-
 def task_predict(bundle: EmbeddingBundle, params: ParameterSet, spec: ModelSpec, batch: TaskBatch) -> Tensor:
     """Class probabilities for a batch: softmax of the two heads' summed logits.
 
     One head reads the time-varying embedding part, the other the
-    graph-intrinsic part. Edge tasks feed each head the concatenation
-    [h_src, h_dst] from its part; node tasks feed the node rows directly.
+    graph-intrinsic part (:func:`head_logits`).
     """
-    if batch.kind != spec.batch_kind:
-        raise ContractError(
-            f"task {spec.task!r} needs {spec.batch_kind!r} batches, got {batch.kind!r}"
-        )
-    if batch.kind == "edge":
-        x_time = _pair_rows(bundle.time_part, batch)
-        x_graph = _pair_rows(bundle.graph_part, batch)
-    else:
-        x_time = nx.gather_rows(bundle.time_part, batch.items)
-        x_graph = nx.gather_rows(bundle.graph_part, batch.items)
-    logits_time = _heads(spec)["classifier_time"].apply(params, x_time)
-    logits_graph = _heads(spec)["classifier_graph"].apply(params, x_graph)
+    logits_time = head_logits(params, spec, "classifier_time", bundle.time_part, batch)
+    logits_graph = head_logits(params, spec, "classifier_graph", bundle.graph_part, batch)
     return nx.softmax_rows(nx.add(logits_time, logits_graph))
 
 

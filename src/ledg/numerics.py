@@ -56,9 +56,6 @@ __all__ = [
     "scatter_rows",
     "gather_pairs",
     "scatter_pairs",
-    "concat_cols",
-    "slice_cols",
-    "pad_cols",
     "mean_pool",
     "l2_norm",
 ]
@@ -113,25 +110,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
 
 
 class TapeNode:
@@ -433,18 +411,6 @@ def _k_scatter_pairs(d, p):
     return out.reshape(n, m)
 
 
-def _k_concat_cols(d, p):
-    return np.concatenate([d[0], d[1]], axis=1)
-
-
-def _k_slice_cols(d, p):
-    return d[0][:, p["start"]:p["stop"]].copy()
-
-
-def _k_pad_cols(d, p):
-    return np.pad(d[0], ((0, 0), (p["left"], p["right"])))
-
-
 _FORWARD = {
     "matmul": _k_matmul,
     "add": _k_add,
@@ -475,9 +441,6 @@ _FORWARD = {
     "scatter_rows": _k_scatter_rows,
     "gather_pairs": _k_gather_pairs,
     "scatter_pairs": _k_scatter_pairs,
-    "concat_cols": _k_concat_cols,
-    "slice_cols": _k_slice_cols,
-    "pad_cols": _k_pad_cols,
 }
 
 
@@ -685,24 +648,6 @@ def scatter_pairs(a: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
     return _emit("scatter_pairs", (a,), {"rows": rows, "cols": cols, "shape": shape})
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: row counts of {a.shape} and {b.shape} differ")
-    return _emit("concat_cols", (a, b))
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols: range [{start}, {stop}) invalid for {a.shape}")
-    return _emit("slice_cols", (a,), {"start": int(start), "stop": int(stop)})
-
-
-def pad_cols(a: Tensor, left: int, right: int) -> Tensor:
-    if left < 0 or right < 0:
-        raise ShapeError("pad_cols: pad widths must be nonnegative")
-    return _emit("pad_cols", (a,), {"left": int(left), "right": int(right)})
-
-
 def mean_pool(h: Tensor) -> Tensor:
     """Column means of an NxD matrix as a 1xD row."""
     n = h.shape[0]
@@ -868,29 +813,6 @@ def _b_scatter_pairs(node, g):
     return ((node.inputs[0], gather_pairs(g, node.params["rows"], node.params["cols"])),)
 
 
-def _b_concat_cols(node, g):
-    a, b = node.inputs
-    ca = a.shape[1]
-    out = []
-    if a.requires_grad:
-        out.append((a, slice_cols(g, 0, ca)))
-    if b.requires_grad:
-        out.append((b, slice_cols(g, ca, ca + b.shape[1])))
-    return out
-
-
-def _b_slice_cols(node, g):
-    x = node.inputs[0]
-    start, stop = node.params["start"], node.params["stop"]
-    return ((x, pad_cols(g, start, x.shape[1] - stop)),)
-
-
-def _b_pad_cols(node, g):
-    x = node.inputs[0]
-    left = node.params["left"]
-    return ((x, slice_cols(g, left, left + x.shape[1])),)
-
-
 _BACKWARD = {
     "matmul": _b_matmul,
     "add": _b_add,
@@ -921,9 +843,6 @@ _BACKWARD = {
     "scatter_rows": _b_scatter_rows,
     "gather_pairs": _b_gather_pairs,
     "scatter_pairs": _b_scatter_pairs,
-    "concat_cols": _b_concat_cols,
-    "slice_cols": _b_slice_cols,
-    "pad_cols": _b_pad_cols,
 }
 
 assert set(_FORWARD) == set(_BACKWARD)

@@ -230,6 +230,34 @@ def dense_attention_encode(snapshot, params, config):
     return h
 
 
+def concatenated_pair_head(h, items, w1, b1, w2, b2, upstream):
+    """A classifier head on the concatenated pair rows [h_u, h_v], in numpy.
+
+    Returns the logits relu([h_u, h_v] w1 + b1) w2 + b2 and, by hand-written
+    backpropagation, the gradients of sum(upstream * logits) with respect to
+    h, w1, b1, w2 and b2 (keyed by those names)."""
+    u, v = items[:, 0], items[:, 1]
+    x = np.concatenate([h[u], h[v]], axis=1)
+    pre = x @ w1 + b1
+    act = np.maximum(pre, 0.0)
+    logits = act @ w2 + b2
+    g_pre = (upstream @ w2.T) * (pre > 0.0)
+    g_x = g_pre @ w1.T
+    d = h.shape[1]
+    g_h = np.zeros_like(h)
+    for k in range(len(items)):
+        g_h[u[k]] += g_x[k, :d]
+        g_h[v[k]] += g_x[k, d:]
+    grads = {
+        "h": g_h,
+        "w1": x.T @ g_pre,
+        "b1": g_pre.sum(axis=0, keepdims=True),
+        "w2": act.T @ upstream,
+        "b2": upstream.sum(axis=0, keepdims=True),
+    }
+    return logits, grads
+
+
 # ---------------------------------------------------------------------------
 # per-primitive gradient checking
 
@@ -376,18 +404,6 @@ def _case_scatter_pairs(rng):
     return [_u(rng, 6, 1)], lambda a: nx.scatter_pairs(a, _PAIR_ROWS, _PAIR_COLS, (4, 5))
 
 
-def _case_concat_cols(rng):
-    return [_u(rng, 3, 2), _u(rng, 3, 4)], nx.concat_cols
-
-
-def _case_slice_cols(rng):
-    return [_u(rng, 2, 6)], lambda a: nx.slice_cols(a, 1, 4)
-
-
-def _case_pad_cols(rng):
-    return [_u(rng, 2, 3)], lambda a: nx.pad_cols(a, 1, 2)
-
-
 PRIMITIVE_CASES = {
     "matmul": _case_matmul,
     "add": _case_add,
@@ -416,9 +432,6 @@ PRIMITIVE_CASES = {
     "scatter_rows": _case_scatter_rows,
     "gather_pairs": _case_gather_pairs,
     "scatter_pairs": _case_scatter_pairs,
-    "concat_cols": _case_concat_cols,
-    "slice_cols": _case_slice_cols,
-    "pad_cols": _case_pad_cols,
 }
 
 

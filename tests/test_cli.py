@@ -216,6 +216,13 @@ def test_generate_rejects_bad_probabilities(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_negative_seed_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert cli.main(["generate", "--out", str(out), "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- ingest
 
 
@@ -252,6 +259,17 @@ def test_ingest_requires_exactly_one_bucketing(tmp_path, capsys):
     base = ["ingest", "--input", str(src), "--out", str(tmp_path / "ds")]
     assert cli.main(base) == 1
     assert cli.main(base + ["--interval", "10", "--edges-per-snapshot", "2"]) == 1
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+def test_ingest_non_finite_interval_exits_1_and_writes_nothing(tmp_path, capsys, interval):
+    src = tmp_path / "edges.txt"
+    src.write_text(EDGE_FILE)
+    out = tmp_path / "ds"
+    rc = cli.main(["ingest", "--input", str(src), "--out", str(out), "--interval", interval])
+    assert rc == 1
+    assert "interval" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_malformed_line_is_reported(tmp_path, capsys):
@@ -306,6 +324,15 @@ def test_train_requires_dataset(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path / "run"), "--epochs", "1"])
     assert rc == 1
     assert "dataset" in capsys.readouterr().err
+
+
+def test_train_negative_seed_exits_1_and_writes_nothing(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--dataset", str(dataset_dir), "--out", str(out),
+                   "--seed", "-1", "--epochs", "1"])
+    assert rc == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_task_mismatch_is_a_config_error(dataset_dir, tmp_path, capsys):

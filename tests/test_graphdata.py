@@ -205,6 +205,12 @@ def test_bucketing_parameter_validation():
         gd.EqualEdgeCountBucketing(0)
 
 
+@pytest.mark.parametrize("interval", [np.nan, np.inf, -np.inf])
+def test_bucketing_interval_must_be_finite(interval):
+    with pytest.raises(ValidationError, match="interval"):
+        gd.FixedIntervalBucketing(interval)
+
+
 # ----------------------------------------------------------------- generator
 
 
@@ -214,6 +220,11 @@ def test_sbm_zero_inter_probability_keeps_communities_disjoint():
         labels = snap.node_labels
         for u, v, _, _ in snap.edges:
             assert labels[u] == labels[v]
+
+
+def test_sbm_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed"):
+        gd.generate_drifting_sbm(15, 3, 0.5, 0.05, 0.1, 5, seed=-1)
 
 
 def test_sbm_is_deterministic_in_the_seed():

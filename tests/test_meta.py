@@ -64,6 +64,11 @@ def test_config_rejects_non_finite_rates(field, value):
         TrainingConfig(**{field: value})
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed"):
+        TrainingConfig(seed=-1)
+
+
 def test_config_names_every_invalid_field_at_once():
     with pytest.raises(ValidationError) as err:
         TrainingConfig(window_size=0, lambda_time=np.nan, epochs=-1, outer_optimizer="rmsprop")
@@ -187,6 +192,44 @@ def test_inner_adapt_checks_window_size():
     with pytest.raises(ContractError):
         mt.inner_adapt(window, params, spec, TrainingConfig(window_size=3),
                        Tape("first_order"))
+
+
+def test_first_order_inner_adapt_records_only_the_updates():
+    seq = _small_sequence()
+    spec = _small_spec()
+    params = md.init_parameters(spec, seed=1)
+    config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01)
+    window = mt.build_window(seq, 4, config)
+    tape = Tape("first_order")
+    mt.inner_adapt(window, params, spec, config, tape)
+    per_step = len(params.items_in(*nx.INNER_LOOP_GROUPS))
+    assert [node.op for node in tape.nodes] == ["mul_scalar", "sub"] * (3 * per_step)
+
+
+def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatch):
+    seq = _small_sequence()
+    spec = _small_spec()
+    config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01)
+    params, window, batch = _episode_pieces(seq, spec, config)
+    targets = []
+    gradient = Tape.gradient
+
+    def spy(tape, output, *args, **kwargs):
+        targets.append(output)
+        return gradient(tape, output, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "gradient", spy)
+    tape = Tape("first_order")
+    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    mt.outer_step(window, states, batch, params, spec, config, tape)
+    producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
+    ancestors, stack = set(), [targets[-1]]
+    while stack:
+        k = producer.get(id(stack.pop()))
+        if k is not None and k not in ancestors:
+            ancestors.add(k)
+            stack.extend(tape.nodes[k].inputs)
+    assert ancestors == set(range(len(tape)))
 
 
 # --------------------------------------------------------------- outer update
@@ -634,15 +677,18 @@ def test_adaptation_beats_frozen_inner_loop_on_held_out_snapshots(desk_benchmark
 
 @pytest.mark.parametrize("mode, fingerprint, losses", [
     ("same_snapshot",
-     "4280b2f8922d6b76b84b16f6101f62503abc3a4c9688f88014f21bfcce45e136",
+     "08087177ffe755ce489245e26fa6d313466f1297d2fa8611ba5703ce7e121a44",
      ["0x1.0994a5fb7eb89p+1", "0x1.09122940d88c2p+1"]),
     ("previous_snapshot",
-     "116b5f469f8ab1df0f7e48eb7f08850b0cb8c22ab3e0e69cc934c65828b511a5",
+     "7c7b5085a41fad5817c96a0ee5be5115668fc2198f5f8ca9f8dcfe37af1d3239",
      ["0x1.62c7411a5fb6ep+0", "0x1.62395b417ff22p+0"]),
 ])
 def test_static_gcn_training_reproduces_its_recorded_bits(mode, fingerprint, losses):
-    # recorded from the static trainer with its own inline SGD step and
-    # structure-snapshot choice; the shared trainer code must not move a bit
+    # the losses were recorded from the static trainer with its own inline
+    # SGD step and structure-snapshot choice, and the shared trainer code
+    # must not move a bit of them; the fingerprints are those of the head's
+    # per-node pair projections, whose rounding differs from a head on
+    # concatenated pair rows by about 1e-16 relative
     from ledg import baselines as bl
 
     config = TrainingConfig(window_size=2, eta_out=0.05, epochs=2, seed=3,

@@ -280,6 +280,82 @@ def test_task_gradient_matches_central_differences():
         assert oracles.max_rel_err(g.data, fd) <= 1e-4, name
 
 
+# ----------------------------------------------------------------- pair head
+
+#: repeated pairs and u == v pairs exercise the scatter adjoints
+_PAIRS = np.array([[0, 1], [2, 2], [0, 1], [3, 0], [4, 4], [1, 3], [1, 0]])
+
+
+def _random_pair_head(rng, hidden, num_nodes=5, classes=3):
+    """A classifier head with random weights and biases, and tracked random
+    node rows of width ``hidden``."""
+    spec = ModelSpec(EncoderConfig(num_layers=1, input_dim=2, hidden_dim=hidden),
+                     num_classes=classes)
+    head = md.MlpHead("classifier_graph", 2 * hidden, hidden, classes)
+    params = md.init_parameters(spec, seed=0)
+    params = params.with_updates({
+        name: Tensor(rng.normal(size=params[name].shape), requires_grad=True)
+        for name in head.parameter_names
+    })
+    h = Tensor(rng.normal(size=(num_nodes, hidden)), requires_grad=True)
+    return head, params, h
+
+
+@pytest.mark.parametrize("mode", Tape.MODES)
+def test_apply_pairs_matches_the_concatenated_pair_head(mode):
+    rng = np.random.default_rng(11)
+    head, params, h = _random_pair_head(rng, hidden=4)
+    upstream = rng.normal(size=(len(_PAIRS), head.out_dim))
+    weights = [params[name] for name in head.parameter_names]
+    tape = Tape(mode)
+    with tape:
+        logits = head.apply_pairs(params, h, _PAIRS)
+        loss = nx.sum_all(nx.hadamard(logits, Tensor(upstream)))
+    grads = tape.gradient(loss, [h] + weights)
+    ref_logits, ref_grads = oracles.concatenated_pair_head(
+        h.data, _PAIRS, *(w.data for w in weights), upstream
+    )
+    assert oracles.norm_rel_err(logits.data, ref_logits) <= 1e-12
+    for key, g in zip(("h", "w1", "b1", "w2", "b2"), grads):
+        assert oracles.norm_rel_err(g.data, ref_grads[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("hidden", [4, 32, 128])
+def test_apply_pairs_equals_untaped_pair_logits_bit_for_bit(hidden):
+    rng = np.random.default_rng(hidden)
+    head, params, h = _random_pair_head(rng, hidden, num_nodes=40)
+    items = rng.integers(0, 40, size=(300, 2))
+    forward, _ = head.pair_logits(params, h.data, items)
+    assert np.array_equal(head.apply_pairs(params, h, items).data, forward)
+
+
+def test_apply_pairs_rejects_a_pair_width_mismatch():
+    head, params, _ = _random_pair_head(np.random.default_rng(0), hidden=4)
+    with pytest.raises(ShapeError):
+        head.apply_pairs(params, Tensor(np.ones((5, 3))), _PAIRS)
+
+
+def test_task_and_static_predict_score_pairs_with_apply_pairs(monkeypatch):
+    from ledg import baselines as bl
+
+    roles = []
+    apply_pairs = md.MlpHead.apply_pairs
+
+    def spy(head, *args):
+        roles.append(head.role)
+        return apply_pairs(head, *args)
+
+    monkeypatch.setattr(md.MlpHead, "apply_pairs", spy)
+    spec = _edge_spec(hidden=3, input_dim=4)
+    params = md.init_parameters(spec, seed=0)
+    snap = gd.SnapshotGraph(1, 4, [(0, 1), (2, 3)], np.eye(4))
+    batch = gd.TaskBatch(1, "edge", _PAIRS[:3] % 4, np.array([1, 0, 1]))
+    md.task_predict(md.embed(snap, params, spec), params, spec, batch)
+    assert roles == ["classifier_time", "classifier_graph"]
+    bl.static_predict(snap, bl.init_static_parameters(spec, 0), spec, batch)
+    assert roles[2:] == ["classifier_graph"]
+
+
 # ------------------------------------------------------------ initialization
 
 

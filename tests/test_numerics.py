@@ -369,7 +369,6 @@ _CONSTANT_OPERAND_CASES = {
     "matmul_tb": ((3, 4), (2, 4), lambda a, b: nx.matmul(a, b, tb=True)),
     "hadamard": ((3, 4), (3, 4), nx.hadamard),
     "sub": ((3, 4), (3, 4), nx.sub),
-    "concat_cols": ((3, 2), (3, 4), nx.concat_cols),
 }
 
 
