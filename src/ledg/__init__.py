@@ -21,6 +21,7 @@ from .errors import (
 )
 from .evaluation import (
     MetricReport,
+    RankedQueries,
     RankedQuery,
     evaluate_sequence,
     mean_average_precision,

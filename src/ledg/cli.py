@@ -440,6 +440,11 @@ def main(argv=None) -> int:
     except LedgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # MemoryError() usually carries no message of its own
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime error: out of memory{detail}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from .numerics import ParameterSet
 
 __all__ = [
     "RankedQuery",
+    "RankedQueries",
     "MetricReport",
     "mean_average_precision",
     "mean_reciprocal_rank",
@@ -53,8 +54,7 @@ class RankedQuery:
             raise ValidationError("candidate ids, scores and relevance must align")
         if not np.all(np.isfinite(scores)):
             raise ValidationError(f"query {self.query_id}: scores must be finite")
-        if not np.all((rel == 0) | (rel == 1)):
-            raise ValidationError("relevance must be 0 or 1")
+        _check_relevance(rel)
         for name, arr in (("candidate_ids", ids), ("scores", scores), ("relevance", rel)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -64,59 +64,122 @@ class RankedQuery:
     def num_relevant(self) -> int:
         return int(self.relevance.sum())
 
-    def ranking(self) -> np.ndarray:
-        """Candidate order: descending score, ties by ascending candidate id."""
-        return np.lexsort((self.candidate_ids, -self.scores))
+
+@dataclass(frozen=True)
+class RankedQueries:
+    """Many queries' candidates in one flat ranking order.
+
+    Query ``i`` owns the slice ``starts[i]:starts[i + 1]`` of the flat
+    arrays, in which its candidates run by descending score, ties by
+    ascending candidate id. ``len()`` is the number of queries.
+    """
+
+    query_ids: np.ndarray
+    starts: np.ndarray
+    candidate_ids: np.ndarray
+    scores: np.ndarray
+    relevance: np.ndarray
+
+    def __len__(self) -> int:
+        return self.query_ids.size
 
     @cached_property
-    def ranked_relevance(self) -> np.ndarray:
-        """Relevance in ranking order, sorted once and shared by the metrics."""
-        ranked = self.relevance[self.ranking()]
-        ranked.flags.writeable = False
-        return ranked
+    def relevant_ranks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every relevant candidate's (query, hits so far, rank), in ranking order.
+
+        The query index counts only queries with a relevant candidate, so
+        queries without one drop out of both metrics.
+        """
+        positions = np.flatnonzero(self.relevance)
+        if positions.size == 0:
+            raise ValidationError("every query lacks a relevant candidate")
+        query = np.searchsorted(self.starts, positions, side="right") - 1
+        rank = positions - self.starts[query] + 1
+        first = _run_heads(query)
+        kept = np.cumsum(first) - 1
+        hits = np.arange(1, positions.size + 1) - np.flatnonzero(first)[kept]
+        return kept, hits, rank
 
 
-def _kept(queries) -> list[RankedQuery]:
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys starts."""
+    heads = np.ones(keys.size, dtype=bool)
+    heads[1:] = keys[1:] != keys[:-1]
+    return heads
+
+
+def _check_relevance(relevance: np.ndarray) -> None:
+    if not np.all((relevance == 0) | (relevance == 1)):
+        raise ValidationError("relevance must be 0 or 1")
+
+
+def _rank(keys, candidate_ids, scores, relevance, query_ids=None) -> RankedQueries:
+    """Sort items into one query per distinct key, each in ranking order."""
+    order = np.lexsort((candidate_ids, -scores, keys))
+    keys = keys[order]
+    starts = np.flatnonzero(_run_heads(keys))
+    arrays = (
+        keys[starts] if query_ids is None else query_ids,
+        starts,
+        candidate_ids[order],
+        scores[order],
+        relevance[order],
+    )
+    # relevant_ranks caches what it reads, so the value owns its arrays read-only
+    for arr in arrays:
+        arr.flags.writeable = False
+    return RankedQueries(*arrays)
+
+
+def _ranked(queries) -> RankedQueries:
+    """A ranked batch as it is, or a list of queries ranked as one batch."""
+    if isinstance(queries, RankedQueries):
+        return queries
     queries = list(queries)
     if not queries:
         raise ValidationError("no queries to evaluate")
-    kept = [q for q in queries if q.num_relevant > 0]
-    if not kept:
-        raise ValidationError("every query lacks a relevant candidate")
-    return kept
+    sizes = [q.candidate_ids.size for q in queries]
+    return _rank(
+        np.repeat(np.arange(len(queries)), sizes),
+        np.concatenate([q.candidate_ids for q in queries]),
+        np.concatenate([q.scores for q in queries]),
+        np.concatenate([q.relevance for q in queries]),
+        query_ids=np.array([q.query_id for q in queries], dtype=np.int64),
+    )
 
 
 def mean_average_precision(queries) -> float:
     """Mean over queries of average precision.
 
     AP is the mean, over a query's relevant candidates, of the precision at
-    each relevant candidate's rank. Queries without any relevant candidate
-    are excluded from the mean; an empty or all-excluded list is an error.
+    each relevant candidate's rank, summed in rank order. Queries without
+    any relevant candidate are excluded from the mean; an empty or
+    all-excluded list is an error. ``queries`` is a ``RankedQueries`` or an
+    iterable of ``RankedQuery``.
     """
-    aps = []
-    for q in _kept(queries):
-        rel = q.ranked_relevance
-        hits = np.cumsum(rel)
-        ranks = np.arange(1, rel.size + 1)
-        precisions = hits[rel == 1] / ranks[rel == 1]
-        aps.append(float(precisions.mean()))
-    return float(np.mean(aps))
+    query, hits, rank = _ranked(queries).relevant_ranks
+    counts = np.bincount(query)
+    # one column per query, zero-padded below its last relevant candidate; a
+    # running sum down the columns adds each query's precisions in rank order
+    # (a plain column sum may regroup them, as it does for a single column)
+    precisions = np.zeros((int(counts.max()), counts.size))
+    precisions[hits - 1, query] = hits / rank
+    return float(np.mean(np.cumsum(precisions, axis=0)[-1] / counts))
 
 
 def mean_reciprocal_rank(queries) -> float:
     """Mean over queries of 1 / rank of the best-ranked relevant candidate."""
-    rrs = []
-    for q in _kept(queries):
-        first = int(np.argmax(q.ranked_relevance)) + 1
-        rrs.append(1.0 / first)
-    return float(np.mean(rrs))
+    _, hits, rank = _ranked(queries).relevant_ranks
+    return float(np.mean(1.0 / rank[hits == 1]))
 
 
 def micro_f1(predictions, labels, num_classes: int) -> float:
     """Micro-averaged F1 from globally pooled per-class counts.
 
-    Computed as TP / (TP + (FP + FN) / 2) with counts summed over classes,
-    which for single-label multiclass prediction coincides with accuracy.
+    Pooled over classes, TP / (TP + (FP + FN) / 2). For single-label
+    multiclass prediction every wrong item is one FP and one FN, so
+    FP = FN = M - TP, the denominator is exactly M, and the value is the
+    accuracy, computed as correct / M.
     """
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -127,34 +190,22 @@ def micro_f1(predictions, labels, num_classes: int) -> float:
     for name, arr in (("predictions", predictions), ("labels", labels)):
         if arr.min() < 0 or arr.max() >= num_classes:
             raise ValidationError(f"{name} outside class range [0, {num_classes})")
-    tp = fp = fn = 0
-    for c in range(num_classes):
-        tp += int(np.sum((predictions == c) & (labels == c)))
-        fp += int(np.sum((predictions == c) & (labels != c)))
-        fn += int(np.sum((predictions != c) & (labels == c)))
-    return tp / (tp + 0.5 * (fp + fn))
+    return int(np.count_nonzero(predictions == labels)) / predictions.size
 
 
-def queries_from_batch(batch: TaskBatch, scores) -> list[RankedQuery]:
-    """Group a scored link-prediction batch into per-source ranked queries."""
+def queries_from_batch(batch: TaskBatch, scores) -> RankedQueries:
+    """Rank a scored link-prediction batch as one query per source node."""
     if batch.kind != "edge":
         raise ValidationError("ranking queries need an edge batch")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (batch.size,):
         raise ValidationError("need one score per batch item")
     sources = batch.items[:, 0]
-    # a stable sort keeps each source's candidates in batch order
-    order = np.argsort(sources, kind="stable")
-    starts = np.flatnonzero(np.diff(sources[order])) + 1
-    return [
-        RankedQuery(
-            query_id=int(sources[pick[0]]),
-            candidate_ids=batch.items[pick, 1],
-            scores=scores[pick],
-            relevance=batch.labels[pick],
-        )
-        for pick in np.split(order, starts)
-    ]
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise ValidationError(f"query {int(sources[~finite].min())}: scores must be finite")
+    _check_relevance(batch.labels)
+    return _rank(sources, batch.items[:, 1], scores, batch.labels)
 
 
 def symmetrized_edge_scores(bundle, params: ParameterSet, spec: ModelSpec, batch: TaskBatch) -> np.ndarray:

@@ -416,11 +416,14 @@ def ingest_edge_stream(
     survive as ``node_names``). The optional value column is a float weight
     for link prediction and an integer class label for edge classification.
     Duplicate undirected edges inside one bucket merge with summed weight
-    (last label wins); self-loops are dropped.
+    (last label wins); self-loops are dropped. A non-finite timestamp or
+    value is a ``ParseError`` naming its line.
     """
     if task not in ("link_prediction", "edge_classification"):
         raise ValidationError(f"edge streams support edge tasks, not {task!r}")
-    src_tokens, dst_tokens, times, values = [], [], [], []
+    # a missing value column means weight 1 or class 0
+    default = 0.0 if task == "edge_classification" else 1.0
+    src_tokens, dst_tokens, times, values, linenos = [], [], [], [], []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -430,22 +433,29 @@ def ingest_edge_stream(
             raise ParseError(f"line {lineno}: expected 'src dst timestamp [value]', got {line!r}")
         try:
             ts = float(parts[2])
-            val = float(parts[3]) if len(parts) == 4 else None
+            val = float(parts[3]) if len(parts) == 4 else default
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         src_tokens.append(parts[0])
         dst_tokens.append(parts[1])
         times.append(ts)
         values.append(val)
+        linenos.append(lineno)
     if not times:
         raise ParseError("no data lines in edge stream")
+    timestamps = np.array(times)
+    finite_times = np.isfinite(timestamps)
+    finite = finite_times & np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        name, got = ("timestamp", times[bad]) if not finite_times[bad] else ("value", values[bad])
+        raise ParseError(f"line {linenos[bad]}: {name} must be finite, got {got}")
 
     ids: dict[str, int] = {}
     for tok in [t for pair in zip(src_tokens, dst_tokens) for t in pair]:
         if tok not in ids:
             ids[tok] = len(ids)
     num_nodes = len(ids)
-    timestamps = np.array(times)
     buckets = bucketing.assign(timestamps)
     num_snapshots = int(buckets.max()) + 1
 
@@ -458,11 +468,10 @@ def ingest_edge_stream(
             continue
         if u > v:
             u, v = v, u
-        val = values[idx]
         if task == "edge_classification":
-            w, lab = 1.0, (0 if val is None else int(val))
+            w, lab = 1.0, int(values[idx])
         else:
-            w, lab = (1.0 if val is None else float(val)), None
+            w, lab = values[idx], None
         bucket = merged[int(buckets[idx])]
         if (u, v) in bucket:
             old_w, _ = bucket[(u, v)]

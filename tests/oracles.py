@@ -103,6 +103,23 @@ def brute_force_mrr(queries):
     return sum(rrs) / len(rrs)
 
 
+def per_query_map_mrr(queries):
+    """MAP and MRR one query at a time: each query ranked by its own
+    ``lexsort`` and its AP taken as numpy's ``mean`` of its precisions.
+    numpy's pairwise sum adds fewer than 8 terms in order, so below 8
+    relevant candidates per query this repeats an in-order sum bit for bit."""
+    aps, rrs = [], []
+    for q in queries:
+        rel = q.relevance[np.lexsort((q.candidate_ids, -q.scores))]
+        if rel.sum() == 0:
+            continue
+        hits = np.cumsum(rel)
+        ranks = np.arange(1, rel.size + 1)
+        aps.append(float((hits[rel == 1] / ranks[rel == 1]).mean()))
+        rrs.append(1.0 / (int(np.argmax(rel)) + 1))
+    return float(np.mean(aps)), float(np.mean(rrs))
+
+
 def confusion_micro_f1(predictions, labels, num_classes):
     """Micro F1 from an explicit confusion matrix."""
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)

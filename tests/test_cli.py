@@ -281,6 +281,29 @@ def test_ingest_malformed_line_is_reported(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["b c nan", "b c inf", "b c 1 nan"])
+def test_ingest_non_finite_field_exits_1_and_writes_nothing(tmp_path, capsys, line):
+    src = tmp_path / "edges.txt"
+    src.write_text(f"a b 0\n{line}\n")
+    out = tmp_path / "ds"
+    rc = cli.main(["ingest", "--input", str(src), "--out", str(out), "--interval", "10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "must be finite" in err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2_and_says_so(monkeypatch, tmp_path, capsys):
+    def exhausted(args):
+        raise MemoryError()
+
+    # main builds its parser on every call, so the parser binds the patched command
+    monkeypatch.setattr(cli, "cmd_generate", exhausted)
+    rc = cli.main(["generate", "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "runtime error: out of memory"
+
+
 # -------------------------------------------------------------------- train
 
 

@@ -161,14 +161,19 @@ def test_micro_f1_validation():
 # ------------------------------------------------------------- query building
 
 
+def _segments(queries, name):
+    # one array per query, cut from the flat ranked arrays
+    return np.split(getattr(queries, name), queries.starts[1:])
+
+
 def test_queries_from_batch_groups_by_source():
     batch = gd.TaskBatch(1, "edge", np.array([[0, 1], [0, 2], [3, 4]]),
                          np.array([1, 0, 1]))
     queries = ev.queries_from_batch(batch, [0.9, 0.2, 0.7])
-    assert [q.query_id for q in queries] == [0, 3]
-    assert np.array_equal(queries[0].candidate_ids, [1, 2])
-    assert np.array_equal(queries[0].scores, [0.9, 0.2])
-    assert np.array_equal(queries[0].relevance, [1, 0])
+    assert queries.query_ids.tolist() == [0, 3]
+    assert np.array_equal(_segments(queries, "candidate_ids")[0], [1, 2])
+    assert np.array_equal(_segments(queries, "scores")[0], [0.9, 0.2])
+    assert np.array_equal(_segments(queries, "relevance")[0], [1, 0])
     with pytest.raises(ValidationError):
         ev.queries_from_batch(batch, [0.9, 0.2])
     node_batch = gd.TaskBatch(1, "node", np.array([0, 1]), np.array([0, 1]))
@@ -262,32 +267,136 @@ def test_queries_from_batch_matches_per_source_masks():
     rng = np.random.default_rng(9)
     items = rng.integers(0, 12, size=(200, 2))
     batch = gd.TaskBatch(1, "edge", items, rng.integers(0, 2, size=200))
-    scores = rng.random(200)
+    scores = np.round(rng.random(200), 1)
     queries = ev.queries_from_batch(batch, scores)
     sources = batch.items[:, 0]
-    assert [q.query_id for q in queries] == np.unique(sources).tolist()
-    for q in queries:
-        pick = sources == q.query_id
-        assert np.array_equal(q.candidate_ids, batch.items[pick, 1])
-        assert np.array_equal(q.scores, scores[pick])
-        assert np.array_equal(q.relevance, batch.labels[pick])
+    assert queries.query_ids.tolist() == np.unique(sources).tolist()
+    assert len(queries) == np.unique(sources).size
+    segments = zip(queries.query_ids, *(_segments(queries, name) for name in
+                                        ("candidate_ids", "scores", "relevance")))
+    for query_id, ids, query_scores, relevance in segments:
+        pick = sources == query_id
+        # each source's candidates by descending score, ties by ascending id
+        order = np.lexsort((batch.items[pick, 1], -scores[pick]))
+        assert np.array_equal(ids, batch.items[pick, 1][order])
+        assert np.array_equal(query_scores, scores[pick][order])
+        assert np.array_equal(relevance, batch.labels[pick][order])
+
+
+def _per_source_queries(batch, scores):
+    sources = batch.items[:, 0]
+    return [RankedQuery(int(s), batch.items[sources == s, 1], scores[sources == s],
+                        batch.labels[sources == s]) for s in np.unique(sources)]
+
+
+def _random_batch(rng, num_sources, max_relevant):
+    # repeated sources interleaved in batch order, one-decimal scores for
+    # ties, single-candidate queries, queries without a relevant candidate
+    # and (for max_relevant >= 8) queries with many relevant candidates
+    items, labels = [], []
+    for source in rng.choice(1000, size=num_sources, replace=False):
+        n = int(rng.integers(1, 40))
+        relevant = min(n, int(rng.integers(0, max_relevant + 1)))
+        items += [(source, c) for c in rng.choice(1000, size=n, replace=False)]
+        labels += [1] * relevant + [0] * (n - relevant)
+    shuffle = rng.permutation(len(items))
+    batch = gd.TaskBatch(1, "edge", np.array(items)[shuffle], np.array(labels)[shuffle])
+    return batch, np.round(rng.random(batch.size), 1)
+
+
+def test_batched_metrics_match_brute_force_on_random_batches():
+    seen = set()
+    for instance in range(60):
+        rng = np.random.default_rng([300, instance])
+        batch, scores = _random_batch(rng, int(rng.integers(1, 12)), max_relevant=20)
+        per_source = _per_source_queries(batch, scores)
+        if all(q.num_relevant == 0 for q in per_source):
+            continue
+        queries = ev.queries_from_batch(batch, scores)
+        assert len(queries) == len(per_source)
+        assert abs(ev.mean_average_precision(queries)
+                   - oracles.brute_force_map(per_source)) <= 1e-12
+        assert abs(ev.mean_reciprocal_rank(queries)
+                   - oracles.brute_force_mrr(per_source)) <= 1e-12
+        seen |= {min(q.num_relevant, 8) for q in per_source}
+        seen |= {"single" for q in per_source if q.candidate_ids.size == 1}
+    assert {0, 1, 8, "single"} <= seen
+
+
+def test_batched_metrics_repeat_per_query_bits_below_eight_relevant():
+    for instance in range(60):
+        rng = np.random.default_rng([400, instance])
+        batch, scores = _random_batch(rng, int(rng.integers(1, 12)), max_relevant=7)
+        per_source = _per_source_queries(batch, scores)
+        if all(q.num_relevant == 0 for q in per_source):
+            continue
+        queries = ev.queries_from_batch(batch, scores)
+        got = (ev.mean_average_precision(queries), ev.mean_reciprocal_rank(queries))
+        assert got == oracles.per_query_map_mrr(per_source)
+        # a list of single-query records goes through the same code
+        listed = (ev.mean_average_precision(per_source), ev.mean_reciprocal_rank(per_source))
+        assert listed == got
+
+
+def test_map_adds_many_precisions_in_rank_order():
+    # 20 relevant candidates in one query and in two: both sum in rank order,
+    # which numpy's pairwise sum of 8 or more terms does not
+    rng = np.random.default_rng(11)
+    relevance = np.zeros(60, dtype=int)
+    relevance[rng.choice(60, size=20, replace=False)] = 1
+    q = _query(np.arange(60), rng.random(60), relevance)
+    expected = oracles.brute_force_map([q])
+    assert ev.mean_average_precision([q]) == expected
+    assert ev.mean_average_precision([q, q]) == expected
 
 
 def test_map_and_mrr_rank_each_query_once(monkeypatch):
     rng = np.random.default_rng(10)
-    queries = _random_queries(rng, 6, allow_empty=False)
-    expected = (oracles.brute_force_map(queries), oracles.brute_force_mrr(queries))
+    batch, scores = _random_batch(rng, 6, max_relevant=10)
+    per_source = _per_source_queries(batch, scores)
+    expected = (oracles.brute_force_map(per_source), oracles.brute_force_mrr(per_source))
     calls = []
-    original = RankedQuery.ranking
+    original = np.lexsort
 
-    def counted(self):
-        calls.append(self.query_id)
-        return original(self)
+    def counted(keys):
+        calls.append(len(keys))
+        return original(keys)
 
-    monkeypatch.setattr(RankedQuery, "ranking", counted)
+    monkeypatch.setattr(np, "lexsort", counted)
+    queries = ev.queries_from_batch(batch, scores)
     got = (ev.mean_average_precision(queries), ev.mean_reciprocal_rank(queries))
-    assert sorted(calls) == sorted(q.query_id for q in queries)
+    # one three-key sort of the whole batch ranks every query for both metrics
+    assert calls == [3]
     assert abs(got[0] - expected[0]) <= 1e-12 and abs(got[1] - expected[1]) <= 1e-12
+
+
+def test_queries_from_batch_checks():
+    batch = gd.TaskBatch(1, "edge", np.array([[4, 1], [2, 3], [4, 5], [2, 0]]),
+                         np.array([1, 0, 0, 1]))
+    with pytest.raises(ValidationError, match="edge batch"):
+        ev.queries_from_batch(gd.TaskBatch(1, "node", np.array([0, 1]), np.array([0, 1])),
+                              [0.1, 0.2])
+    with pytest.raises(ValidationError, match="one score per batch item"):
+        ev.queries_from_batch(batch, [0.1, 0.2, 0.3])
+    with pytest.raises(ValidationError, match="one score per batch item"):
+        ev.queries_from_batch(batch, np.zeros((4, 1)))
+    # the message names the first query, by source id, with a bad score
+    with pytest.raises(ValidationError, match="query 2: scores must be finite"):
+        ev.queries_from_batch(batch, [np.nan, 0.1, 0.2, np.inf])
+    with pytest.raises(ValidationError, match="query 4: scores must be finite"):
+        ev.queries_from_batch(batch, [np.nan, 0.1, 0.2, 0.3])
+    two = gd.TaskBatch(1, "edge", batch.items, np.array([1, 0, 2, 1]))
+    with pytest.raises(ValidationError, match="relevance must be 0 or 1"):
+        ev.queries_from_batch(two, [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValidationError, match="empty task batch"):
+        gd.TaskBatch(1, "edge", np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int))
+    none = gd.TaskBatch(1, "edge", batch.items, np.zeros(4, dtype=int))
+    queries = ev.queries_from_batch(none, [0.1, 0.2, 0.3, 0.4])
+    for metric in (ev.mean_average_precision, ev.mean_reciprocal_rank):
+        with pytest.raises(ValidationError, match="every query lacks a relevant candidate"):
+            metric(queries)
+        with pytest.raises(ValidationError, match="no queries to evaluate"):
+            metric([])
 
 
 # -------------------------------------------------------------------- reports

@@ -180,6 +180,17 @@ def test_ingest_reports_malformed_line_number():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("task", ["link_prediction", "edge_classification"])
+@pytest.mark.parametrize("line, field", [
+    ("c d nan", "timestamp"), ("c d inf", "timestamp"), ("c d -inf 1", "timestamp"),
+    ("c d 1 nan", "value"), ("c d 1 inf", "value"), ("c d nan 1", "timestamp"),
+])
+def test_ingest_rejects_non_finite_fields_naming_the_line(line, field, task):
+    text = f"# header\na b 0 1\n{line}\n{line}\n"
+    with pytest.raises(ParseError, match=f"line 3: {field} must be finite"):
+        gd.ingest_edge_stream(_stream(text), gd.FixedIntervalBucketing(1.0), task=task)
+
+
 def test_ingest_rejects_empty_stream_and_node_tasks():
     with pytest.raises(ParseError):
         gd.ingest_edge_stream(_stream("# only comments\n"), gd.FixedIntervalBucketing(1.0))
