@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, ParseError, ValidationError
+from .errors import ConfigError, DatasetError, ParseError, ValidationError
 from .numerics import Tensor
 
 __all__ = [
@@ -42,6 +42,12 @@ __all__ = [
 TASKS = ("link_prediction", "edge_classification", "node_classification")
 
 DATASET_FORMAT = "TGDS1"
+
+#: fixed-interval bucketing refuses more snapshots than this many per data
+#: line, or than MIN_BUCKET_LIMIT when that is larger: a wide timestamp span
+#: at a fine interval would otherwise write one snapshot per empty bucket
+MAX_BUCKETS_PER_LINE = 10
+MIN_BUCKET_LIMIT = 1000
 
 
 def seed_from(base: int, *labels) -> np.random.SeedSequence:
@@ -345,7 +351,20 @@ class FixedIntervalBucketing:
             raise ValidationError("bucketing interval must be positive and finite")
 
     def assign(self, timestamps: np.ndarray) -> np.ndarray:
+        """Bucket of each timestamp; a ConfigError when the span needs more
+        buckets than the line count allows (see MAX_BUCKETS_PER_LINE)."""
         start = timestamps.min()
+        span = float(timestamps.max() - start)
+        # compared as a float, so a span that overflows the count still fails
+        widths = span / self.interval
+        limit = max(MAX_BUCKETS_PER_LINE * timestamps.size, MIN_BUCKET_LIMIT)
+        if widths >= limit:
+            fit = float(f"{span / (limit - 1) * 1.01:.3g}")
+            raise ConfigError(
+                f"a timestamp span of {span:g} at interval {self.interval:g} makes"
+                f" {np.floor(widths) + 1:.0f} snapshots, more than the {limit} allowed"
+                f" for {timestamps.size} edge lines; an interval of {fit:g} or more fits"
+            )
         return np.floor((timestamps - start) / self.interval).astype(np.int64)
 
 
@@ -417,7 +436,8 @@ def ingest_edge_stream(
     for link prediction and an integer class label for edge classification.
     Duplicate undirected edges inside one bucket merge with summed weight
     (last label wins); self-loops are dropped. A non-finite timestamp or
-    value is a ``ParseError`` naming its line.
+    value, or a class label that is not a non-negative integer, is a
+    ``ParseError`` naming its line.
     """
     if task not in ("link_prediction", "edge_classification"):
         raise ValidationError(f"edge streams support edge tasks, not {task!r}")
@@ -450,14 +470,23 @@ def ingest_edge_stream(
         bad = int(np.argmin(finite))
         name, got = ("timestamp", times[bad]) if not finite_times[bad] else ("value", values[bad])
         raise ParseError(f"line {linenos[bad]}: {name} must be finite, got {got}")
+    if task == "edge_classification":
+        classes = np.array(values)
+        integral = (classes >= 0) & (classes == np.floor(classes))
+        if not integral.all():
+            bad = int(np.argmin(integral))
+            raise ParseError(
+                f"line {linenos[bad]}: class label must be a non-negative integer,"
+                f" got {values[bad]:g}"
+            )
 
+    buckets = bucketing.assign(timestamps)
+    num_snapshots = int(buckets.max()) + 1
     ids: dict[str, int] = {}
     for tok in [t for pair in zip(src_tokens, dst_tokens) for t in pair]:
         if tok not in ids:
             ids[tok] = len(ids)
     num_nodes = len(ids)
-    buckets = bucketing.assign(timestamps)
-    num_snapshots = int(buckets.max()) + 1
 
     # stable order inside each bucket: by timestamp, then input order
     order = np.argsort(timestamps, kind="stable")

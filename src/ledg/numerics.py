@@ -193,7 +193,7 @@ class Tape:
         if out_idx is not None:
             ctx = _activated(self) if create else _paused()
             with ctx:
-                self._walk_backward(out_idx, adjoints, wrt_ids, results)
+                self._walk_backward(out_idx, self._stop_index(wrt), adjoints, wrt_ids, results)
 
         grads = []
         for t in wrt:
@@ -205,20 +205,41 @@ class Tape:
             grads.append(g)
         return grads
 
-    def _walk_backward(self, out_idx, adjoints, wrt_ids, results) -> None:
-        for i in range(out_idx, -1, -1):
-            node = self.nodes[i]
-            upstream = adjoints.pop(id(node.output), None)
+    def _stop_index(self, wrt: list[Tensor]) -> int:
+        """The earliest node a gradient with respect to ``wrt`` must visit.
+
+        Every use of a tensor made on this tape is recorded after the node
+        that made it, so when every ``wrt`` tensor was made here, nothing
+        before the first of their producers can add to a requested gradient.
+        A leaf (a tensor not made here) may be used anywhere: walk it all.
+        """
+        producers = [self._producer.get(id(t)) for t in wrt]
+        if None in producers:
+            return 0
+        return min(producers, default=0)
+
+    def _walk_backward(self, out_idx, stop, adjoints, wrt_ids, results) -> None:
+        # An input is owed a contribution only when a requested gradient can
+        # read it: it is requested, or it was made at or after the stop node.
+        # Anything else passes its adjoint on only to nodes the walk skips.
+        producer = self._producer
+        for node in reversed(self.nodes[stop : out_idx + 1]):
+            out_id = id(node.output)
+            upstream = adjoints.pop(out_id, None)
             if upstream is None:
                 continue
-            if id(node.output) in wrt_ids:
-                results[id(node.output)] = upstream
+            if out_id in wrt_ids:
+                results[out_id] = upstream
             rule = _BACKWARD[node.op]
             if rule is None:
                 continue
-            for inp, contrib in rule(node, upstream):
-                if not inp.requires_grad:
-                    continue
+            need = [
+                inp.requires_grad and (producer.get(id(inp), -1) >= stop or id(inp) in wrt_ids)
+                for inp in node.inputs
+            ]
+            if True not in need:
+                continue
+            for inp, contrib in rule(node, upstream, need):
                 held = adjoints.get(id(inp))
                 adjoints[id(inp)] = contrib if held is None else add(held, contrib)
 
@@ -658,159 +679,170 @@ def mean_pool(h: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # backward rules, each built from the public primitives above so that the
-# backward pass is itself differentiable when recorded. Rules with several
-# operands compute no contribution for an operand that does not require
-# grad: _walk_backward would drop it, and an exact tape would record it.
+# backward pass is itself differentiable when recorded. A rule gets the
+# node, its output's adjoint and one flag per input saying whether that
+# input is owed a contribution (see Tape._walk_backward); it returns
+# (input, contribution) pairs for the flagged inputs only, since an exact
+# tape would record any other contribution as dead work. A rule of one
+# input is only called when its input is flagged. Gathers and scatters emit
+# their adjoints with the index arrays their forward node already checked.
 
-def _b_matmul(node, g):
+def _b_matmul(node, g, need):
     a, b = node.inputs
     ta, tb = node.params["ta"], node.params["tb"]
     out = []
-    if a.requires_grad:
+    if need[0]:
         # d op(a) = g @ op(b)^T, transposed back when a entered transposed
         ga = matmul(b, g, ta=tb, tb=True) if ta else matmul(g, b, tb=not tb)
         out.append((a, ga))
-    if b.requires_grad:
+    if need[1]:
         # d op(b) = op(a)^T @ g, transposed back when b entered transposed
         gb = matmul(g, a, ta=True, tb=ta) if tb else matmul(a, g, ta=not ta)
         out.append((b, gb))
     return out
 
 
-def _b_add(node, g):
-    a, b = node.inputs
-    return ((a, g), (b, g))
+def _b_add(node, g, need):
+    return [(x, g) for x, wanted in zip(node.inputs, need) if wanted]
 
 
-def _b_sub(node, g):
+def _b_sub(node, g, need):
     a, b = node.inputs
-    out = [(a, g)]
-    if b.requires_grad:
+    out = []
+    if need[0]:
+        out.append((a, g))
+    if need[1]:
         out.append((b, mul_scalar(g, -1.0)))
     return out
 
 
-def _b_hadamard(node, g):
+def _b_hadamard(node, g, need):
     a, b = node.inputs
     out = []
-    if a.requires_grad:
+    if need[0]:
         out.append((a, hadamard(g, b)))
-    if b.requires_grad:
+    if need[1]:
         out.append((b, hadamard(g, a)))
     return out
 
 
-def _b_add_scalar(node, g):
+def _b_add_scalar(node, g, need):
     return ((node.inputs[0], g),)
 
 
-def _b_mul_scalar(node, g):
+def _b_mul_scalar(node, g, need):
     return ((node.inputs[0], mul_scalar(g, node.params["value"])),)
 
 
-def _b_sigmoid(node, g):
+def _b_sigmoid(node, g, need):
     y = node.output
     return ((node.inputs[0], hadamard(g, hadamard(y, one_minus(y)))),)
 
 
-def _b_relu(node, g):
+def _b_relu(node, g, need):
     x = node.inputs[0]
     return ((x, hadamard(g, greater_than(x, 0.0))),)
 
 
-def _b_leaky_relu(node, g):
+def _b_leaky_relu(node, g, need):
     # the gate is piecewise constant in x, so it enters as an untracked constant
     x = node.inputs[0]
     return ((x, hadamard(g, Tensor._raw(_slope_gate(x.data, node.params["slope"])))),)
 
 
-def _b_one_minus(node, g):
+def _b_one_minus(node, g, need):
     return ((node.inputs[0], mul_scalar(g, -1.0)),)
 
 
-def _b_reciprocal(node, g):
+def _b_reciprocal(node, g, need):
     y = node.output
     return ((node.inputs[0], mul_scalar(hadamard(g, hadamard(y, y)), -1.0)),)
 
 
-def _b_log(node, g):
+def _b_log(node, g, need):
     x = node.inputs[0]
     return ((x, hadamard(g, reciprocal(x))),)
 
 
-def _b_clamp_min(node, g):
+def _b_clamp_min(node, g, need):
     x = node.inputs[0]
     return ((x, hadamard(g, greater_than(x, node.params["value"]))),)
 
 
-def _b_smooth_l1(node, g):
+def _b_smooth_l1(node, g, need):
     x = node.inputs[0]
     return ((x, hadamard(g, clip_unit(x))),)
 
 
-def _b_clip_unit(node, g):
+def _b_clip_unit(node, g, need):
     x = node.inputs[0]
     return ((x, hadamard(g, unit_interval_mask(x))),)
 
 
-def _b_softmax_rows(node, g):
+def _b_softmax_rows(node, g, need):
     y = node.output
     weighted = row_sums(hadamard(g, y))
     centered = sub(g, broadcast_cols(weighted, y.shape[1]))
     return ((node.inputs[0], hadamard(y, centered)),)
 
 
-def _b_segment_softmax(node, g):
+def _b_segment_softmax(node, g, need):
     # y * (g - (segment sum of g * y), broadcast back to the segment's pairs)
     y = node.output
     rows = node.params["rows"]
-    weighted = scatter_rows(hadamard(g, y), rows, node.params["starts"].size)
-    return ((node.inputs[0], hadamard(y, sub(g, gather_rows(weighted, rows)))),)
+    weighted = _emit(
+        "scatter_rows", (hadamard(g, y),), {"indices": rows, "num_rows": node.params["starts"].size}
+    )
+    spread = _emit("gather_rows", (weighted,), {"indices": rows})
+    return ((node.inputs[0], hadamard(y, sub(g, spread))),)
 
 
-def _b_row_sums(node, g):
+def _b_row_sums(node, g, need):
     x = node.inputs[0]
     return ((x, broadcast_cols(g, x.shape[1])),)
 
 
-def _b_col_sums(node, g):
+def _b_col_sums(node, g, need):
     x = node.inputs[0]
     return ((x, broadcast_rows(g, x.shape[0])),)
 
 
-def _b_sum_all(node, g):
+def _b_sum_all(node, g, need):
     x = node.inputs[0]
     return ((x, broadcast_full(g, x.shape)),)
 
 
-def _b_broadcast_rows(node, g):
+def _b_broadcast_rows(node, g, need):
     return ((node.inputs[0], col_sums(g)),)
 
 
-def _b_broadcast_cols(node, g):
+def _b_broadcast_cols(node, g, need):
     return ((node.inputs[0], row_sums(g)),)
 
 
-def _b_broadcast_full(node, g):
+def _b_broadcast_full(node, g, need):
     return ((node.inputs[0], sum_all(g)),)
 
 
-def _b_gather_rows(node, g):
+def _b_gather_rows(node, g, need):
     x = node.inputs[0]
-    return ((x, scatter_rows(g, node.params["indices"], x.shape[0])),)
+    params = {"indices": node.params["indices"], "num_rows": x.shape[0]}
+    return ((x, _emit("scatter_rows", (g,), params)),)
 
 
-def _b_scatter_rows(node, g):
-    return ((node.inputs[0], gather_rows(g, node.params["indices"])),)
+def _b_scatter_rows(node, g, need):
+    return ((node.inputs[0], _emit("gather_rows", (g,), {"indices": node.params["indices"]})),)
 
 
-def _b_gather_pairs(node, g):
-    p = node.params
-    return ((node.inputs[0], scatter_pairs(g, p["rows"], p["cols"], node.inputs[0].shape)),)
+def _b_gather_pairs(node, g, need):
+    x = node.inputs[0]
+    params = {"rows": node.params["rows"], "cols": node.params["cols"], "shape": x.shape}
+    return ((x, _emit("scatter_pairs", (g,), params)),)
 
 
-def _b_scatter_pairs(node, g):
-    return ((node.inputs[0], gather_pairs(g, node.params["rows"], node.params["cols"])),)
+def _b_scatter_pairs(node, g, need):
+    params = {"rows": node.params["rows"], "cols": node.params["cols"]}
+    return ((node.inputs[0], _emit("gather_pairs", (g,), params)),)
 
 
 _BACKWARD = {

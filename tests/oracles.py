@@ -64,6 +64,59 @@ def power_iteration_radius(matrix, iterations=500, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# reverse-mode walks over a recorded tape
+
+def full_walk_gradient(tape, output, wrt, create_graph=None):
+    """Gradients of a scalar ``output`` by the unpruned reverse walk.
+
+    Visits every recorded node from the output's producer back to the
+    first, and gives every input that requires grad its contribution, with
+    the library's own backward rules. ``Tape.gradient`` may stop earlier or
+    skip contributions only where no requested gradient reads them, so the
+    two must agree bit for bit. Records on the tape exactly when
+    ``Tape.gradient`` would.
+    """
+    create = (tape.mode == "exact") if create_graph is None else create_graph
+    producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
+    start = producer.get(id(output))
+    walked = tape.nodes[start::-1] if start is not None else []
+    requested = {id(t) for t in wrt}
+    adjoints = {id(output): nx.Tensor(np.ones((1, 1)))}
+    results = {}
+    with nx._activated(tape) if create else nx._paused():
+        for node in walked:
+            upstream = adjoints.pop(id(node.output), None)
+            if upstream is None:
+                continue
+            if id(node.output) in requested:
+                results[id(node.output)] = upstream
+            rule = nx._BACKWARD[node.op]
+            need = tuple(t.requires_grad for t in node.inputs)
+            if rule is None or not any(need):
+                continue
+            for inp, contrib in rule(node, upstream, need):
+                held = adjoints.get(id(inp))
+                adjoints[id(inp)] = contrib if held is None else nx.add(held, contrib)
+    grads = []
+    for t in wrt:
+        g = results.get(id(t), adjoints.get(id(t)))
+        grads.append(g if g is not None else nx.Tensor(np.zeros(t.shape)))
+    return grads
+
+
+def recorded_ancestors(tape, *targets):
+    """Indices of the tape nodes whose outputs the targets depend on."""
+    producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
+    found, stack = set(), list(targets)
+    while stack:
+        k = producer.get(id(stack.pop()))
+        if k is not None and k not in found:
+            found.add(k)
+            stack.extend(tape.nodes[k].inputs)
+    return found
+
+
+# ---------------------------------------------------------------------------
 # ranking metrics, straight from the definitions
 
 def _ranked(query):

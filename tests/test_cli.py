@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,31 @@ def test_ingest_non_finite_field_exits_1_and_writes_nothing(tmp_path, capsys, li
     assert rc == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "must be finite" in err
+    assert not out.exists()
+
+
+def test_ingest_wide_timestamp_span_exits_1_quickly_and_writes_nothing(tmp_path, capsys):
+    # two edges 30,000 s apart at a 1 s interval would be 30,001 snapshots
+    src = tmp_path / "edges.txt"
+    src.write_text("a b 0\nb c 30000\n")
+    out = tmp_path / "ds"
+    started = time.perf_counter()
+    rc = cli.main(["ingest", "--input", str(src), "--out", str(out), "--interval", "1"])
+    assert time.perf_counter() - started < 1.0
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "30001 snapshots" in err and "an interval of" in err
+    assert not out.exists()
+
+
+def test_ingest_bad_class_label_exits_1_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "edges.txt"
+    src.write_text("a b 0 1\nb c 1 -1\nc d 2 2.7\nd a 3 0\n")
+    out = tmp_path / "ds"
+    rc = cli.main(["ingest", "--input", str(src), "--out", str(out), "--interval", "10",
+                   "--task", "edge_classification"])
+    assert rc == 1
+    assert "line 2: class label must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

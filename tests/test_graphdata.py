@@ -1,13 +1,14 @@
 """Snapshots, normalization, ingestion, synthetic graphs, sampling, storage."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 
 import oracles
 from ledg import graphdata as gd
-from ledg.errors import DatasetError, ParseError, ValidationError
+from ledg.errors import ConfigError, DatasetError, ParseError, ValidationError
 from ledg.numerics import Tensor
 
 
@@ -207,6 +208,54 @@ def test_ingest_edge_classification_labels():
     assert seq.num_classes == 3
     labels = sorted(lab for _, _, _, lab in seq.snapshot_at(1).edges)
     assert labels == [0, 1, 2]
+
+
+@pytest.mark.parametrize("label", ["2.7", "-1", "0.5", "-0.5"])
+def test_ingest_rejects_class_labels_that_are_not_non_negative_integers(label):
+    text = f"# header\na b 0 1\nb c 1 {label}\nc d 2 0\n"
+    with pytest.raises(ParseError, match="line 3: class label must be a non-negative integer"):
+        gd.ingest_edge_stream(_stream(text), gd.FixedIntervalBucketing(100.0),
+                              task="edge_classification")
+    # the same value is a weight for link prediction
+    gd.ingest_edge_stream(_stream(text), gd.FixedIntervalBucketing(100.0))
+
+
+def test_ingest_reads_integral_class_labels_written_as_floats():
+    seq = gd.ingest_edge_stream(_stream("a b 0 2.0\nb c 1 1e0\n"), gd.FixedIntervalBucketing(100.0),
+                                task="edge_classification")
+    assert sorted(lab for _, _, _, lab in seq.snapshot_at(1).edges) == [1, 2]
+    assert seq.num_classes == 3
+
+
+def test_fixed_interval_bucket_count_is_bounded_by_the_line_count():
+    bucketing = gd.FixedIntervalBucketing(1.0)
+    # two lines may span the floor of MIN_BUCKET_LIMIT buckets, and no more
+    floor = gd.MIN_BUCKET_LIMIT
+    assert bucketing.assign(np.array([0.0, floor - 1.0])).max() == floor - 1
+    with pytest.raises(ConfigError, match=f"makes {floor + 1} snapshots"):
+        bucketing.assign(np.array([0.0, float(floor)]))
+    # past the floor the limit is MAX_BUCKETS_PER_LINE per line
+    lines = 2 * floor
+    stamps = np.linspace(0.0, gd.MAX_BUCKETS_PER_LINE * lines - 1.0, lines)
+    assert bucketing.assign(stamps).max() == gd.MAX_BUCKETS_PER_LINE * lines - 1
+    with pytest.raises(ConfigError):
+        bucketing.assign(stamps * 1.01)
+
+
+def test_fixed_interval_refusal_names_span_count_and_an_interval_that_fits():
+    text = "a b 0\nb c 30000\n"
+    with pytest.raises(ConfigError) as err:
+        gd.ingest_edge_stream(_stream(text), gd.FixedIntervalBucketing(1.0))
+    message = str(err.value)
+    assert "span of 30000" in message and "makes 30001 snapshots" in message
+    fit = float(re.search(r"an interval of (\S+) or more fits", message).group(1))
+    seq = gd.ingest_edge_stream(_stream(text), gd.FixedIntervalBucketing(fit))
+    assert len(seq) <= gd.MIN_BUCKET_LIMIT
+
+
+def test_fixed_interval_refuses_a_count_too_large_for_an_integer():
+    with pytest.raises(ConfigError, match="makes inf snapshots"):
+        gd.FixedIntervalBucketing(1e-300).assign(np.array([0.0, 3e9]))
 
 
 def test_bucketing_parameter_validation():

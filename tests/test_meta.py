@@ -222,14 +222,42 @@ def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatc
     tape = Tape("first_order")
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     mt.outer_step(window, states, batch, params, spec, config, tape)
+    assert oracles.recorded_ancestors(tape, targets[-1]) == set(range(len(tape)))
+
+
+def test_exact_inner_steps_differentiate_back_to_their_own_parameters_only(monkeypatch):
+    """Exact inner step k's gradient reads nothing recorded before step
+    k-1's first update, and the episode tape feeds its objective from at
+    least 90% of its nodes."""
+    seq = _small_sequence()
+    spec = ModelSpec(
+        EncoderConfig(base_model="attention", num_layers=2, input_dim=16, hidden_dim=4),
+        task="link_prediction",
+    )
+    config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01, gradient_mode="exact")
+    params, window, batch = _episode_pieces(seq, spec, config)
+    calls = []  # (output, tape length before, tape length after) per gradient
+    gradient = Tape.gradient
+
+    def spy(tape, output, *args, **kwargs):
+        before = len(tape)
+        grads = gradient(tape, output, *args, **kwargs)
+        calls.append((output, before, len(tape)))
+        return grads
+
+    monkeypatch.setattr(Tape, "gradient", spy)
+    tape = Tape("exact")
+    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    mt.outer_step(window, states, batch, params, spec, config, tape)
     producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
-    ancestors, stack = set(), [targets[-1]]
-    while stack:
-        k = producer.get(id(stack.pop()))
-        if k is not None and k not in ancestors:
-            ancestors.add(k)
-            stack.extend(tape.nodes[k].inputs)
-    assert ancestors == set(range(len(tape)))
+    inner = calls[: config.window_size]
+    for (_, _, first_update), (_, start, end) in zip(inner, inner[1:]):
+        # step k-1's updates are the first nodes after its gradient
+        assert tape.nodes[first_update].op == "mul_scalar"
+        read = {producer.get(id(t), len(tape)) for node in tape.nodes[start:end] for t in node.inputs}
+        assert end > start and min(read) >= first_update
+    live = oracles.recorded_ancestors(tape, calls[-1][0])
+    assert len(live) >= 0.9 * len(tape), (len(live), len(tape))
 
 
 # --------------------------------------------------------------- outer update

@@ -1,9 +1,12 @@
 """Tape autodiff: primitive values, gradients, nesting, parameter sets."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ledg import graphdata as gd
@@ -351,18 +354,6 @@ def test_tape_replay_is_bit_identical_with_flagged_matmuls():
     assert tape.replay() == len(tape)
 
 
-def _recorded_ancestors(tape, tensor):
-    """Indices of recorded nodes whose outputs ``tensor`` depends on."""
-    producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
-    found, stack = set(), [tensor]
-    while stack:
-        k = producer.get(id(stack.pop()))
-        if k is not None and k not in found:
-            found.add(k)
-            stack.extend(tape.nodes[k].inputs)
-    return found
-
-
 _CONSTANT_OPERAND_CASES = {
     "matmul": ((3, 4), (4, 2), nx.matmul),
     "matmul_ta": ((4, 3), (4, 2), lambda a, b: nx.matmul(a, b, ta=True)),
@@ -389,7 +380,113 @@ def test_backward_records_nothing_for_constant_operands(case, tracked):
     grad = tape.gradient(y, [operands[tracked]])[0]
     backward = set(range(forward, len(tape)))
     assert backward, "the backward pass recorded nothing"
-    assert backward <= _recorded_ancestors(tape, grad)
+    assert backward <= oracles.recorded_ancestors(tape, grad)
+
+
+# ------------------------------------------------------- the pruned walk
+
+_N = 3
+_PAIR_SRC = ([0, 1, 1, 2], [2, 0, 0, 1])
+_PAIR_DST = ([0, 1, 1, 2], [1, 2, 2, 0])
+
+#: square-preserving primitive chains: name -> (arity, call on (_N, _N) operands)
+_CHAIN_OPS = {
+    "matmul": (2, nx.matmul),
+    "matmul_ta_tb": (2, lambda a, b: nx.matmul(a, b, ta=True, tb=True)),
+    "add": (2, nx.add),
+    "sub": (2, nx.sub),
+    "hadamard": (2, nx.hadamard),
+    "add_scalar": (1, lambda a: nx.add_scalar(a, -0.3)),
+    "mul_scalar": (1, lambda a: nx.mul_scalar(a, 0.7)),
+    "sigmoid": (1, nx.sigmoid),
+    "relu": (1, nx.relu),
+    "leaky_relu": (1, nx.leaky_relu),
+    "one_minus": (1, nx.one_minus),
+    "reciprocal": (1, lambda a: nx.reciprocal(nx.add_scalar(nx.sigmoid(a), 0.5))),
+    "log": (1, lambda a: nx.log(nx.add_scalar(nx.sigmoid(a), 0.5))),
+    "clamp_min": (1, lambda a: nx.clamp_min(a, 0.1)),
+    "smooth_l1": (1, nx.smooth_l1),
+    "clip_unit": (1, nx.clip_unit),
+    "softmax_rows": (1, nx.softmax_rows),
+    "row_sums": (1, lambda a: nx.broadcast_cols(nx.row_sums(a), _N)),
+    "col_sums": (1, lambda a: nx.broadcast_rows(nx.col_sums(a), _N)),
+    "sum_all": (1, lambda a: nx.broadcast_full(nx.sum_all(a), (_N, _N))),
+    "gather_rows": (1, lambda a: nx.gather_rows(a, [2, 0, 2])),
+    "scatter_rows": (1, lambda a: nx.scatter_rows(a, [1, 1, 0], _N)),
+    "pairs": (1, lambda a: nx.scatter_pairs(nx.gather_pairs(a, *_PAIR_SRC), *_PAIR_DST, (_N, _N))),
+    "segment_softmax": (1, lambda a: nx.scatter_pairs(
+        nx.segment_softmax(nx.gather_pairs(a, *_PAIR_SRC), [0, 0, 1, 1], [0, 2]), *_PAIR_DST, (_N, _N)
+    )),
+}
+
+
+def _bits(tensors):
+    return [t.data.tobytes() for t in tensors]
+
+
+def test_gradient_stops_at_the_first_requested_intermediate():
+    """A gradient with respect to tensors made on the tape does not revisit
+    the nodes before them, and returns the full walk's bits."""
+    x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+    tape = Tape("exact")
+    with tape:
+        h1 = nx.sigmoid(x)
+        h2 = nx.hadamard(h1, h1)
+        h3 = nx.mul_scalar(h2, 3.0)
+        y = nx.sum_all(nx.hadamard(h3, h2))
+    forward = len(tape)
+    grads = tape.gradient(y, [h3, h2])
+    # the backward of hadamard(h1, h1) and sigmoid(x) is never recorded
+    recorded = tape.nodes[forward:]
+    assert recorded and all(inp is not h1 and inp is not x for node in recorded for inp in node.inputs)
+    assert _bits(grads) == _bits(oracles.full_walk_gradient(tape, y, [h3, h2]))
+    # a leaf among the requested tensors still walks the whole tape
+    assert _bits(tape.gradient(y, [h2, x])) == _bits(oracles.full_walk_gradient(tape, y, [h2, x]))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), mode=st.sampled_from(Tape.MODES))
+def test_gradient_matches_the_full_walk_bitwise_on_random_chains(data, mode):
+    # long chains may overflow; the bits must agree all the same
+    with np.errstate(all="ignore"):
+        _check_random_chain(data, mode)
+
+
+def _check_random_chain(data, mode):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=3), label="leaves")
+    leaves = [Tensor(rng.uniform(-2.0, 2.0, (_N, _N)), requires_grad=f) for f in flags]
+    pool = list(leaves)
+    tape = Tape(mode)
+    with tape:
+        for name in data.draw(st.lists(st.sampled_from(sorted(_CHAIN_OPS)), min_size=1,
+                                       max_size=10), label="ops"):
+            arity, call = _CHAIN_OPS[name]
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=arity,
+                                       max_size=arity), label="operands")
+            pool.append(call(*[pool[k] for k in picks]))
+        output = nx.sum_all(nx.hadamard(pool[-1], Tensor(rng.uniform(-1.0, 1.0, (_N, _N)))))
+    # intermediates only exercise the early stop; a leaf forces the full walk
+    first = data.draw(st.sampled_from([0, len(leaves)]), label="wrt from")
+    picked = data.draw(st.lists(st.integers(first, len(pool) - 1), min_size=1, max_size=4,
+                                unique=True), label="wrt")
+    wrt = [pool[k] for k in picked]
+    got = tape.gradient(output, wrt)
+    want = oracles.full_walk_gradient(tape, output, wrt)
+    assert _bits(got) == _bits(want)
+    if mode == "exact":
+        # the recorded gradients differentiate again to the same bits
+        probes = [Tensor(rng.uniform(-1.0, 1.0, t.shape)) for t in wrt]
+        with tape:
+            second = [
+                nx.sum_all(nx.hadamard(g, p))
+                for grads in (got, want) for g, p in zip(grads, probes)
+            ]
+            s_got = functools.reduce(nx.add, second[: len(wrt)])
+            s_want = functools.reduce(nx.add, second[len(wrt):])
+        assert _bits(tape.gradient(s_got, leaves)) == _bits(
+            oracles.full_walk_gradient(tape, s_want, leaves)
+        )
 
 
 def test_operations_require_open_tape_context():
