@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +50,10 @@ DATASET_FORMAT = "TGDS1"
 MAX_BUCKETS_PER_LINE = 10
 MIN_BUCKET_LIMIT = 1000
 
+#: edge-class labels must lie below the data line count or MIN_CLASS_LIMIT,
+#: whichever is larger: a classifier head has one output column per class
+MIN_CLASS_LIMIT = 1000
+
 
 def seed_from(base: int, *labels) -> np.random.SeedSequence:
     """Derive a child seed from a base seed plus arbitrary tag labels.
@@ -66,60 +71,83 @@ def seed_from(base: int, *labels) -> np.random.SeedSequence:
     return np.random.SeedSequence(parts)
 
 
-def _canonical_edges(edges, num_nodes: int):
-    """Validate and canonicalize undirected edges to (min, max, weight, label)."""
-    out = []
-    for e in edges:
-        if len(e) == 2:
-            u, v, w, lab = e[0], e[1], 1.0, None
-        elif len(e) == 3:
-            u, v, w, lab = e[0], e[1], e[2], None
-        elif len(e) == 4:
-            u, v, w, lab = e
-        else:
-            raise ValidationError(f"edge tuple of length {len(e)} not understood: {e!r}")
-        u, v = int(u), int(v)
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+def _canonical_pairs(pairs, num_nodes: int):
+    """Validate undirected node pairs and put them in canonical form.
+
+    Returns the (E, 2) int64 pairs with ``u < v`` sorted by ``u * n + v``,
+    and the order that sorts the given rows into them. An endpoint outside
+    [0, num_nodes), a self-loop or a repeated pair is a ValidationError.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"edge pairs must form an (E, 2) array, got shape {pairs.shape}")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    outside = (lo < 0) | (hi >= num_nodes)
+    bad = outside | (lo == hi)
+    if bad.any():
+        first = np.argmax(bad)
+        u, v = pairs[first].tolist()
+        if outside[first]:
             raise ValidationError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-        if u == v:
-            raise ValidationError(f"self-loop ({u}, {u}) is not storable")
-        if u > v:
-            u, v = v, u
-        out.append((u, v, float(w), None if lab is None else int(lab)))
-    out.sort(key=lambda e: (e[0], e[1]))
-    return tuple(out)
+        raise ValidationError(f"self-loop ({u}, {u}) is not storable")
+    keys = lo * num_nodes + hi
+    order = np.argsort(keys, kind="stable")
+    if np.any(np.diff(keys[order]) == 0):
+        raise ValidationError("duplicate undirected edges in snapshot")
+    return np.stack((lo[order], hi[order]), axis=1), order
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _per_edge(values, dtype, name: str, order: np.ndarray) -> np.ndarray:
+    """Values given one per input pair, read-only in canonical edge order."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != order.shape:
+        raise ValidationError(f"{name} must have one entry per edge, got shape {values.shape}")
+    return _frozen(values[order])
 
 
 class SnapshotGraph:
     """One undirected graph snapshot over the global node universe.
 
-    Edges are stored canonically as (min, max, weight, label) with no
-    self-loops and no duplicates; the symmetric normalized adjacency is
-    computed on first use and cached.
+    The edges are stored once, as read-only arrays: ``pairs`` (E, 2) int64
+    with ``u < v`` sorted by ``u * n + v``, ``weights`` (E,) float64 (1 when
+    not given) and ``edge_labels`` (E,) int64 or None. There are no
+    self-loops and no duplicates. The symmetric normalized adjacency and the
+    neighbour-pair list are computed on first use and cached.
     """
 
     __slots__ = (
         "time_index",
         "num_nodes",
-        "edges",
+        "pairs",
+        "weights",
+        "edge_labels",
         "features",
         "node_labels",
         "_adjacency",
         "_neighbourhood",
-        "_edge_keys",
-        "_edge_array",
     )
 
-    def __init__(self, time_index, num_nodes, edges, features, node_labels=None):
+    def __init__(self, time_index, num_nodes, pairs, features, node_labels=None,
+                 weights=None, edge_labels=None):
         self.time_index = int(time_index)
         self.num_nodes = int(num_nodes)
         if self.num_nodes < 1:
             raise ValidationError("a snapshot needs at least one node")
-        self.edges = _canonical_edges(edges, self.num_nodes)
-        keys = {(u, v) for u, v, _, _ in self.edges}
-        if len(keys) != len(self.edges):
-            raise ValidationError("duplicate undirected edges in snapshot")
-        self._edge_keys = frozenset(keys)
+        pairs, order = _canonical_pairs(pairs, self.num_nodes)
+        self.pairs = _frozen(pairs)
+        if weights is None:
+            weights = np.ones(order.size)
+        self.weights = _per_edge(weights, np.float64, "weights", order)
+        self.edge_labels = (
+            None if edge_labels is None else _per_edge(edge_labels, np.int64, "edge_labels", order)
+        )
         if not isinstance(features, Tensor):
             features = Tensor(features)
         if features.shape[0] != self.num_nodes:
@@ -131,43 +159,37 @@ class SnapshotGraph:
             node_labels = np.asarray(node_labels, dtype=np.int64)
             if node_labels.shape != (self.num_nodes,):
                 raise ValidationError("node_labels must have one entry per node")
-            node_labels = node_labels.copy()
-            node_labels.flags.writeable = False
+            node_labels = _frozen(node_labels.copy())
         self.node_labels = node_labels
         self._adjacency = None
         self._neighbourhood = None
-        self._edge_array = None
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     @property
     def feature_width(self) -> int:
         return self.features.shape[1]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_keys
+    @property
+    def edges(self) -> tuple:
+        """The edges as (u, v, weight, label) tuples of Python numbers, label
+        None when the snapshot has no edge labels; built on every call."""
+        labels = [None] * self.num_edges if self.edge_labels is None else self.edge_labels.tolist()
+        return tuple(zip(*self.pairs.T.tolist(), self.weights.tolist(), labels))
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a read-only (E, 2) int array (canonical orientation),
-        built on first use and cached."""
-        if self._edge_array is None:
-            arr = np.array([(u, v) for u, v, _, _ in self.edges], dtype=np.int64)
-            arr = arr.reshape(len(self.edges), 2)
-            arr.flags.writeable = False
-            self._edge_array = arr
-        return self._edge_array
+        """The stored read-only (E, 2) pairs."""
+        return self.pairs
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array().ravel(), minlength=self.num_nodes)
+        return np.bincount(self.pairs.ravel(), minlength=self.num_nodes)
 
     @property
     def normalized_adjacency(self) -> Tensor:
         if self._adjacency is None:
-            self._adjacency = normalize_adjacency(self.edges, self.num_nodes)
+            self._adjacency = normalize_adjacency(self.pairs, self.num_nodes)
         return self._adjacency
 
     def neighbourhood(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,33 +203,29 @@ class SnapshotGraph:
         """
         if self._neighbourhood is None:
             n = self.num_nodes
-            u, v = self.edge_array().T
+            u, v = self.pairs.T
             nodes = np.arange(n)
             # pair keys row * n + col sort in (row, col) order
             keys = np.sort(np.concatenate([u * n + v, v * n + u, nodes * (n + 1)]))
             rows, cols = np.divmod(keys, n)
             starts = np.searchsorted(rows, nodes)
-            for arr in (rows, cols, starts):
-                arr.flags.writeable = False
-            self._neighbourhood = (rows, cols, starts)
+            self._neighbourhood = tuple(_frozen(arr) for arr in (rows, cols, starts))
         return self._neighbourhood
 
 
-def normalize_adjacency(edges, num_nodes: int) -> Tensor:
+def normalize_adjacency(pairs, num_nodes: int) -> Tensor:
     """Symmetric degree normalization of the self-looped binary adjacency.
 
-    Builds A from the undirected edges (weights ignored, so multi-weight
-    edges still count once), adds the identity, and returns
-    D^(-1/2) (A + I) D^(-1/2) where D holds the row sums of A + I. The
-    result is symmetric with nonnegative entries and an isolated node
-    contributes a bare 1 on the diagonal.
+    Builds A from the undirected (E, 2) node pairs, adds the identity, and
+    returns D^(-1/2) (A + I) D^(-1/2) where D holds the row sums of A + I.
+    The pairs are checked as a snapshot checks them. The result is
+    symmetric with nonnegative entries and an isolated node contributes a
+    bare 1 on the diagonal.
     """
-    canon = _canonical_edges(edges, num_nodes)
-    a = np.zeros((num_nodes, num_nodes))
-    for u, v, _, _ in canon:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    a += np.eye(num_nodes)
+    u, v = _canonical_pairs(pairs, num_nodes)[0].T
+    a = np.eye(num_nodes)
+    a[u, v] = 1.0
+    a[v, u] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return Tensor(a * inv_sqrt[:, None] * inv_sqrt[None, :])
 
@@ -323,12 +341,8 @@ class TaskBatch:
             raise ValidationError("labels must align with items")
         if items.shape[0] == 0:
             raise ValidationError("empty task batch")
-        items = items.copy()
-        labels = labels.copy()
-        items.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "items", _frozen(items.copy()))
+        object.__setattr__(self, "labels", _frozen(labels.copy()))
 
     def check_against(self, snapshot: SnapshotGraph) -> None:
         n = snapshot.num_nodes
@@ -390,32 +404,25 @@ def identity_features(num_nodes: int) -> Tensor:
     return Tensor(np.eye(num_nodes))
 
 
-def degree_bucket_features(edge_lists, num_nodes: int):
+def degree_bucket_features(pair_lists, num_nodes: int):
     """Per-snapshot one-hot features of log2-bucketed degree.
 
+    ``pair_lists`` holds one (E, 2) array of node pairs per snapshot.
     Bucket 0 is degree 0, bucket b >= 1 covers degrees [2^(b-1), 2^b).
     Nodes with no incident edge in a snapshot are treated as absent and get
     an all-zero row. The width is shared across the sequence (largest
     occupied bucket anywhere, plus one).
     """
-    all_degrees = []
-    for edges in edge_lists:
-        d = np.zeros(num_nodes, dtype=np.int64)
-        for e in edges:
-            d[int(e[0])] += 1
-            d[int(e[1])] += 1
-        all_degrees.append(d)
-    max_degree = max((int(d.max()) for d in all_degrees), default=0)
+    degrees = np.array([
+        np.bincount(np.asarray(pairs, dtype=np.int64).ravel(), minlength=num_nodes)
+        for pairs in pair_lists
+    ])
+    max_degree = int(degrees.max())
     width = 1 if max_degree == 0 else int(np.floor(np.log2(max_degree))) + 2
-    feats = []
-    for d in all_degrees:
-        x = np.zeros((num_nodes, width))
-        present = d > 0
-        cols = np.zeros(num_nodes, dtype=np.int64)
-        cols[present] = np.floor(np.log2(d[present])).astype(np.int64) + 1
-        x[present, cols[present]] = 1.0
-        feats.append(Tensor(x))
-    return feats
+    feats = np.zeros(degrees.shape + (width,))
+    snap, node = np.nonzero(degrees)
+    feats[snap, node, np.floor(np.log2(degrees[snap, node])).astype(np.int64) + 1] = 1.0
+    return [Tensor(x) for x in feats]
 
 
 def ingest_edge_stream(
@@ -436,14 +443,15 @@ def ingest_edge_stream(
     for link prediction and an integer class label for edge classification.
     Duplicate undirected edges inside one bucket merge with summed weight
     (last label wins); self-loops are dropped. A non-finite timestamp or
-    value, or a class label that is not a non-negative integer, is a
-    ``ParseError`` naming its line.
+    value, or a class label that is not a non-negative integer below the
+    larger of the data line count and MIN_CLASS_LIMIT, is a ``ParseError``
+    naming its line.
     """
     if task not in ("link_prediction", "edge_classification"):
         raise ValidationError(f"edge streams support edge tasks, not {task!r}")
     # a missing value column means weight 1 or class 0
     default = 0.0 if task == "edge_classification" else 1.0
-    src_tokens, dst_tokens, times, values, linenos = [], [], [], [], []
+    tokens, times, values, linenos = [], [], [], []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -456,14 +464,13 @@ def ingest_edge_stream(
             val = float(parts[3]) if len(parts) == 4 else default
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        src_tokens.append(parts[0])
-        dst_tokens.append(parts[1])
+        tokens += parts[:2]
         times.append(ts)
         values.append(val)
         linenos.append(lineno)
     if not times:
         raise ParseError("no data lines in edge stream")
-    timestamps = np.array(times)
+    timestamps, values = np.array(times), np.array(values)
     finite_times = np.isfinite(timestamps)
     finite = finite_times & np.isfinite(values)
     if not finite.all():
@@ -471,61 +478,61 @@ def ingest_edge_stream(
         name, got = ("timestamp", times[bad]) if not finite_times[bad] else ("value", values[bad])
         raise ParseError(f"line {linenos[bad]}: {name} must be finite, got {got}")
     if task == "edge_classification":
-        classes = np.array(values)
-        integral = (classes >= 0) & (classes == np.floor(classes))
+        integral = (values >= 0) & (values == np.floor(values))
         if not integral.all():
             bad = int(np.argmin(integral))
             raise ParseError(
                 f"line {linenos[bad]}: class label must be a non-negative integer,"
                 f" got {values[bad]:g}"
             )
+        bound = max(values.size, MIN_CLASS_LIMIT)
+        if values.max() >= bound:
+            bad = int(np.argmax(values >= bound))
+            raise ParseError(
+                f"line {linenos[bad]}: class label {values[bad]:.0f} is not below {bound},"
+                f" the larger of the {values.size} data lines and {MIN_CLASS_LIMIT}"
+            )
 
     buckets = bucketing.assign(timestamps)
     num_snapshots = int(buckets.max()) + 1
-    ids: dict[str, int] = {}
-    for tok in [t for pair in zip(src_tokens, dst_tokens) for t in pair]:
-        if tok not in ids:
-            ids[tok] = len(ids)
-    num_nodes = len(ids)
+    # node ids in order of first appearance (dict keys keep insertion order)
+    ids = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
+    ends = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens)).reshape(-1, 2)
+    u, v = ends.min(axis=1), ends.max(axis=1)
 
-    # stable order inside each bucket: by timestamp, then input order
-    order = np.argsort(timestamps, kind="stable")
-    merged: list[dict] = [dict() for _ in range(num_snapshots)]
-    for idx in order:
-        u, v = ids[src_tokens[idx]], ids[dst_tokens[idx]]
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        if task == "edge_classification":
-            w, lab = 1.0, int(values[idx])
-        else:
-            w, lab = values[idx], None
-        bucket = merged[int(buckets[idx])]
-        if (u, v) in bucket:
-            old_w, _ = bucket[(u, v)]
-            bucket[(u, v)] = (old_w + w, lab)
-        else:
-            bucket[(u, v)] = (w, lab)
-
-    edge_lists = [
-        [(u, v, w, lab) for (u, v), (w, lab) in sorted(b.items())] for b in merged
-    ]
-    feats = degree_bucket_features(edge_lists, num_nodes)
+    # lines that are not self-loops in stable timestamp order, grouped by
+    # (bucket, u, v) with a stable sort: each group lists its lines in merge order
+    lines = np.argsort(timestamps, kind="stable")
+    lines = lines[u[lines] != v[lines]]
+    lines = lines[np.lexsort((v[lines], u[lines], buckets[lines]))]
+    b, u, v, values = buckets[lines], u[lines], v[lines], values[lines]
+    head = np.ones(lines.size, dtype=bool)
+    head[1:] = (np.diff(b) != 0) | (np.diff(u) != 0) | (np.diff(v) != 0)
+    group = np.cumsum(head) - 1
+    labels = None
+    if task == "edge_classification":
+        weights = np.bincount(group).astype(np.float64)
+        labels = values[np.roll(head, -1)].astype(np.int64)  # each group's last line
+    else:
+        # bincount sums in line order from +0.0, a merge from the first weight:
+        # they differ only on groups of -0.0 weights alone, which merge to -0.0
+        weights = np.bincount(group, weights=values)
+        weights[np.bincount(group, weights=(values != 0) | ~np.signbit(values)) == 0] = -0.0
+    pairs = np.stack((u[head], v[head]), axis=1)
+    cuts = np.searchsorted(b[head], np.arange(num_snapshots + 1))
+    parts = [slice(cuts[t], cuts[t + 1]) for t in range(num_snapshots)]
+    feats = degree_bucket_features([pairs[p] for p in parts], len(ids))
     snapshots = [
-        SnapshotGraph(t + 1, num_nodes, edge_lists[t], feats[t])
-        for t in range(num_snapshots)
+        SnapshotGraph(
+            t + 1, len(ids), pairs[p], feats[t], weights=weights[p],
+            edge_labels=None if labels is None else labels[p],
+        )
+        for t, p in enumerate(parts)
     ]
     if split is None:
         split = split_by_fraction(num_snapshots, train_frac, val_frac)
-    num_classes = 2
-    if task == "edge_classification":
-        labels = [e[3] for s in snapshots for e in s.edges if e[3] is not None]
-        num_classes = max(2, (max(labels) + 1) if labels else 2)
-    names = [None] * num_nodes
-    for tok, i in ids.items():
-        names[i] = tok
-    return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
+    num_classes = 2 if labels is None or labels.size == 0 else max(2, int(labels.max()) + 1)
+    return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=list(ids))
 
 
 def generate_drifting_sbm(
@@ -570,7 +577,7 @@ def generate_drifting_sbm(
     members = (np.arange(num_nodes) * num_communities) // num_nodes
     num_drift = int(np.floor(drift_rate * num_nodes))
 
-    edge_lists = []
+    pair_lists = []
     label_rows = []
     for t in range(num_snapshots):
         if t > 0 and num_drift > 0:
@@ -582,17 +589,15 @@ def generate_drifting_sbm(
         same = members[:, None] == members[None, :]
         prob = np.where(same, intra_p, inter_p)
         draw = rng.random((num_nodes, num_nodes))
-        upper = np.triu(draw < prob, k=1)
-        pairs = np.argwhere(upper)
-        edge_lists.append([(int(u), int(v)) for u, v in pairs])
+        pair_lists.append(np.argwhere(np.triu(draw < prob, k=1)))
         label_rows.append(members.copy())
 
     if feature_mode == "identity":
         feats = [identity_features(num_nodes) for _ in range(num_snapshots)]
     else:
-        feats = degree_bucket_features(edge_lists, num_nodes)
+        feats = degree_bucket_features(pair_lists, num_nodes)
     snapshots = [
-        SnapshotGraph(t + 1, num_nodes, edge_lists[t], feats[t], node_labels=label_rows[t])
+        SnapshotGraph(t + 1, num_nodes, pair_lists[t], feats[t], node_labels=label_rows[t])
         for t in range(num_snapshots)
     ]
     split = split_by_fraction(num_snapshots, train_frac, val_frac)
@@ -721,11 +726,9 @@ def _attempts_exceeded(u, limit: int):
 def classification_batch(snapshot: SnapshotGraph, task: str) -> TaskBatch:
     """All labeled edges (or all nodes) of a snapshot as a supervised batch."""
     if task == "edge_classification":
-        rows = [(u, v) for u, v, _, lab in snapshot.edges if lab is not None]
-        labels = [lab for _, _, _, lab in snapshot.edges if lab is not None]
-        if not rows:
+        if snapshot.edge_labels is None or snapshot.num_edges == 0:
             raise ValidationError(f"snapshot {snapshot.time_index} has no labeled edges")
-        return TaskBatch(snapshot.time_index, "edge", np.array(rows), np.array(labels))
+        return TaskBatch(snapshot.time_index, "edge", snapshot.pairs, snapshot.edge_labels)
     if task == "node_classification":
         if snapshot.node_labels is None:
             raise ValidationError(f"snapshot {snapshot.time_index} has no node labels")
@@ -763,8 +766,6 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
     id per line, and per snapshot ``snapshot_NNN.edges`` (text) plus
     ``snapshot_NNN.npy`` features and optional ``labels_NNN.npy``.
     """
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     t0, t1, t2 = sequence.split
@@ -783,13 +784,10 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
     (directory / "nodes.map").write_text("\n".join(sequence.node_names) + "\n")
     for snap in sequence:
         stem = f"snapshot_{snap.time_index:03d}"
-        lines = []
-        for u, v, w, lab in snap.edges:
-            entry = f"{u} {v} {w:.12g}"
-            if lab is not None:
-                entry += f" {lab}"
-            lines.append(entry)
-        (directory / f"{stem}.edges").write_text("\n".join(lines) + ("\n" if lines else ""))
+        columns, fmt = [snap.pairs, snap.weights], "%d %d %.12g"
+        if snap.edge_labels is not None:
+            columns, fmt = columns + [snap.edge_labels], fmt + " %d"
+        np.savetxt(directory / f"{stem}.edges", np.column_stack(columns), fmt=fmt)
         np.save(directory / f"{stem}.npy", snap.features.data)
         if snap.node_labels is not None:
             np.save(directory / f"labels_{snap.time_index:03d}.npy", snap.node_labels)
@@ -797,8 +795,6 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
 
 def load_dataset(directory) -> DynamicGraphSequence:
     """Load a dataset directory written by :func:`save_dataset`."""
-    from pathlib import Path
-
     directory = Path(directory)
     meta_path = directory / "meta"
     if not meta_path.exists():
@@ -826,19 +822,21 @@ def load_dataset(directory) -> DynamicGraphSequence:
     snapshots = []
     for t in range(1, num_snapshots + 1):
         stem = f"snapshot_{t:03d}"
-        edges = []
-        for lineno, line in enumerate((directory / f"{stem}.edges").read_text().splitlines(), 1):
-            parts = line.split()
-            if len(parts) == 3:
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2]), None))
-            elif len(parts) == 4:
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])))
-            else:
+        lines = (directory / f"{stem}.edges").read_text().splitlines()
+        fields = [line.split() for line in lines]
+        width = len(fields[0]) if fields else 3
+        for lineno, (line, parts) in enumerate(zip(lines, fields), 1):
+            if len(parts) != width or width not in (3, 4):
                 raise DatasetError(f"{stem}.edges line {lineno}: malformed edge {line!r}")
+        table = np.array(fields, dtype=str).reshape(len(fields), width)
         features = np.load(directory / f"{stem}.npy")
         labels_path = directory / f"labels_{t:03d}.npy"
         labels = np.load(labels_path) if labels_path.exists() else None
-        snapshots.append(SnapshotGraph(t, num_nodes, edges, features, node_labels=labels))
+        snapshots.append(SnapshotGraph(
+            t, num_nodes, table[:, :2].astype(np.int64), features, node_labels=labels,
+            weights=table[:, 2].astype(np.float64),
+            edge_labels=table[:, 3].astype(np.int64) if width == 4 else None,
+        ))
     return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
 
 

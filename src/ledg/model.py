@@ -270,7 +270,7 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         left = nx.matmul(wh, params[f"gnn_al{layer}"])
         right = nx.matmul(wh, params[f"gnn_ar{layer}"])
         scores = nx.add(nx.gather_rows(left, rows), nx.gather_rows(right, cols))
-        alpha = nx.segment_softmax(nx.leaky_relu(scores, ATTENTION_SLOPE), rows, starts)
+        alpha = nx.segment_softmax(nx.leaky_relu(scores, ATTENTION_SLOPE), starts)
         weights = nx.scatter_pairs(alpha, rows, cols, (n, n))
         h = _activate(nx.matmul(weights, wh), config.activation)
     return h

@@ -566,24 +566,21 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _emit("softmax_rows", (a,))
 
 
-def segment_softmax(a: Tensor, rows, starts) -> Tensor:
+def segment_softmax(a: Tensor, starts) -> Tensor:
     """Softmax of a (P, 1) column within each segment of consecutive entries.
 
-    ``rows[k]`` is the segment of entry k and segment i starts at
-    ``starts[i]``: rows must be sorted, and every segment nonempty.
+    Segment i runs from ``starts[i]`` up to the next start (the last one up
+    to P): starts must begin at 0 and increase strictly, so that no segment
+    is empty.
     """
-    rows = _frozen_indices(rows, None, "segment_softmax")
     starts = _frozen_indices(starts, None, "segment_softmax")
-    if a.shape != (rows.size, 1):
-        raise ShapeError(f"segment_softmax: need a ({rows.size}, 1) column, got {a.shape}")
-    sizes = np.diff(starts, append=rows.size)
-    if (
-        starts.size == 0
-        or starts[0] != 0
-        or np.any(sizes <= 0)
-        or not np.array_equal(rows, np.repeat(np.arange(starts.size), sizes))
-    ):
-        raise ShapeError("segment_softmax: rows must number the nonempty segments begun at starts")
+    if a.shape[1] != 1:
+        raise ShapeError(f"segment_softmax: need a (P, 1) column, got {a.shape}")
+    sizes = np.diff(starts, append=a.shape[0])
+    if starts.size == 0 or starts[0] != 0 or np.any(sizes <= 0):
+        raise ShapeError("segment_softmax: starts must begin at 0 and mark nonempty segments")
+    rows = np.repeat(np.arange(starts.size), sizes)
+    rows.flags.writeable = False
     return _emit("segment_softmax", (a,), {"rows": rows, "starts": starts})
 
 

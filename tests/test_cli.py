@@ -319,6 +319,17 @@ def test_ingest_bad_class_label_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_class_label_past_the_bound_exits_1_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "edges.txt"
+    src.write_text("a b 0 1\nb c 1 1e12\n")
+    out = tmp_path / "ds"
+    rc = cli.main(["ingest", "--input", str(src), "--out", str(out), "--interval", "10",
+                   "--task", "edge_classification"])
+    assert rc == 1
+    assert "line 2: class label 1000000000000 is not below 1000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_exits_2_and_says_so(monkeypatch, tmp_path, capsys):
     def exhausted(args):
         raise MemoryError()

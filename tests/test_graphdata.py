@@ -2,9 +2,12 @@
 
 import io
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ledg import graphdata as gd
@@ -20,10 +23,10 @@ def _stream(text):
 
 
 def test_snapshot_canonicalizes_edges():
-    snap = gd.SnapshotGraph(1, 4, [(2, 0), (3, 1, 2.5)], np.eye(4))
+    snap = gd.SnapshotGraph(1, 4, [(3, 1), (2, 0)], np.eye(4), weights=[2.5, 1.0])
     assert snap.edges == ((0, 2, 1.0, None), (1, 3, 2.5, None))
-    assert snap.has_edge(0, 2) and snap.has_edge(2, 0)
-    assert not snap.has_edge(0, 1)
+    assert oracles.has_edge(snap, 0, 2) and oracles.has_edge(snap, 2, 0)
+    assert not oracles.has_edge(snap, 0, 1)
     assert np.array_equal(snap.edge_array(), [[0, 2], [1, 3]])
     assert np.array_equal(snap.degrees(), [1, 1, 1, 1])
 
@@ -145,8 +148,8 @@ def test_ingest_fixed_interval_buckets():
     assert len(seq) == 2
     assert [s.num_edges for s in seq] == [2, 2]
     assert seq.node_names == ("a", "b", "c", "d")
-    assert seq.snapshot_at(1).has_edge(0, 1) and seq.snapshot_at(1).has_edge(1, 2)
-    assert seq.snapshot_at(2).has_edge(2, 3) and seq.snapshot_at(2).has_edge(0, 3)
+    assert oracles.edge_set(seq.snapshot_at(1)) == {(0, 1), (1, 2)}
+    assert oracles.edge_set(seq.snapshot_at(2)) == {(2, 3), (0, 3)}
 
 
 def test_ingest_equal_edge_count_remainder():
@@ -225,6 +228,114 @@ def test_ingest_reads_integral_class_labels_written_as_floats():
                                 task="edge_classification")
     assert sorted(lab for _, _, _, lab in seq.snapshot_at(1).edges) == [1, 2]
     assert seq.num_classes == 3
+
+
+def test_ingest_refuses_class_labels_past_the_bound():
+    # the bound is the larger of the data line count and MIN_CLASS_LIMIT
+    text = "a b 0 1\nb c 1 1e12\n"
+    with pytest.raises(ParseError, match="line 2: class label 1000000000000 is not below 1000"):
+        gd.ingest_edge_stream(_stream(text), gd.FixedIntervalBucketing(100.0),
+                              task="edge_classification")
+    top = gd.MIN_CLASS_LIMIT - 1
+    seq = gd.ingest_edge_stream(_stream(f"a b 0 {top}\nb c 1 0\n"),
+                                gd.FixedIntervalBucketing(100.0), task="edge_classification")
+    assert seq.num_classes == gd.MIN_CLASS_LIMIT
+    with pytest.raises(ParseError, match=f"line 1: class label {top + 1} is not below"):
+        gd.ingest_edge_stream(_stream(f"a b 0 {top + 1}\nb c 1 0\n"),
+                              gd.FixedIntervalBucketing(100.0), task="edge_classification")
+    # more lines raise the bound
+    lines = gd.MIN_CLASS_LIMIT + 1
+    text = "".join(f"n{i} n{i + 1} {i} {i}\n" for i in range(lines))
+    seq = gd.ingest_edge_stream(_stream(text), gd.EqualEdgeCountBucketing(lines),
+                                task="edge_classification")
+    assert seq.num_classes == lines
+
+
+#: any text that splits to itself is a node token
+_TOKENS = st.one_of(
+    st.sampled_from(["a", "a\x00", "\x00a", "A", "1", "01", "#"]),
+    st.text(min_size=1, max_size=3).filter(lambda t: t.split() == [t]),
+)
+
+
+@st.composite
+def edge_streams(draw):
+    """Random edge-stream lines with repeated and reversed pairs,
+    self-loops, comment and blank lines, arbitrary tokens, optional value
+    columns, and a bucketing that may leave buckets empty."""
+    task = draw(st.sampled_from(["link_prediction", "edge_classification"]))
+    names = draw(st.lists(_TOKENS, min_size=1, max_size=5, unique=True))
+    if task == "edge_classification":
+        value = st.integers(0, 12).flatmap(
+            lambda k: st.sampled_from([str(k), f"{k}.0", f"{k}e0"]))
+    else:
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            st.floats(-10.0, 10.0),
+            st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3]),
+        ).map(repr)
+    # few timestamps, so that lines tie and a group can hold many of them
+    line = st.tuples(
+        st.integers(0, len(names) - 1), st.integers(0, len(names) - 1),
+        st.integers(0, 12).map(lambda t: t / 2), st.one_of(st.none(), value),
+    )
+    lines = []
+    for src, dst, ts, val in draw(st.lists(line, min_size=1, max_size=60)):
+        if names[src].startswith("#"):  # a line opening with '#' is a comment
+            src, dst = dst, src
+        fields = [names[src], names[dst], repr(ts)] + ([] if val is None else [val])
+        lines.append(" ".join(fields) + "\n")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["\n", "# note\n", "  \n"])))
+    lines.append("x y 0\n")  # at least one data line
+    if draw(st.booleans()):
+        bucketing = gd.FixedIntervalBucketing(draw(st.sampled_from([0.5, 1.0, 2.5, 100.0])))
+    else:
+        bucketing = gd.EqualEdgeCountBucketing(draw(st.integers(1, 6)))
+    return lines, bucketing, task
+
+
+def _bits(edges):
+    return [(u, v, w.hex(), lab) for u, v, w, lab in edges]
+
+
+#: one pair on 40 lines: a pairwise or reordered sum rounds differently
+_LONG_GROUP = (
+    [f"a b {k % 3} {w}\n" for k, w in enumerate(np.random.default_rng(5).normal(size=40))],
+    gd.FixedIntervalBucketing(100.0),
+    "link_prediction",
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(stream=edge_streams())
+@example(stream=_LONG_GROUP)
+def test_ingest_matches_the_dict_merge_reference(stream):
+    lines, bucketing, task = stream
+    seq = gd.ingest_edge_stream(lines, bucketing, task=task)
+    names, num_classes, edges = oracles.reference_ingest(lines, bucketing, task)
+    assert seq.node_names == names
+    assert seq.num_classes == num_classes
+    assert len(seq) == len(edges)
+    for snap, expected in zip(seq, edges):
+        assert _bits(snap.edges) == _bits(expected)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(stream=edge_streams())
+def test_dataset_roundtrip_keeps_ingested_streams(stream):
+    lines, bucketing, task = stream
+    seq = gd.ingest_edge_stream(lines, bucketing, task=task)
+    with tempfile.TemporaryDirectory() as tmp:
+        gd.save_dataset(seq, tmp)
+        loaded = gd.load_dataset(tmp)
+    assert loaded.node_names == seq.node_names
+    assert (loaded.split, loaded.task, loaded.num_classes) == (seq.split, seq.task, seq.num_classes)
+    for a, b in zip(seq, loaded):
+        # weights are written with 12 significant digits
+        rounded = [(u, v, float(f"{w:.12g}"), lab) for u, v, w, lab in a.edges]
+        assert _bits(b.edges) == _bits(rounded)
+        assert np.array_equal(a.features.data, b.features.data)
 
 
 def test_fixed_interval_bucket_count_is_bounded_by_the_line_count():
@@ -357,11 +468,11 @@ def test_link_batch_negatives_are_source_matched_non_edges():
         for (u, v), label in zip(batch.items, batch.labels):
             if label == 1:
                 positive_src = u
-                assert snap.has_edge(u, v)
+                assert oracles.has_edge(snap, u, v)
             else:
                 assert u == positive_src
                 assert v != u
-                assert not snap.has_edge(u, v)
+                assert not oracles.has_edge(snap, u, v)
                 checked += 1
     assert checked >= 1000
 

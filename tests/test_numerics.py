@@ -95,9 +95,8 @@ def test_sigmoid_matches_the_masked_two_branch_kernel_bitwise():
 
 
 def test_segment_softmax_normalizes_each_segment():
-    rows, starts = [0, 0, 0, 1, 2, 2], [0, 3, 4]
     x = np.array([[1.0], [2.0], [3.0], [50.0], [1000.0], [0.0]])
-    out = nx.segment_softmax(Tensor(x), rows, starts).data[:, 0]
+    out = nx.segment_softmax(Tensor(x), [0, 3, 4]).data[:, 0]
     assert np.allclose(out[:3], np.exp([1.0, 2.0, 3.0]) / np.exp([1.0, 2.0, 3.0]).sum(),
                        rtol=1e-15, atol=0.0)
     assert out[3] == 1.0  # a lone entry, whatever its score
@@ -123,12 +122,12 @@ def _zeros(rows, cols):
 
 
 _MISSHAPED_CALLS = {
-    "segment_softmax column": lambda: nx.segment_softmax(_zeros(1, 3), [0, 0, 1], [0, 2]),
-    "segment_softmax row count": lambda: nx.segment_softmax(_zeros(2, 1), [0, 0, 1], [0, 2]),
-    "segment_softmax empty segment": lambda: nx.segment_softmax(_zeros(3, 1), [0, 0, 2], [0, 2, 2]),
-    "segment_softmax unsorted rows": lambda: nx.segment_softmax(_zeros(3, 1), [0, 1, 0], [0, 2]),
-    "segment_softmax late start": lambda: nx.segment_softmax(_zeros(3, 1), [0, 0, 0], [1]),
-    "segment_softmax no segments": lambda: nx.segment_softmax(_zeros(0, 1), [], []),
+    "segment_softmax column": lambda: nx.segment_softmax(_zeros(1, 3), [0]),
+    "segment_softmax row count": lambda: nx.segment_softmax(_zeros(2, 1), [0, 2]),
+    "segment_softmax empty segment": lambda: nx.segment_softmax(_zeros(3, 1), [0, 2, 2]),
+    "segment_softmax late start": lambda: nx.segment_softmax(_zeros(3, 1), [1]),
+    "segment_softmax no segments": lambda: nx.segment_softmax(_zeros(0, 1), []),
+    "segment_softmax 2-D starts": lambda: nx.segment_softmax(_zeros(3, 1), [[0, 2]]),
     "gather_pairs lengths": lambda: nx.gather_pairs(_zeros(3, 3), [0, 1], [0]),
     "gather_pairs range": lambda: nx.gather_pairs(_zeros(3, 3), [0, 3], [0, 1]),
     "gather_pairs 2-D": lambda: nx.gather_pairs(_zeros(3, 3), [[0, 1]], [[0, 1]]),
@@ -415,7 +414,7 @@ _CHAIN_OPS = {
     "scatter_rows": (1, lambda a: nx.scatter_rows(a, [1, 1, 0], _N)),
     "pairs": (1, lambda a: nx.scatter_pairs(nx.gather_pairs(a, *_PAIR_SRC), *_PAIR_DST, (_N, _N))),
     "segment_softmax": (1, lambda a: nx.scatter_pairs(
-        nx.segment_softmax(nx.gather_pairs(a, *_PAIR_SRC), [0, 0, 1, 1], [0, 2]), *_PAIR_DST, (_N, _N)
+        nx.segment_softmax(nx.gather_pairs(a, *_PAIR_SRC), [0, 2]), *_PAIR_DST, (_N, _N)
     )),
 }
 
