@@ -103,7 +103,7 @@ def train_static_gcn(
     optimizer = _SgdState(config.eta_out)
     losses = []
     for epoch in range(1, config.epochs + 1):
-        tape = Tape("first_order")
+        tape = Tape()
         total = None
         with tape:
             for t in range(first, train_end + 1):

@@ -228,7 +228,6 @@ class MetricReport:
     name: str
     value: float
     breakdown: tuple[tuple[int, float], ...]
-    aggregation: str = "mean"
 
     @classmethod
     def from_breakdown(cls, name: str, pairs) -> "MetricReport":
@@ -243,7 +242,7 @@ class MetricReport:
             raise ValidationError(f"metric {self.name!r} value {self.value} outside [0, 1]")
         agg = float(np.mean([v for _, v in self.breakdown]))
         if not math.isclose(agg, self.value, rel_tol=0, abs_tol=1e-12):
-            raise ValidationError(f"metric {self.name!r} value is not the {self.aggregation}")
+            raise ValidationError(f"metric {self.name!r} value is not the mean")
 
 
 def evaluate_sequence(

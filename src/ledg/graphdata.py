@@ -179,10 +179,6 @@ class SnapshotGraph:
         labels = [None] * self.num_edges if self.edge_labels is None else self.edge_labels.tolist()
         return tuple(zip(*self.pairs.T.tolist(), self.weights.tolist(), labels))
 
-    def edge_array(self) -> np.ndarray:
-        """The stored read-only (E, 2) pairs."""
-        return self.pairs
-
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.num_nodes)
 
@@ -637,7 +633,7 @@ def sample_link_prediction_batch(
         raise ValidationError(f"snapshot {snapshot.time_index} has no edges to sample from")
 
     n, ratio = snapshot.num_nodes, negative_ratio
-    edges = snapshot.edge_array()
+    edges = snapshot.pairs
     sources = edges[:, 0]
     # non-neighbor count of each positive's source; zero means a full row
     room = (n - 1 - snapshot.degrees())[sources]

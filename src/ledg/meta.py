@@ -6,10 +6,11 @@ SGD step per window snapshot on the self-supervised time-regression loss;
 only the encoder and adapter groups move. The outer loop then differentiates
 the summed target-snapshot objective (task loss plus a weighted time loss,
 evaluated at every intermediate adapted state) with respect to the original
-parameters and updates all groups. On an exact tape the outer gradient flows
-through the recorded inner updates; on a first_order tape the inner gradients
-are constants, which yields the cheaper first-order approximation. With
-eta_in = 0 both modes collapse, bit for bit, to joint training.
+parameters and updates all groups. With ``gradient_mode="exact"`` the inner
+gradients are recorded, so the outer gradient flows through them; with
+``"first_order"`` they are constants, which yields the cheaper first-order
+approximation. With eta_in = 0 both modes collapse, bit for bit, to joint
+training.
 """
 
 from __future__ import annotations
@@ -188,11 +189,11 @@ def inner_adapt(
     relative index i, and moves only the encoder and adapter groups by
     eta_in times the gradient. Returns all w intermediate states (each a
     full parameter set sharing the untouched heads) and the w loss values.
-    The update arithmetic runs on the given tape, so an exact tape makes
-    later outer gradients flow through every step. A first-order update reads
-    its gradient as a constant, so on a first_order tape each step's
-    forward pass and gradient run on a throwaway tape and only the updates
-    are recorded.
+    The update arithmetic runs on the given tape. Under ``config``'s exact
+    gradient mode each step's forward pass and gradient are recorded there
+    too, so later outer gradients flow through every step. A first-order
+    update reads its gradient as a constant, so each step's forward pass and
+    gradient run on a throwaway tape and only the updates are recorded.
     """
     if window.size != config.window_size:
         raise ContractError(
@@ -201,14 +202,17 @@ def inner_adapt(
     states: list[ParameterSet] = []
     losses: list[float] = []
     current = params
+    exact = config.gradient_mode == "exact"
     with tape:
         for i, snap in enumerate(window.snapshots, start=1):
-            step_tape = tape if tape.mode == "exact" else Tape("first_order")
+            step_tape = tape if exact else Tape()
             with step_tape:
                 bundle = embed(snap, current, spec)
                 loss = time_loss(bundle.time_part, current, spec, target_time=float(i))
                 pairs = current.items_in(*INNER_LOOP_GROUPS)
-                grads = step_tape.gradient(loss, [tensor for _, tensor in pairs])
+                grads = step_tape.gradient(
+                    loss, [tensor for _, tensor in pairs], create_graph=exact
+                )
             updates = {
                 name: nx.sub(tensor, nx.mul_scalar(g, config.eta_in))
                 for (name, tensor), g in zip(pairs, grads)
@@ -309,8 +313,7 @@ def outer_step(
     (pre-adaptation) parameters on the same tape that recorded the inner
     updates and every group is moved by one step of ``optimizer`` (a fresh
     one of the config's ``outer_optimizer`` kind when none is given). Nothing
-    differentiates this gradient again, so it is not recorded, even on an
-    exact tape.
+    differentiates this gradient again, so it is not recorded.
     """
     if len(adapted_states) != window.size:
         raise ContractError(
@@ -334,7 +337,7 @@ def outer_step(
             time_total = l_time if time_total is None else nx.add(time_total, l_time)
         objective = nx.add(task_total, nx.mul_scalar(time_total, config.lambda_time))
         pairs = params.items_in()
-        grads = tape.gradient(objective, [tensor for _, tensor in pairs], create_graph=False)
+        grads = tape.gradient(objective, [tensor for _, tensor in pairs])
     grad_map = {name: g for (name, _), g in zip(pairs, grads)}
     new_params = optimizer.apply(params, grad_map)
     record = EpisodeRecord(
@@ -362,25 +365,23 @@ def run_episode(
     config: TrainingConfig,
     epoch: int = 0,
     optimizer=None,
-    target_batch: TaskBatch | None = None,
 ) -> tuple[ParameterSet, EpisodeRecord | None]:
     """Inner adaptation plus outer update for one target time.
 
     Returns the parameters unchanged (and no record) when the target
     snapshot offers no supervised items.
     """
-    if target_batch is None:
-        target_batch = supervised_batch(
-            sequence.snapshot_at(t),
-            sequence.task,
-            config.train_negative_ratio,
-            "train",
-            _episode_seed(config, epoch),
-        )
+    target_batch = supervised_batch(
+        sequence.snapshot_at(t),
+        sequence.task,
+        config.train_negative_ratio,
+        "train",
+        _episode_seed(config, epoch),
+    )
     if target_batch is None:
         return params, None
     window = build_window(sequence, t, config)
-    tape = Tape(config.gradient_mode)
+    tape = Tape()
     states, inner_losses = inner_adapt(window, params, spec, config, tape)
     new_params, record = outer_step(
         window, states, target_batch, params, spec, config, tape, optimizer
@@ -419,16 +420,12 @@ def train(
     (sequence, spec, config).
     """
     train_end = sequence.split[0]
-    first = earliest_target_time(config)
-    if first > train_end:
-        raise ConfigError(
-            f"window_size {config.window_size} needs more than "
-            f"{train_end} training snapshots in {config.target_structure_mode} mode"
-        )
     if config.window_size >= train_end:
         raise ConfigError(
-            f"window_size must be smaller than the {train_end} training snapshots"
+            f"window_size {config.window_size} must be smaller than the "
+            f"{train_end} training snapshots in {config.target_structure_mode} mode"
         )
+    first = earliest_target_time(config)
     params = initial_params if initial_params is not None else init_parameters(spec, config.seed)
     result = TrainResult(params=params)
     optimizer = _make_optimizer(config)
@@ -494,16 +491,17 @@ def adapt_and_predict(
     Only the self-supervised time-regression loss drives the adaptation, so
     the target's task labels are never consulted before prediction (and in
     previous_snapshot mode the target snapshot is not looked at at all).
-    The caller's parameters are cloned first and stay untouched. Returns
-    (bundle, adapted_params); ``task_predict(bundle, adapted_params, spec,
-    batch)`` predicts any batch at t.
+    Updates are functional, so the caller's parameters stay untouched.
+    Returns (bundle, adapted_params); ``task_predict(bundle, adapted_params,
+    spec, batch)`` predicts any batch at t.
 
-    Adapted values do not depend on the tape mode, so a first_order tape is
-    always used, and the final embedding runs on no tape at all.
+    Adapted values do not depend on the gradient mode and nothing
+    differentiates through them, so the adaptation always runs first order
+    (an exact one would only record a backward pass that nobody reads), and
+    the final embedding runs on no tape at all.
     """
     window = build_window(sequence, t, config)
-    working = params.clone()
-    tape = Tape("first_order")
-    states, _ = inner_adapt(window, working, spec, config, tape)
+    first_order = replace(config, gradient_mode="first_order")
+    states, _ = inner_adapt(window, params, spec, first_order, Tape())
     final_state = states[-1]
     return embed(window.structure_snapshot, final_state, spec), final_state

@@ -3,18 +3,17 @@
 Everything is a 2-D matrix (scalars are 1x1, vectors are 1xN). Operations
 executed while a :class:`Tape` is active are appended to it in execution
 order, which is automatically a topological order. ``Tape.gradient`` walks
-the recording backwards and builds adjoints out of the same primitives, so
-on an ``exact`` tape a gradient is itself recorded and can be differentiated
-again (this is what makes meta-gradients through inner SGD steps exact). On
-a ``first_order`` tape the backward pass runs unrecorded and returns plain
-constants, which yields the standard first-order approximation when a later
-gradient is taken through parameter updates built from those constants.
+the recording backwards and builds adjoints out of the same primitives.
+With ``create_graph=True`` the backward pass is itself recorded, so the
+gradient can be differentiated again (this is what makes meta-gradients
+through inner SGD steps exact). By default it runs unrecorded and returns
+plain constants, which yields the standard first-order approximation when a
+later gradient is taken through parameter updates built from them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -60,8 +59,8 @@ __all__ = [
     "l2_norm",
 ]
 
-_TAPE_STACK: list["Tape"] = []
-_PAUSE_DEPTH = 0
+#: the tape that records new operations is on top; None on top pauses recording
+_TAPE_STACK: list["Tape | None"] = []
 _EMPTY: dict = {}
 
 
@@ -104,10 +103,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.flat[0])
 
-    def copy(self, requires_grad: bool | None = None) -> "Tensor":
-        rg = self.requires_grad if requires_grad is None else requires_grad
-        return Tensor._raw(self.data.copy(), rg)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -127,17 +122,12 @@ class TapeNode:
 class Tape:
     """Ordered recording of primitive operations.
 
-    ``mode`` is either ``"first_order"`` or ``"exact"`` and controls whether
-    gradient computations are themselves recorded (and hence differentiable).
     Used as a context manager; ops run inside the block are recorded.
+    Whether a gradient is itself recorded is chosen per call of
+    :meth:`gradient`.
     """
 
-    MODES = ("first_order", "exact")
-
-    def __init__(self, mode: str = "first_order"):
-        if mode not in self.MODES:
-            raise ValidationError(f"unknown tape mode {mode!r}, expected one of {self.MODES}")
-        self.mode = mode
+    def __init__(self):
         self.nodes: list[TapeNode] = []
         self._producer: dict[int, int] = {}
 
@@ -173,27 +163,29 @@ class Tape:
         self,
         output: Tensor,
         wrt: list[Tensor],
-        create_graph: bool | None = None,
+        create_graph: bool = False,
     ) -> list[Tensor]:
         """Adjoints of a scalar ``output`` with respect to each tensor in ``wrt``.
 
         Tensors in ``wrt`` that the output does not depend on get a zero
-        gradient of matching shape. With ``create_graph`` left at None the
-        tape's mode decides: exact tapes record the backward pass, first
-        order tapes do not.
+        gradient of matching shape. With ``create_graph`` the backward pass
+        is recorded on this tape, whatever tape is active, so the gradients
+        can be differentiated again; otherwise it is recorded on no tape and
+        the gradients are constants.
         """
         if output.size != 1:
             raise ContractError(f"gradient target must be scalar, got shape {output.shape}")
-        create = (self.mode == "exact") if create_graph is None else create_graph
         wrt_ids = {id(t) for t in wrt}
         results: dict[int, Tensor] = {}
         adjoints: dict[int, Tensor] = {id(output): Tensor._raw(np.ones((1, 1)))}
 
         out_idx = self._producer.get(id(output))
         if out_idx is not None:
-            ctx = _activated(self) if create else _paused()
-            with ctx:
+            _TAPE_STACK.append(self if create_graph else None)
+            try:
                 self._walk_backward(out_idx, self._stop_index(wrt), adjoints, wrt_ids, results)
+            finally:
+                _TAPE_STACK.pop()
 
         grads = []
         for t in wrt:
@@ -244,36 +236,13 @@ class Tape:
                 adjoints[id(inp)] = contrib if held is None else add(held, contrib)
 
 
-@contextmanager
-def _activated(tape: Tape):
-    _TAPE_STACK.append(tape)
-    try:
-        yield
-    finally:
-        _TAPE_STACK.pop()
-
-
-@contextmanager
-def _paused():
-    global _PAUSE_DEPTH
-    _PAUSE_DEPTH += 1
-    try:
-        yield
-    finally:
-        _PAUSE_DEPTH -= 1
-
-
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _emit(op: str, inputs: tuple, params: dict = _EMPTY, track: bool | None = None) -> Tensor:
     out = _FORWARD[op]([t.data for t in inputs], params)
     if track is None:
         track = any(t.requires_grad for t in inputs)
     result = Tensor._raw(out, track)
-    tape = _active_tape()
-    if tape is not None and _PAUSE_DEPTH == 0:
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
+    if tape is not None:
         tape._record(TapeNode(op, inputs, params, result))
     return result
 
@@ -959,11 +928,6 @@ class ParameterSet:
         merged = dict(self._tensors)
         merged.update(updates)
         return ParameterSet(merged, self._groups)
-
-    def clone(self) -> "ParameterSet":
-        """Deep copy sharing no arrays with this set."""
-        fresh = {name: t.copy(requires_grad=True) for name, t in self._tensors.items()}
-        return ParameterSet(fresh, self._groups)
 
     def fingerprint(self, *groups: str) -> str:
         """SHA-256 over the named groups' values, order independent of dict layout."""

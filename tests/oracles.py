@@ -66,7 +66,7 @@ def power_iteration_radius(matrix, iterations=500, seed=0):
 # ---------------------------------------------------------------------------
 # reverse-mode walks over a recorded tape
 
-def full_walk_gradient(tape, output, wrt, create_graph=None):
+def full_walk_gradient(tape, output, wrt, create_graph=False):
     """Gradients of a scalar ``output`` by the unpruned reverse walk.
 
     Visits every recorded node from the output's producer back to the
@@ -76,14 +76,14 @@ def full_walk_gradient(tape, output, wrt, create_graph=None):
     two must agree bit for bit. Records on the tape exactly when
     ``Tape.gradient`` would.
     """
-    create = (tape.mode == "exact") if create_graph is None else create_graph
     producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
     start = producer.get(id(output))
     walked = tape.nodes[start::-1] if start is not None else []
     requested = {id(t) for t in wrt}
     adjoints = {id(output): nx.Tensor(np.ones((1, 1)))}
     results = {}
-    with nx._activated(tape) if create else nx._paused():
+    nx._TAPE_STACK.append(tape if create_graph else None)
+    try:
         for node in walked:
             upstream = adjoints.pop(id(node.output), None)
             if upstream is None:
@@ -97,6 +97,8 @@ def full_walk_gradient(tape, output, wrt, create_graph=None):
             for inp, contrib in rule(node, upstream, need):
                 held = adjoints.get(id(inp))
                 adjoints[id(inp)] = contrib if held is None else nx.add(held, contrib)
+    finally:
+        nx._TAPE_STACK.pop()
     grads = []
     for t in wrt:
         g = results.get(id(t), adjoints.get(id(t)))
@@ -341,7 +343,7 @@ def dense_attention_encode(snapshot, params, config):
     """The attention encoder on dense N x N scores: every (target, source)
     score is formed, non-neighbours are pushed to MASK_VALUE and each row is
     softmax-normalized over all N columns. Recorded with the library's
-    primitives, so an exact tape differentiates through it."""
+    primitives, so a recorded gradient differentiates through it."""
     n = snapshot.num_nodes
     mask = (snapshot.normalized_adjacency.data > 0.0).astype(np.float64)
     mask, offset = nx.Tensor(mask), nx.Tensor((1.0 - mask) * MASK_VALUE)
@@ -575,7 +577,7 @@ def primitive_gradient_errors(op_name, rng, step=1e-5):
         return nx.sum_all(nx.hadamard(out, nx.Tensor(weights))).item()
 
     tracked = [nx.Tensor(a, requires_grad=True) for a in arrays]
-    tape = nx.Tape("first_order")
+    tape = nx.Tape()
     with tape:
         loss = nx.sum_all(nx.hadamard(call(*tracked), nx.Tensor(weights)))
     grads = tape.gradient(loss, tracked)

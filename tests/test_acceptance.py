@@ -8,6 +8,7 @@ PASS/FAIL line per criterion after the run.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def _composite_loss_setup():
 
 
 def _composite_loss(snap, spec, batch, params, target_time=0.35):
-    tape = Tape("first_order")
+    tape = Tape()
     with tape:
         bundle = md.embed(snap, params, spec)
         l_task = md.task_loss(md.task_predict(bundle, params, spec, batch), batch.labels)
@@ -116,8 +117,10 @@ def _outer_objective(seq, spec, config, params, mode):
     sum task + lambda * time across every adapted state."""
     window = mt.build_window(seq, 3, config)
     batch = gd.classification_batch(seq.snapshot_at(3), "node_classification")
-    tape = Tape(mode)
-    states, inner_losses = mt.inner_adapt(window, params, spec, config, tape)
+    tape = Tape()
+    states, inner_losses = mt.inner_adapt(
+        window, params, spec, replace(config, gradient_mode=mode), tape
+    )
     total = None
     with tape:
         for state in states:
@@ -181,7 +184,7 @@ def _joint_training_oracle(seq, spec, config):
                 seed=batch_seed,
             )
             window = mt.build_window(seq, t, config)
-            tape = Tape("first_order")
+            tape = Tape()
             with tape:
                 bundle = md.embed(window.structure_snapshot, params, spec)
                 l_task = md.task_loss(
@@ -251,7 +254,7 @@ def _smooth_l1_scalar(v):
 
 def _smooth_l1_derivative(v):
     x = Tensor([[v]], requires_grad=True)
-    tape = Tape("first_order")
+    tape = Tape()
     with tape:
         y = nx.smooth_l1(x)
     (g,) = tape.gradient(y, [x])

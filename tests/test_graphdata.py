@@ -27,7 +27,7 @@ def test_snapshot_canonicalizes_edges():
     assert snap.edges == ((0, 2, 1.0, None), (1, 3, 2.5, None))
     assert oracles.has_edge(snap, 0, 2) and oracles.has_edge(snap, 2, 0)
     assert not oracles.has_edge(snap, 0, 1)
-    assert np.array_equal(snap.edge_array(), [[0, 2], [1, 3]])
+    assert np.array_equal(snap.pairs, [[0, 2], [1, 3]])
     assert np.array_equal(snap.degrees(), [1, 1, 1, 1])
 
 
@@ -589,10 +589,9 @@ def test_degrees_and_edge_array_are_cached_arrays():
         expected[u] += 1
         expected[v] += 1
     assert np.array_equal(snap.degrees(), expected)
-    assert snap.edge_array() is snap.edge_array()
-    assert not snap.edge_array().flags.writeable
+    assert not snap.pairs.flags.writeable
     empty = gd.SnapshotGraph(1, 3, [], np.eye(3))
-    assert empty.edge_array().shape == (0, 2)
+    assert empty.pairs.shape == (0, 2)
     assert np.array_equal(empty.degrees(), [0, 0, 0])
 
 

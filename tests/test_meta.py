@@ -119,7 +119,7 @@ def test_build_window_bounds():
 
 def test_single_inner_step_arithmetic():
     # L = 0.5 (p - 1)^2 at p = 0 with eta 0.1 lands exactly on 0.1
-    tape = Tape("first_order")
+    tape = Tape()
     p = Tensor(0.0, requires_grad=True)
     with tape:
         r = nx.add_scalar(p, -1.0)
@@ -136,7 +136,7 @@ def test_inner_adapt_zero_eta_is_the_identity():
     params = md.init_parameters(spec, seed=0)
     config = TrainingConfig(window_size=3, eta_in=0.0, eta_out=0.01)
     window = mt.build_window(seq, 4, config)
-    states, losses = mt.inner_adapt(window, params, spec, config, Tape("first_order"))
+    states, losses = mt.inner_adapt(window, params, spec, config, Tape())
     assert len(states) == len(losses) == 3
     for state in states:
         assert _bit_equal(state, params)
@@ -149,7 +149,7 @@ def test_inner_adapt_moves_only_encoder_and_adapter():
     params = md.init_parameters(spec, seed=1)
     config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01)
     window = mt.build_window(seq, 4, config)
-    states, _ = mt.inner_adapt(window, params, spec, config, Tape("first_order"))
+    states, _ = mt.inner_adapt(window, params, spec, config, Tape())
     for state in states:
         for group in ("time_predictor", "classifier_time", "classifier_graph"):
             assert state.fingerprint(group) == params.fingerprint(group)
@@ -165,11 +165,11 @@ def test_inner_adapt_two_steps_match_stepwise_recomputation():
     params = md.init_parameters(spec, seed=3)
     config = TrainingConfig(window_size=2, eta_in=0.2, eta_out=0.01)
     window = mt.build_window(seq, 4, config)
-    states, losses = mt.inner_adapt(window, params, spec, config, Tape("first_order"))
+    states, losses = mt.inner_adapt(window, params, spec, config, Tape())
 
     current = params
     for i, snap in enumerate(window.snapshots, start=1):
-        tape = Tape("first_order")
+        tape = Tape()
         with tape:
             bundle = md.embed(snap, current, spec)
             loss = md.time_loss(bundle.time_part, current, spec, target_time=float(i))
@@ -191,7 +191,7 @@ def test_inner_adapt_checks_window_size():
     window = mt.build_window(seq, 4, TrainingConfig(window_size=2))
     with pytest.raises(ContractError):
         mt.inner_adapt(window, params, spec, TrainingConfig(window_size=3),
-                       Tape("first_order"))
+                       Tape())
 
 
 def test_first_order_inner_adapt_records_only_the_updates():
@@ -200,7 +200,7 @@ def test_first_order_inner_adapt_records_only_the_updates():
     params = md.init_parameters(spec, seed=1)
     config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01)
     window = mt.build_window(seq, 4, config)
-    tape = Tape("first_order")
+    tape = Tape()
     mt.inner_adapt(window, params, spec, config, tape)
     per_step = len(params.items_in(*nx.INNER_LOOP_GROUPS))
     assert [node.op for node in tape.nodes] == ["mul_scalar", "sub"] * (3 * per_step)
@@ -219,7 +219,7 @@ def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatc
         return gradient(tape, output, *args, **kwargs)
 
     monkeypatch.setattr(Tape, "gradient", spy)
-    tape = Tape("first_order")
+    tape = Tape()
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     mt.outer_step(window, states, batch, params, spec, config, tape)
     assert oracles.recorded_ancestors(tape, targets[-1]) == set(range(len(tape)))
@@ -246,7 +246,7 @@ def test_exact_inner_steps_differentiate_back_to_their_own_parameters_only(monke
         return grads
 
     monkeypatch.setattr(Tape, "gradient", spy)
-    tape = Tape("exact")
+    tape = Tape()
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     mt.outer_step(window, states, batch, params, spec, config, tape)
     producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
@@ -275,7 +275,7 @@ def test_outer_step_contract_errors():
     spec = _small_spec()
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01)
     params, window, batch = _episode_pieces(seq, spec, config)
-    tape = Tape("first_order")
+    tape = Tape()
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     with pytest.raises(ContractError):
         mt.outer_step(window, states[:1], batch, params, spec, config, tape)
@@ -288,7 +288,7 @@ def test_outer_step_lambda_zero_leaves_time_predictor_alone():
     spec = _small_spec()
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.05, lambda_time=0.0)
     params, window, batch = _episode_pieces(seq, spec, config)
-    tape = Tape(config.gradient_mode)
+    tape = Tape()
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     new_params, record = mt.outer_step(window, states, batch, params, spec, config, tape)
     for name in params.group_names("time_predictor"):
@@ -305,7 +305,7 @@ def test_outer_step_without_optimizer_takes_one_step_of_the_configured_kind():
     params, window, batch = _episode_pieces(seq, spec, config)
     stepped = []
     for optimizer in (None, mt._AdamState(config.eta_out), mt._SgdState(config.eta_out)):
-        tape = Tape(config.gradient_mode)
+        tape = Tape()
         states, _ = mt.inner_adapt(window, params, spec, config, tape)
         new_params, _ = mt.outer_step(
             window, states, batch, params, spec, config, tape, optimizer
@@ -320,7 +320,7 @@ def test_episode_objective_is_task_plus_weighted_time():
     spec = _small_spec()
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01, lambda_time=0.3)
     params, window, batch = _episode_pieces(seq, spec, config)
-    tape = Tape(config.gradient_mode)
+    tape = Tape()
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     _, record = mt.outer_step(window, states, batch, params, spec, config, tape)
     assert record.objective == pytest.approx(
@@ -368,8 +368,10 @@ def _episode_objective(seq, spec, config, params, mode):
     every adapted state, as outer_step does."""
     window = mt.build_window(seq, 3, config)
     batch = gd.classification_batch(seq.snapshot_at(3), "node_classification")
-    tape = Tape(mode)
-    states, inner_losses = mt.inner_adapt(window, params, spec, config, tape)
+    tape = Tape()
+    states, inner_losses = mt.inner_adapt(
+        window, params, spec, replace(config, gradient_mode=mode), tape
+    )
     total = None
     with tape:
         for state in states:
@@ -460,7 +462,7 @@ def _joint_training_oracle(seq, spec, config):
                 seed=batch_seed,
             )
             window = mt.build_window(seq, t, config)
-            tape = Tape("first_order")
+            tape = Tape()
             with tape:
                 bundle = md.embed(window.structure_snapshot, params, spec)
                 l_task = md.task_loss(
@@ -649,6 +651,33 @@ def test_adapt_and_predict_leaves_caller_parameters_untouched():
     config = TrainingConfig(window_size=2, eta_in=0.5, eta_out=0.01)
     _, adapted = mt.adapt_and_predict(seq, params, 5, spec, config)
     assert params.fingerprint() == before
+    assert adapted.fingerprint("gnn") != params.fingerprint("gnn")
+
+
+@pytest.mark.parametrize("base_model", ["gcn", "attention"])
+def test_adapt_and_predict_adapts_first_order_under_an_exact_config(monkeypatch, base_model):
+    """Evaluation records no inner backward: an exact config adapts to the
+    first-order config's bits without a recorded gradient."""
+    seq = _small_sequence()
+    spec = ModelSpec(
+        EncoderConfig(base_model=base_model, num_layers=2, input_dim=16, hidden_dim=4),
+        task="link_prediction",
+    )
+    params = md.init_parameters(spec, seed=7)
+    config = TrainingConfig(window_size=2, eta_in=0.5, eta_out=0.01)
+    _, first_order = mt.adapt_and_predict(seq, params, 5, spec, config)
+    recorded = []
+    gradient = Tape.gradient
+
+    def spy(tape, output, wrt, create_graph=False):
+        recorded.append(create_graph)
+        return gradient(tape, output, wrt, create_graph)
+
+    monkeypatch.setattr(Tape, "gradient", spy)
+    exact = replace(config, gradient_mode="exact")
+    _, adapted = mt.adapt_and_predict(seq, params, 5, spec, exact)
+    assert recorded == [False] * config.window_size
+    assert _bit_equal(adapted, first_order)
     assert adapted.fingerprint("gnn") != params.fingerprint("gnn")
 
 

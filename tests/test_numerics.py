@@ -235,7 +235,7 @@ def test_every_primitive_matches_central_differences():
 
 def test_gradient_of_square_at_three():
     x = _scalar(3.0)
-    tape = Tape("first_order")
+    tape = Tape()
     with tape:
         y = nx.hadamard(x, x)
     g = tape.gradient(y, [x])[0]
@@ -245,27 +245,61 @@ def test_gradient_of_square_at_three():
 def test_nested_gradient_of_cube():
     # d/dx x^3 = 3x^2, d2/dx2 = 6x, d3/dx3 = 6; evaluated at x = 2
     x = _scalar(2.0)
-    tape = Tape("exact")
+    tape = Tape()
     with tape:
         y = nx.hadamard(nx.hadamard(x, x), x)
-    g1 = tape.gradient(y, [x])[0]
-    g2 = tape.gradient(g1, [x])[0]
-    g3 = tape.gradient(g2, [x])[0]
+    g1 = tape.gradient(y, [x], create_graph=True)[0]
+    g2 = tape.gradient(g1, [x], create_graph=True)[0]
+    g3 = tape.gradient(g2, [x], create_graph=True)[0]
     assert g1.item() == pytest.approx(12.0, abs=1e-10)
     assert g2.item() == pytest.approx(12.0, abs=1e-10)
     assert g3.item() == pytest.approx(6.0, abs=1e-10)
 
 
 def test_first_order_tape_does_not_record_backward():
-    """In first_order mode the gradient is a constant: no second derivative."""
+    """By default the gradient is a constant: no second derivative."""
     x = _scalar(2.0)
-    tape = Tape("first_order")
+    tape = Tape()
     with tape:
         y = nx.hadamard(nx.hadamard(x, x), x)
     g1 = tape.gradient(y, [x])[0]
     assert g1.item() == pytest.approx(12.0, abs=1e-10)
     g2 = tape.gradient(g1, [x])[0]
     assert np.array_equal(g2.data, np.zeros((1, 1)))
+
+
+def test_an_unrecorded_gradient_records_on_no_tape():
+    """create_graph=False pauses every tape, also inside another tape's block,
+    and recording resumes on that tape once the gradient returns."""
+    x = _scalar(2.0)
+    tape, other = Tape(), Tape()
+    with tape:
+        y = nx.hadamard(nx.hadamard(x, x), x)
+    forward = len(tape)
+    with other:
+        g = tape.gradient(y, [x])[0]
+        with tape:
+            g_inside = tape.gradient(y, [x])[0]
+        nx.sigmoid(x)
+    assert len(tape) == forward
+    assert [node.op for node in other.nodes] == ["sigmoid"]
+    assert g.item() == g_inside.item() == 12.0
+
+
+def test_a_recorded_gradient_goes_on_its_own_tape_under_another():
+    """create_graph=True records on the differentiated tape, not on the tape
+    on top of the stack, which records again once the gradient returns."""
+    x = _scalar(2.0)
+    tape, other = Tape(), Tape()
+    with tape:
+        y = nx.hadamard(nx.hadamard(x, x), x)
+    forward = len(tape)
+    with other:
+        g = tape.gradient(y, [x], create_graph=True)[0]
+        nx.sigmoid(g)
+    assert len(tape) > forward
+    assert [node.op for node in other.nodes] == ["sigmoid"]
+    assert tape.gradient(g, [x])[0].item() == pytest.approx(12.0, abs=1e-10)
 
 
 def test_second_derivatives_match_finite_differences():
@@ -276,30 +310,30 @@ def test_second_derivatives_match_finite_differences():
     d = rng.normal(size=(3, 4))
 
     def first_grad(x_np):
-        tape = Tape("exact")
+        tape = Tape()
         x = Tensor(x_np, requires_grad=True)
         with tape:
             y = nx.sum_all(nx.hadamard(nx.sigmoid(x), nx.hadamard(x, Tensor(c))))
-        return tape.gradient(y, [x])[0]
+        return tape.gradient(y, [x], create_graph=True)[0]
 
     def projected_first(x_np):
         return float(np.sum(first_grad(x_np).data * d))
 
-    tape = Tape("exact")
+    tape = Tape()
     x = Tensor(base, requires_grad=True)
     with tape:
         y = nx.sum_all(nx.hadamard(nx.sigmoid(x), nx.hadamard(x, Tensor(c))))
-    g = tape.gradient(y, [x])[0]
+    g = tape.gradient(y, [x], create_graph=True)[0]
     with tape:
         s = nx.sum_all(nx.hadamard(g, Tensor(d)))
-    second = tape.gradient(s, [x])[0]
+    second = tape.gradient(s, [x], create_graph=True)[0]
     fd = oracles.central_difference(projected_first, base.copy())
     assert oracles.max_rel_err(second.data, fd) <= 1e-3
 
 
 def test_gradient_target_must_be_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    tape = Tape("first_order")
+    tape = Tape()
     with tape:
         y = nx.hadamard(x, x)
     with pytest.raises(ContractError):
@@ -309,7 +343,7 @@ def test_gradient_target_must_be_scalar():
 def test_parameter_off_tape_gets_zero_gradient():
     x = _scalar(1.5)
     z = Tensor(np.ones((2, 3)), requires_grad=True)
-    tape = Tape("first_order")
+    tape = Tape()
     with tape:
         y = nx.hadamard(x, x)
     gx, gz = tape.gradient(y, [x, z])
@@ -318,20 +352,15 @@ def test_parameter_off_tape_gets_zero_gradient():
     assert np.array_equal(gz.data, np.zeros((2, 3)))
 
 
-def test_tape_mode_is_validated():
-    with pytest.raises(ValidationError):
-        Tape("second_order")
-
-
 def test_tape_replay_is_bit_identical():
     rng = np.random.default_rng(5)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    tape = Tape("exact")
+    tape = Tape()
     with tape:
         h = nx.sigmoid(nx.matmul(a, w))
         y = nx.sum_all(nx.softmax_rows(h))
-    tape.gradient(y, [a, w])
+    tape.gradient(y, [a, w], create_graph=True)
     checked = tape.replay()
     assert checked == len(tape) and checked > 0
 
@@ -340,14 +369,14 @@ def test_tape_replay_is_bit_identical_with_flagged_matmuls():
     rng = np.random.default_rng(6)
     a, a_t = Tensor(rng.normal(size=(3, 4)), True), Tensor(rng.normal(size=(4, 3)), True)
     b, b_t = Tensor(rng.normal(size=(4, 2)), True), Tensor(rng.normal(size=(2, 4)), True)
-    tape = Tape("exact")
+    tape = Tape()
     with tape:
         y = nx.sum_all(nx.sigmoid(nx.add(
             nx.add(nx.matmul(a, b), nx.matmul(a_t, b, ta=True)),
             nx.add(nx.matmul(a, b_t, tb=True), nx.matmul(a_t, b_t, ta=True, tb=True)),
         )))
     forward = len(tape)
-    tape.gradient(y, [a, a_t, b, b_t])
+    tape.gradient(y, [a, a_t, b, b_t], create_graph=True)
     flags = {(n.params["ta"], n.params["tb"]) for n in tape.nodes[forward:] if n.op == "matmul"}
     assert flags == {(False, False), (True, False), (False, True), (True, True)}
     assert tape.replay() == len(tape)
@@ -372,11 +401,11 @@ def test_backward_records_nothing_for_constant_operands(case, tracked):
         Tensor(rng.normal(size=shape), requires_grad=(k == tracked))
         for k, shape in enumerate((shape_a, shape_b))
     ]
-    tape = Tape("exact")
+    tape = Tape()
     with tape:
         y = nx.sum_all(nx.sigmoid(op(*operands)))
     forward = len(tape)
-    grad = tape.gradient(y, [operands[tracked]])[0]
+    grad = tape.gradient(y, [operands[tracked]], create_graph=True)[0]
     backward = set(range(forward, len(tape)))
     assert backward, "the backward pass recorded nothing"
     assert backward <= oracles.recorded_ancestors(tape, grad)
@@ -427,36 +456,38 @@ def test_gradient_stops_at_the_first_requested_intermediate():
     """A gradient with respect to tensors made on the tape does not revisit
     the nodes before them, and returns the full walk's bits."""
     x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
-    tape = Tape("exact")
+    tape = Tape()
     with tape:
         h1 = nx.sigmoid(x)
         h2 = nx.hadamard(h1, h1)
         h3 = nx.mul_scalar(h2, 3.0)
         y = nx.sum_all(nx.hadamard(h3, h2))
     forward = len(tape)
-    grads = tape.gradient(y, [h3, h2])
+    grads = tape.gradient(y, [h3, h2], create_graph=True)
     # the backward of hadamard(h1, h1) and sigmoid(x) is never recorded
     recorded = tape.nodes[forward:]
     assert recorded and all(inp is not h1 and inp is not x for node in recorded for inp in node.inputs)
-    assert _bits(grads) == _bits(oracles.full_walk_gradient(tape, y, [h3, h2]))
+    assert _bits(grads) == _bits(oracles.full_walk_gradient(tape, y, [h3, h2], create_graph=True))
     # a leaf among the requested tensors still walks the whole tape
-    assert _bits(tape.gradient(y, [h2, x])) == _bits(oracles.full_walk_gradient(tape, y, [h2, x]))
+    assert _bits(tape.gradient(y, [h2, x], create_graph=True)) == _bits(
+        oracles.full_walk_gradient(tape, y, [h2, x], create_graph=True)
+    )
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
-@given(data=st.data(), mode=st.sampled_from(Tape.MODES))
-def test_gradient_matches_the_full_walk_bitwise_on_random_chains(data, mode):
+@given(data=st.data(), create_graph=st.booleans())
+def test_gradient_matches_the_full_walk_bitwise_on_random_chains(data, create_graph):
     # long chains may overflow; the bits must agree all the same
     with np.errstate(all="ignore"):
-        _check_random_chain(data, mode)
+        _check_random_chain(data, create_graph)
 
 
-def _check_random_chain(data, mode):
+def _check_random_chain(data, create_graph):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=3), label="leaves")
     leaves = [Tensor(rng.uniform(-2.0, 2.0, (_N, _N)), requires_grad=f) for f in flags]
     pool = list(leaves)
-    tape = Tape(mode)
+    tape = Tape()
     with tape:
         for name in data.draw(st.lists(st.sampled_from(sorted(_CHAIN_OPS)), min_size=1,
                                        max_size=10), label="ops"):
@@ -470,10 +501,10 @@ def _check_random_chain(data, mode):
     picked = data.draw(st.lists(st.integers(first, len(pool) - 1), min_size=1, max_size=4,
                                 unique=True), label="wrt")
     wrt = [pool[k] for k in picked]
-    got = tape.gradient(output, wrt)
-    want = oracles.full_walk_gradient(tape, output, wrt)
+    got = tape.gradient(output, wrt, create_graph=create_graph)
+    want = oracles.full_walk_gradient(tape, output, wrt, create_graph=create_graph)
     assert _bits(got) == _bits(want)
-    if mode == "exact":
+    if create_graph:
         # the recorded gradients differentiate again to the same bits
         probes = [Tensor(rng.uniform(-1.0, 1.0, t.shape)) for t in wrt]
         with tape:
@@ -483,13 +514,13 @@ def _check_random_chain(data, mode):
             ]
             s_got = functools.reduce(nx.add, second[: len(wrt)])
             s_want = functools.reduce(nx.add, second[len(wrt):])
-        assert _bits(tape.gradient(s_got, leaves)) == _bits(
-            oracles.full_walk_gradient(tape, s_want, leaves)
+        assert _bits(tape.gradient(s_got, leaves, create_graph=True)) == _bits(
+            oracles.full_walk_gradient(tape, s_want, leaves, create_graph=True)
         )
 
 
 def test_operations_require_open_tape_context():
-    tape = Tape("first_order")
+    tape = Tape()
     x = _scalar(1.0)
     with tape:
         y = nx.sigmoid(x)
@@ -517,7 +548,7 @@ def test_exact_outer_step_records_nothing_after_its_objective(monkeypatch):
         return gradient(tape, output, *args, **kwargs)
 
     monkeypatch.setattr(Tape, "gradient", spy)
-    tape = Tape("exact")
+    tape = Tape()
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     inner_nodes = len(tape)
     _, record = mt.outer_step(window, states, batch, params, spec, config, tape)
@@ -594,9 +625,6 @@ def test_with_updates_contracts():
 
 def test_clone_is_independent_and_fingerprint_tracks_values():
     params = _toy_parameter_set()
-    clone = params.clone()
-    assert clone.fingerprint() == params.fingerprint()
-    assert clone["gnn_w1"] is not params["gnn_w1"]
     bumped = params.with_updates(
         {"adapter_b1": Tensor(np.full((1, 4), 1e-9), requires_grad=True)}
     )
