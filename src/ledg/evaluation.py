@@ -60,10 +60,6 @@ class RankedQuery:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def num_relevant(self) -> int:
-        return int(self.relevance.sum())
-
 
 @dataclass(frozen=True)
 class RankedQueries:

@@ -340,11 +340,6 @@ class TaskBatch:
         object.__setattr__(self, "items", _frozen(items.copy()))
         object.__setattr__(self, "labels", _frozen(labels.copy()))
 
-    def check_against(self, snapshot: SnapshotGraph) -> None:
-        n = snapshot.num_nodes
-        if self.items.min() < 0 or self.items.max() >= n:
-            raise ValidationError(f"batch references nodes outside [0, {n})")
-
     @property
     def size(self) -> int:
         return self.items.shape[0]
@@ -603,7 +598,7 @@ def generate_drifting_sbm(
 
 def sample_link_prediction_batch(
     snapshot: SnapshotGraph,
-    negative_ratio: int | None = None,
+    negative_ratio: int,
     mode: str = "train",
     seed: int = 0,
 ) -> TaskBatch:
@@ -611,10 +606,9 @@ def sample_link_prediction_batch(
 
     For each positive (u, v), ``negative_ratio`` negatives (u, v') are drawn
     uniformly with replacement over v' such that (u, v') is not an edge and
-    v' != u. The default ratio is 1 in train mode and 100 in eval mode.
-    Raises when a source node's non-neighbors run out (complete rows), or
-    when one positive's negatives take more than ``200 * ratio + 1000``
-    draws.
+    v' != u. Raises when a source node's non-neighbors run out (complete
+    rows), or when one positive's negatives take more than ``200 * ratio +
+    1000`` draws.
 
     The candidates are one stream of uniform node draws read in edge order:
     each positive takes the draws that follow the previous one's until
@@ -625,8 +619,6 @@ def sample_link_prediction_batch(
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be 'train' or 'eval', not {mode!r}")
-    if negative_ratio is None:
-        negative_ratio = 1 if mode == "train" else 100
     if negative_ratio < 1:
         raise ValidationError("negative_ratio must be at least 1")
     if snapshot.num_edges == 0:

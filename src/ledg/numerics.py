@@ -38,11 +38,9 @@ __all__ = [
     "one_minus",
     "reciprocal",
     "log",
-    "greater_than",
     "clamp_min",
     "smooth_l1",
     "clip_unit",
-    "unit_interval_mask",
     "softmax_rows",
     "segment_softmax",
     "row_sums",
@@ -147,18 +145,6 @@ class Tape:
         self._producer[id(node.output)] = len(self.nodes)
         self.nodes.append(node)
 
-    def replay(self) -> int:
-        """Recompute every node from its recorded inputs.
-
-        Raises ContractError on any bitwise mismatch with the recorded
-        output; returns the number of nodes checked.
-        """
-        for k, node in enumerate(self.nodes):
-            out = _FORWARD[node.op]([t.data for t in node.inputs], node.params)
-            if not np.array_equal(out, node.output.data):
-                raise ContractError(f"replay mismatch at node {k} ({node.op})")
-        return len(self.nodes)
-
     def gradient(
         self,
         output: Tensor,
@@ -222,25 +208,20 @@ class Tape:
                 continue
             if out_id in wrt_ids:
                 results[out_id] = upstream
-            rule = _BACKWARD[node.op]
-            if rule is None:
-                continue
             need = [
                 inp.requires_grad and (producer.get(id(inp), -1) >= stop or id(inp) in wrt_ids)
                 for inp in node.inputs
             ]
             if True not in need:
                 continue
-            for inp, contrib in rule(node, upstream, need):
+            for inp, contrib in _BACKWARD[node.op](node, upstream, need):
                 held = adjoints.get(id(inp))
                 adjoints[id(inp)] = contrib if held is None else add(held, contrib)
 
 
-def _emit(op: str, inputs: tuple, params: dict = _EMPTY, track: bool | None = None) -> Tensor:
+def _emit(op: str, inputs: tuple, params: dict = _EMPTY) -> Tensor:
     out = _FORWARD[op]([t.data for t in inputs], params)
-    if track is None:
-        track = any(t.requires_grad for t in inputs)
-    result = Tensor._raw(out, track)
+    result = Tensor._raw(out, any(t.requires_grad for t in inputs))
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None:
         tape._record(TapeNode(op, inputs, params, result))
@@ -253,7 +234,8 @@ def _need_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# forward kernels (shared by execution and tape replay)
+# forward kernels, one per primitive, keyed by op name so that a recorded
+# node can be recomputed from its inputs and params
 
 def _k_matmul(d, p):
     a = d[0].T if p["ta"] else d[0]
@@ -294,8 +276,7 @@ def _k_relu(d, p):
 
 
 def _slope_gate(x, slope):
-    # 1 where x > 0, slope elsewhere; the same arithmetic the composition
-    # hadamard(x, greater_than(x, 0) * (1 - slope) + slope) performed
+    # 1 where x > 0, slope elsewhere
     return (x > 0.0).astype(np.float64) * (1.0 - slope) + slope
 
 
@@ -315,10 +296,6 @@ def _k_log(d, p):
     return np.log(d[0])
 
 
-def _k_greater_than(d, p):
-    return (d[0] > p["value"]).astype(np.float64)
-
-
 def _k_clamp_min(d, p):
     return np.maximum(d[0], p["value"])
 
@@ -331,10 +308,6 @@ def _k_smooth_l1(d, p):
 
 def _k_clip_unit(d, p):
     return np.clip(d[0], -1.0, 1.0)
-
-
-def _k_unit_mask(d, p):
-    return (np.abs(d[0]) < 1.0).astype(np.float64)
 
 
 def _k_softmax_rows(d, p):
@@ -414,11 +387,9 @@ _FORWARD = {
     "one_minus": _k_one_minus,
     "reciprocal": _k_reciprocal,
     "log": _k_log,
-    "greater_than": _k_greater_than,
     "clamp_min": _k_clamp_min,
     "smooth_l1": _k_smooth_l1,
     "clip_unit": _k_clip_unit,
-    "unit_interval_mask": _k_unit_mask,
     "softmax_rows": _k_softmax_rows,
     "segment_softmax": _k_segment_softmax,
     "row_sums": _k_row_sums,
@@ -499,16 +470,6 @@ def log(a: Tensor) -> Tensor:
     return _emit("log", (a,))
 
 
-def greater_than(a: Tensor, value: float) -> Tensor:
-    """0/1 indicator of a > value. Not differentiable (zero gradient)."""
-    return _emit("greater_than", (a,), {"value": float(value)}, track=False)
-
-
-def unit_interval_mask(a: Tensor) -> Tensor:
-    """0/1 indicator of |a| < 1. Not differentiable (zero gradient)."""
-    return _emit("unit_interval_mask", (a,), track=False)
-
-
 def clamp_min(a: Tensor, value: float) -> Tensor:
     return _emit("clamp_min", (a,), {"value": float(value)})
 
@@ -545,8 +506,9 @@ def segment_softmax(a: Tensor, starts) -> Tensor:
     starts = _frozen_indices(starts, None, "segment_softmax")
     if a.shape[1] != 1:
         raise ShapeError(f"segment_softmax: need a (P, 1) column, got {a.shape}")
-    sizes = np.diff(starts, append=a.shape[0])
-    if starts.size == 0 or starts[0] != 0 or np.any(sizes <= 0):
+    bounds = np.concatenate((starts, [a.shape[0]]))
+    sizes = bounds[1:] - bounds[:-1]
+    if starts.size == 0 or starts[0] != 0 or (sizes <= 0).any():
         raise ShapeError("segment_softmax: starts must begin at 0 and mark nonempty segments")
     rows = np.repeat(np.arange(starts.size), sizes)
     rows.flags.writeable = False
@@ -644,8 +606,11 @@ def mean_pool(h: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward rules, each built from the public primitives above so that the
-# backward pass is itself differentiable when recorded. A rule gets the
+# backward rules, one per primitive, each built from the public primitives
+# above so that the backward pass is itself differentiable when recorded. A
+# piecewise-constant derivative (the 0/1 masks of relu, clamp_min and
+# clip_unit, the leaky_relu gate) has zero derivative almost everywhere, so
+# it enters as an untracked constant rather than as an op. A rule gets the
 # node, its output's adjoint and one flag per input saying whether that
 # input is owed a contribution (see Tape._walk_backward); it returns
 # (input, contribution) pairs for the flagged inputs only, since an exact
@@ -707,11 +672,10 @@ def _b_sigmoid(node, g, need):
 
 def _b_relu(node, g, need):
     x = node.inputs[0]
-    return ((x, hadamard(g, greater_than(x, 0.0))),)
+    return ((x, hadamard(g, Tensor._raw((x.data > 0.0).astype(np.float64)))),)
 
 
 def _b_leaky_relu(node, g, need):
-    # the gate is piecewise constant in x, so it enters as an untracked constant
     x = node.inputs[0]
     return ((x, hadamard(g, Tensor._raw(_slope_gate(x.data, node.params["slope"])))),)
 
@@ -732,7 +696,7 @@ def _b_log(node, g, need):
 
 def _b_clamp_min(node, g, need):
     x = node.inputs[0]
-    return ((x, hadamard(g, greater_than(x, node.params["value"]))),)
+    return ((x, hadamard(g, Tensor._raw((x.data > node.params["value"]).astype(np.float64)))),)
 
 
 def _b_smooth_l1(node, g, need):
@@ -742,7 +706,7 @@ def _b_smooth_l1(node, g, need):
 
 def _b_clip_unit(node, g, need):
     x = node.inputs[0]
-    return ((x, hadamard(g, unit_interval_mask(x))),)
+    return ((x, hadamard(g, Tensor._raw((np.abs(x.data) < 1.0).astype(np.float64)))),)
 
 
 def _b_softmax_rows(node, g, need):
@@ -824,11 +788,9 @@ _BACKWARD = {
     "one_minus": _b_one_minus,
     "reciprocal": _b_reciprocal,
     "log": _b_log,
-    "greater_than": None,
     "clamp_min": _b_clamp_min,
     "smooth_l1": _b_smooth_l1,
     "clip_unit": _b_clip_unit,
-    "unit_interval_mask": None,
     "softmax_rows": _b_softmax_rows,
     "segment_softmax": _b_segment_softmax,
     "row_sums": _b_row_sums,
@@ -844,9 +806,6 @@ _BACKWARD = {
 }
 
 assert set(_FORWARD) == set(_BACKWARD)
-
-#: ops with a registered (non-zero) derivative, used by the gradient test suite
-DIFFERENTIABLE_OPS = tuple(op for op, rule in _BACKWARD.items() if rule is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -937,10 +896,6 @@ class ParameterSet:
             h.update(str(t.shape).encode())
             h.update(t.data.tobytes())
         return h.hexdigest()
-
-    @property
-    def total_parameters(self) -> int:
-        return sum(t.size for t in self._tensors.values())
 
 
 def l2_norm(tensors) -> float:

@@ -90,11 +90,10 @@ def full_walk_gradient(tape, output, wrt, create_graph=False):
                 continue
             if id(node.output) in requested:
                 results[id(node.output)] = upstream
-            rule = nx._BACKWARD[node.op]
             need = tuple(t.requires_grad for t in node.inputs)
-            if rule is None or not any(need):
+            if not any(need):
                 continue
-            for inp, contrib in rule(node, upstream, need):
+            for inp, contrib in nx._BACKWARD[node.op](node, upstream, need):
                 held = adjoints.get(id(inp))
                 adjoints[id(inp)] = contrib if held is None else nx.add(held, contrib)
     finally:
@@ -104,6 +103,23 @@ def full_walk_gradient(tape, output, wrt, create_graph=False):
         g = results.get(id(t), adjoints.get(id(t)))
         grads.append(g if g is not None else nx.Tensor(np.zeros(t.shape)))
     return grads
+
+
+def replay(tape):
+    """Recompute every recorded node from its inputs with the forward kernels.
+
+    Fails on any bitwise mismatch with the recorded output; returns the
+    number of nodes checked.
+    """
+    for k, node in enumerate(tape.nodes):
+        out = nx._FORWARD[node.op]([t.data for t in node.inputs], node.params)
+        assert np.array_equal(out, node.output.data), f"replay mismatch at node {k} ({node.op})"
+    return len(tape.nodes)
+
+
+def total_parameters(params):
+    """Entry count over every tensor of a parameter set."""
+    return sum(t.size for _, t in params.items_in())
 
 
 def recorded_ancestors(tape, *targets):
@@ -256,7 +272,7 @@ def reference_ingest(lines, bucketing, task="link_prediction"):
 # ---------------------------------------------------------------------------
 # negative sampling, one scalar draw at a time
 
-def scalar_link_prediction_batch(snapshot, negative_ratio=None, mode="train", seed=0):
+def scalar_link_prediction_batch(snapshot, negative_ratio, mode="train", seed=0):
     """The link-prediction sampler as a plain loop: one ``rng.integers`` call
     and one edge-set lookup per candidate. ``graphdata`` must reproduce its
     items, labels and errors exactly."""
@@ -265,8 +281,6 @@ def scalar_link_prediction_batch(snapshot, negative_ratio=None, mode="train", se
 
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be 'train' or 'eval', not {mode!r}")
-    if negative_ratio is None:
-        negative_ratio = 1 if mode == "train" else 100
     if negative_ratio < 1:
         raise ValidationError("negative_ratio must be at least 1")
     if snapshot.num_edges == 0:

@@ -57,8 +57,8 @@ def _composite_loss(snap, spec, batch, params, target_time=0.35):
 def test_criterion_1_gradient_suite():
     start = time.monotonic()
 
-    # every differentiable primitive, ten random instantiations each
-    for k, op in enumerate(sorted(nx.DIFFERENTIABLE_OPS)):
+    # every primitive, ten random instantiations each
+    for k, op in enumerate(sorted(nx._FORWARD)):
         for point in range(10):
             errs = oracles.primitive_gradient_errors(op, np.random.default_rng([41, k, point]))
             assert max(errs) <= 1e-4, (op, point, errs)
@@ -137,7 +137,7 @@ def _outer_objective(seq, spec, config, params, mode):
 def test_criterion_2_meta_gradient_exactness():
     seq, spec, config = _metagrad_instance()
     params = md.init_parameters(spec, seed=1)
-    assert params.total_parameters == 47  # stays under the 50-entry budget
+    assert oracles.total_parameters(params) == 47  # stays under the 50-entry budget
 
     tape, total, inner_losses = _outer_objective(seq, spec, config, params, "exact")
     # guard: a relu-dead time head would reduce this to the joint objective

@@ -82,7 +82,7 @@ def test_metrics_match_brute_force_on_random_instances():
     for instance in range(50):
         rng = np.random.default_rng([100, instance])
         queries = _random_queries(rng, int(rng.integers(1, 7)), allow_empty=instance % 3 == 0)
-        if all(q.num_relevant == 0 for q in queries):
+        if all(q.relevance.sum() == 0 for q in queries):
             continue
         assert abs(ev.mean_average_precision(queries)
                    - oracles.brute_force_map(queries)) <= 1e-12
@@ -310,7 +310,7 @@ def test_batched_metrics_match_brute_force_on_random_batches():
         rng = np.random.default_rng([300, instance])
         batch, scores = _random_batch(rng, int(rng.integers(1, 12)), max_relevant=20)
         per_source = _per_source_queries(batch, scores)
-        if all(q.num_relevant == 0 for q in per_source):
+        if all(q.relevance.sum() == 0 for q in per_source):
             continue
         queries = ev.queries_from_batch(batch, scores)
         assert len(queries) == len(per_source)
@@ -318,7 +318,7 @@ def test_batched_metrics_match_brute_force_on_random_batches():
                    - oracles.brute_force_map(per_source)) <= 1e-12
         assert abs(ev.mean_reciprocal_rank(queries)
                    - oracles.brute_force_mrr(per_source)) <= 1e-12
-        seen |= {min(q.num_relevant, 8) for q in per_source}
+        seen |= {min(int(q.relevance.sum()), 8) for q in per_source}
         seen |= {"single" for q in per_source if q.candidate_ids.size == 1}
     assert {0, 1, 8, "single"} <= seen
 
@@ -328,7 +328,7 @@ def test_batched_metrics_repeat_per_query_bits_below_eight_relevant():
         rng = np.random.default_rng([400, instance])
         batch, scores = _random_batch(rng, int(rng.integers(1, 12)), max_relevant=7)
         per_source = _per_source_queries(batch, scores)
-        if all(q.num_relevant == 0 for q in per_source):
+        if all(q.relevance.sum() == 0 for q in per_source):
             continue
         queries = ev.queries_from_batch(batch, scores)
         got = (ev.mean_average_precision(queries), ev.mean_reciprocal_rank(queries))

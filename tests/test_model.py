@@ -1,9 +1,13 @@
 """Encoder, gated embedding split, heads, losses, checkpoints."""
 
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from ledg import graphdata as gd
@@ -376,7 +380,7 @@ def test_init_parameters_small_node_model_has_47_parameters():
         EncoderConfig(num_layers=1, input_dim=1, hidden_dim=2),
         task="node_classification",
     )
-    assert md.init_parameters(spec, seed=0).total_parameters == 47
+    assert oracles.total_parameters(md.init_parameters(spec, seed=0)) == 47
 
 
 def test_attention_encoder_has_score_vectors():
@@ -412,6 +416,49 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded_spec == spec
     assert extra == {"epoch": 7}
     assert loaded.fingerprint() == params.fingerprint()
+
+
+#: signed zeros, subnormals of both signs and the largest magnitudes
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -2.0e-308, 1.7976931348623157e308, -1e300)
+
+
+@st.composite
+def _specs_and_values(draw):
+    encoder = EncoderConfig(
+        base_model=draw(st.sampled_from(md.BASE_MODELS)),
+        num_layers=draw(st.integers(1, 3)),
+        input_dim=draw(st.integers(1, 6)),
+        hidden_dim=draw(st.integers(1, 5)),
+        activation=draw(st.sampled_from(md.ACTIVATIONS)),
+    )
+    spec = ModelSpec(encoder, task=draw(st.sampled_from(gd.TASKS)),
+                     num_classes=draw(st.integers(2, 6)))
+    values = st.floats(width=64) | st.sampled_from(_EDGE_VALUES)
+    params = md.init_parameters(spec, seed=0)
+    updates = {
+        name: Tensor(draw(arrays(np.float64, params[name].shape, elements=values)),
+                     requires_grad=True)
+        for name in params.names
+    }
+    return spec, params.with_updates(updates)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(case=_specs_and_values())
+def test_checkpoint_roundtrip_is_bit_exact_on_random_specs_and_values(case):
+    spec, params = case
+    buffer = io.BytesIO()
+    md.save_checkpoint(params, spec, buffer)
+    buffer.seek(0)
+    loaded, loaded_spec, extra = md.load_checkpoint(buffer)
+    assert loaded_spec == spec
+    assert extra == {}
+    assert {g: loaded.group_names(g) for g in loaded.groups} == {
+        g: params.group_names(g) for g in params.groups
+    }
+    for name in params.names:
+        assert loaded[name].shape == params[name].shape
+        assert loaded[name].data.tobytes() == params[name].data.tobytes()
 
 
 def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
