@@ -584,7 +584,8 @@ def generate_drifting_sbm(
         label_rows.append(members.copy())
 
     if feature_mode == "identity":
-        feats = [identity_features(num_nodes) for _ in range(num_snapshots)]
+        # a Tensor is frozen, so every snapshot can share one N x N eye
+        feats = [identity_features(num_nodes)] * num_snapshots
     else:
         feats = degree_bucket_features(pair_lists, num_nodes)
     snapshots = [
@@ -733,15 +734,17 @@ def supervised_batch(
 
     Link prediction samples ``negative_ratio`` negatives per edge with the
     given mode and seed; the classification tasks take every labeled item.
+    Any other task raises ValidationError.
     """
     if task == "link_prediction":
         if snapshot.num_edges == 0:
             return None
         return sample_link_prediction_batch(snapshot, negative_ratio, mode, seed)
-    try:
-        return classification_batch(snapshot, task)
-    except ValidationError:
+    if task == "edge_classification" and (snapshot.edge_labels is None or snapshot.num_edges == 0):
         return None
+    if task == "node_classification" and snapshot.node_labels is None:
+        return None
+    return classification_batch(snapshot, task)
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,8 @@ class MlpHead:
     def _finish(self, params: ParameterSet, projected: Tensor) -> Tensor:
         # b1, ReLU and the second layer on first-layer products
         _, b1, w2, b2 = (params[n] for n in self.parameter_names)
-        n = projected.shape[0]
-        h = nx.relu(nx.add(projected, nx.broadcast_rows(b1, n)))
-        return nx.add(nx.matmul(h, w2), nx.broadcast_rows(b2, n))
+        h = nx.relu(nx.add(projected, b1))
+        return nx.add(nx.matmul(h, w2), b2)
 
     def pair_logits(self, params: ParameterSet, h: np.ndarray, items: np.ndarray):
         """Untaped ``apply_pairs`` on both endpoint orders of every pair
@@ -377,9 +376,9 @@ def task_loss(predictions: Tensor, labels) -> Tensor:
         raise ValidationError(f"labels outside class range [0, {c})")
     onehot = np.zeros((b, c))
     onehot[np.arange(b), labels] = 1.0
-    picked = nx.row_sums(nx.hadamard(predictions, Tensor(onehot)))
+    picked = nx.sums(nx.hadamard(predictions, Tensor(onehot)), 1)
     logs = nx.log(nx.clamp_min(picked, PROB_FLOOR))
-    return nx.mul_scalar(nx.sum_all(logs), -1.0 / b)
+    return nx.mul_scalar(nx.sums(logs, None), -1.0 / b)
 
 
 # ---------------------------------------------------------------------------

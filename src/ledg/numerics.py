@@ -43,12 +43,8 @@ __all__ = [
     "clip_unit",
     "softmax_rows",
     "segment_softmax",
-    "row_sums",
-    "col_sums",
-    "sum_all",
-    "broadcast_rows",
-    "broadcast_cols",
-    "broadcast_full",
+    "sums",
+    "broadcast",
     "gather_rows",
     "scatter_rows",
     "gather_pairs",
@@ -228,9 +224,11 @@ def _emit(op: str, inputs: tuple, params: dict = _EMPTY) -> Tensor:
     return result
 
 
-def _need_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: operand shapes {a.shape} and {b.shape} differ")
+def _need_broadcastable(operand: tuple, shape: tuple, op: str) -> None:
+    # the operand is shape itself, or a row, a column or a 1x1 that repeats to it
+    n, m = shape
+    if operand not in (shape, (1, m), (n, 1), (1, 1)):
+        raise ShapeError(f"{op}: operand shape {operand} does not broadcast to {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +323,12 @@ def _k_segment_softmax(d, p):
     return (e / np.add.reduceat(e, starts)[rows])[:, None]
 
 
-def _k_row_sums(d, p):
-    return d[0].sum(axis=1, keepdims=True)
+def _k_sums(d, p):
+    return d[0].sum(axis=p["axis"], keepdims=True)
 
 
-def _k_col_sums(d, p):
-    return d[0].sum(axis=0, keepdims=True)
-
-
-def _k_sum_all(d, p):
-    return d[0].sum(axis=None, keepdims=True)
-
-
-def _k_broadcast_rows(d, p):
-    return np.repeat(d[0], p["count"], axis=0)
-
-
-def _k_broadcast_cols(d, p):
-    return np.repeat(d[0], p["count"], axis=1)
-
-
-def _k_broadcast_full(d, p):
-    return np.full(p["shape"], d[0][0, 0])
+def _k_broadcast(d, p):
+    return np.broadcast_to(d[0], p["shape"]).copy()
 
 
 def _k_gather_rows(d, p):
@@ -392,12 +374,8 @@ _FORWARD = {
     "clip_unit": _k_clip_unit,
     "softmax_rows": _k_softmax_rows,
     "segment_softmax": _k_segment_softmax,
-    "row_sums": _k_row_sums,
-    "col_sums": _k_col_sums,
-    "sum_all": _k_sum_all,
-    "broadcast_rows": _k_broadcast_rows,
-    "broadcast_cols": _k_broadcast_cols,
-    "broadcast_full": _k_broadcast_full,
+    "sums": _k_sums,
+    "broadcast": _k_broadcast,
     "gather_rows": _k_gather_rows,
     "scatter_rows": _k_scatter_rows,
     "gather_pairs": _k_gather_pairs,
@@ -425,18 +403,21 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _need_same_shape(a, b, "add")
+    """a + b; ``b`` may be a row, column or 1x1 repeated to a's shape."""
+    _need_broadcastable(b.shape, a.shape, "add")
     return _emit("add", (a, b))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _need_same_shape(a, b, "sub")
+    """a - b; ``b`` may be a row, column or 1x1 repeated to a's shape."""
+    _need_broadcastable(b.shape, a.shape, "sub")
     return _emit("sub", (a, b))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product."""
-    _need_same_shape(a, b, "hadamard")
+    """Elementwise product; ``b`` may be a row, column or 1x1 repeated to
+    a's shape."""
+    _need_broadcastable(b.shape, a.shape, "hadamard")
     return _emit("hadamard", (a, b))
 
 
@@ -515,37 +496,19 @@ def segment_softmax(a: Tensor, starts) -> Tensor:
     return _emit("segment_softmax", (a,), {"rows": rows, "starts": starts})
 
 
-def row_sums(a: Tensor) -> Tensor:
-    return _emit("row_sums", (a,))
+def sums(a: Tensor, axis: int | None) -> Tensor:
+    """Sums over axis 0 (a row), axis 1 (a column) or both (None, a 1x1)."""
+    if axis not in (0, 1, None):
+        raise ShapeError(f"sums: axis must be 0, 1 or None, got {axis!r}")
+    return _emit("sums", (a,), {"axis": axis})
 
 
-def col_sums(a: Tensor) -> Tensor:
-    return _emit("col_sums", (a,))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _emit("sum_all", (a,))
-
-
-def broadcast_rows(a: Tensor, count: int) -> Tensor:
-    """Repeat a 1xM row vector into count x M."""
-    if a.shape[0] != 1:
-        raise ShapeError(f"broadcast_rows: expected a single row, got {a.shape}")
-    return _emit("broadcast_rows", (a,), {"count": int(count)})
-
-
-def broadcast_cols(a: Tensor, count: int) -> Tensor:
-    """Repeat an Nx1 column vector into N x count."""
-    if a.shape[1] != 1:
-        raise ShapeError(f"broadcast_cols: expected a single column, got {a.shape}")
-    return _emit("broadcast_cols", (a,), {"count": int(count)})
-
-
-def broadcast_full(a: Tensor, shape: tuple[int, int]) -> Tensor:
-    """Fill the given shape with the value of a 1x1 tensor."""
-    if a.shape != (1, 1):
-        raise ShapeError(f"broadcast_full: expected a 1x1 tensor, got {a.shape}")
-    return _emit("broadcast_full", (a,), {"shape": (int(shape[0]), int(shape[1]))})
+def broadcast(a: Tensor, shape: tuple[int, int]) -> Tensor:
+    """Repeat a row, column or 1x1 tensor to the given shape; the adjoint of
+    ``sums``."""
+    shape = (int(shape[0]), int(shape[1]))
+    _need_broadcastable(a.shape, shape, "broadcast")
+    return _emit("broadcast", (a,), {"shape": shape})
 
 
 def _frozen_indices(indices, bound: int | None, op: str) -> np.ndarray:
@@ -602,7 +565,7 @@ def mean_pool(h: Tensor) -> Tensor:
     n = h.shape[0]
     if n == 0:
         raise ValidationError("mean_pool: cannot pool an empty graph (0 rows)")
-    return mul_scalar(col_sums(h), 1.0 / n)
+    return mul_scalar(sums(h, 0), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +579,18 @@ def mean_pool(h: Tensor) -> Tensor:
 # (input, contribution) pairs for the flagged inputs only, since an exact
 # tape would record any other contribution as dead work. A rule of one
 # input is only called when its input is flagged. Gathers and scatters emit
-# their adjoints with the index arrays their forward node already checked.
+# their adjoints with the index arrays their forward node already checked. A
+# broadcast operand's contribution is summed over the axes it repeats along
+# after the rule's own elementwise step, the order an explicit broadcast
+# followed by the same-shape op would give, so the bits are the same.
+
+def _unbroadcast(g: Tensor, shape: tuple[int, int]) -> Tensor:
+    """``g`` summed back to ``shape`` over the axes where the two differ."""
+    if g.shape == shape:
+        return g
+    rows, cols = g.shape[0] != shape[0], g.shape[1] != shape[1]
+    return sums(g, None if rows and cols else (0 if rows else 1))
+
 
 def _b_matmul(node, g, need):
     a, b = node.inputs
@@ -634,7 +608,7 @@ def _b_matmul(node, g, need):
 
 
 def _b_add(node, g, need):
-    return [(x, g) for x, wanted in zip(node.inputs, need) if wanted]
+    return [(x, _unbroadcast(g, x.shape)) for x, wanted in zip(node.inputs, need) if wanted]
 
 
 def _b_sub(node, g, need):
@@ -643,7 +617,7 @@ def _b_sub(node, g, need):
     if need[0]:
         out.append((a, g))
     if need[1]:
-        out.append((b, mul_scalar(g, -1.0)))
+        out.append((b, _unbroadcast(mul_scalar(g, -1.0), b.shape)))
     return out
 
 
@@ -653,7 +627,7 @@ def _b_hadamard(node, g, need):
     if need[0]:
         out.append((a, hadamard(g, b)))
     if need[1]:
-        out.append((b, hadamard(g, a)))
+        out.append((b, _unbroadcast(hadamard(g, a), b.shape)))
     return out
 
 
@@ -711,9 +685,8 @@ def _b_clip_unit(node, g, need):
 
 def _b_softmax_rows(node, g, need):
     y = node.output
-    weighted = row_sums(hadamard(g, y))
-    centered = sub(g, broadcast_cols(weighted, y.shape[1]))
-    return ((node.inputs[0], hadamard(y, centered)),)
+    weighted = sums(hadamard(g, y), 1)
+    return ((node.inputs[0], hadamard(y, sub(g, weighted))),)
 
 
 def _b_segment_softmax(node, g, need):
@@ -727,31 +700,14 @@ def _b_segment_softmax(node, g, need):
     return ((node.inputs[0], hadamard(y, sub(g, spread))),)
 
 
-def _b_row_sums(node, g, need):
+def _b_sums(node, g, need):
     x = node.inputs[0]
-    return ((x, broadcast_cols(g, x.shape[1])),)
+    return ((x, broadcast(g, x.shape)),)
 
 
-def _b_col_sums(node, g, need):
+def _b_broadcast(node, g, need):
     x = node.inputs[0]
-    return ((x, broadcast_rows(g, x.shape[0])),)
-
-
-def _b_sum_all(node, g, need):
-    x = node.inputs[0]
-    return ((x, broadcast_full(g, x.shape)),)
-
-
-def _b_broadcast_rows(node, g, need):
-    return ((node.inputs[0], col_sums(g)),)
-
-
-def _b_broadcast_cols(node, g, need):
-    return ((node.inputs[0], row_sums(g)),)
-
-
-def _b_broadcast_full(node, g, need):
-    return ((node.inputs[0], sum_all(g)),)
+    return ((x, _unbroadcast(g, x.shape)),)
 
 
 def _b_gather_rows(node, g, need):
@@ -793,12 +749,8 @@ _BACKWARD = {
     "clip_unit": _b_clip_unit,
     "softmax_rows": _b_softmax_rows,
     "segment_softmax": _b_segment_softmax,
-    "row_sums": _b_row_sums,
-    "col_sums": _b_col_sums,
-    "sum_all": _b_sum_all,
-    "broadcast_rows": _b_broadcast_rows,
-    "broadcast_cols": _b_broadcast_cols,
-    "broadcast_full": _b_broadcast_full,
+    "sums": _b_sums,
+    "broadcast": _b_broadcast,
     "gather_rows": _b_gather_rows,
     "scatter_rows": _b_scatter_rows,
     "gather_pairs": _b_gather_pairs,

@@ -5,6 +5,8 @@ definitions (plain Python loops, no calls into ledg's metric or gradient
 code paths) so that agreement is evidence rather than tautology.
 """
 
+import functools
+
 import numpy as np
 
 from ledg import numerics as nx
@@ -366,7 +368,7 @@ def dense_attention_encode(snapshot, params, config):
         wh = nx.matmul(h, params[f"gnn_w{layer}"])
         left = nx.matmul(wh, params[f"gnn_al{layer}"])
         right_row = nx.matmul(params[f"gnn_ar{layer}"], wh, ta=True, tb=True)
-        scores = nx.add(nx.broadcast_cols(left, n), nx.broadcast_rows(right_row, n))
+        scores = nx.add(nx.broadcast(left, (n, n)), nx.broadcast(right_row, (n, n)))
         scores = nx.leaky_relu(scores, 0.2)
         scores = nx.add(nx.hadamard(scores, mask), offset)
         h = nx.matmul(nx.softmax_rows(scores), wh)
@@ -430,16 +432,13 @@ def _case_matmul(rng):
     return [_u(rng, 3, 4), _u(rng, 4, 3), _u(rng, 4, 2), _u(rng, 2, 4)], call
 
 
-def _case_add(rng):
-    return [_u(rng, 3, 3), _u(rng, 3, 3)], nx.add
+def _broadcasting_case(op, rows, cols):
+    """op(a, b) for b of a's shape and for a row, a column and a 1x1 b."""
+    def case(rng):
+        shapes = [(rows, cols), (rows, cols), (1, cols), (rows, 1), (1, 1)]
+        return [_u(rng, *shape) for shape in shapes], lambda a, *bs: tuple(op(a, b) for b in bs)
 
-
-def _case_sub(rng):
-    return [_u(rng, 3, 3), _u(rng, 3, 3)], nx.sub
-
-
-def _case_hadamard(rng):
-    return [_u(rng, 2, 4), _u(rng, 2, 4)], nx.hadamard
+    return case
 
 
 def _case_add_scalar(rng):
@@ -501,28 +500,15 @@ def _case_segment_softmax(rng):
     return [_u(rng, 10, 1)], lambda a: nx.segment_softmax(a, starts)
 
 
-def _case_row_sums(rng):
-    return [_u(rng, 3, 4)], nx.row_sums
+def _case_sums(rng):
+    return [_u(rng, 3, 4)], lambda a: (nx.sums(a, 0), nx.sums(a, 1), nx.sums(a, None))
 
 
-def _case_col_sums(rng):
-    return [_u(rng, 3, 4)], nx.col_sums
+def _case_broadcast(rng):
+    def call(row, col, one):
+        return nx.broadcast(row, (3, 4)), nx.broadcast(col, (4, 3)), nx.broadcast(one, (3, 2))
 
-
-def _case_sum_all(rng):
-    return [_u(rng, 3, 4)], nx.sum_all
-
-
-def _case_broadcast_rows(rng):
-    return [_u(rng, 1, 4)], lambda a: nx.broadcast_rows(a, 3)
-
-
-def _case_broadcast_cols(rng):
-    return [_u(rng, 4, 1)], lambda a: nx.broadcast_cols(a, 3)
-
-
-def _case_broadcast_full(rng):
-    return [_u(rng, 1, 1)], lambda a: nx.broadcast_full(a, (3, 2))
+    return [_u(rng, 1, 4), _u(rng, 4, 1), _u(rng, 1, 1)], call
 
 
 def _case_gather_rows(rng):
@@ -550,9 +536,9 @@ def _case_scatter_pairs(rng):
 
 PRIMITIVE_CASES = {
     "matmul": _case_matmul,
-    "add": _case_add,
-    "sub": _case_sub,
-    "hadamard": _case_hadamard,
+    "add": _broadcasting_case(nx.add, 3, 3),
+    "sub": _broadcasting_case(nx.sub, 3, 3),
+    "hadamard": _broadcasting_case(nx.hadamard, 2, 4),
     "add_scalar": _case_add_scalar,
     "mul_scalar": _case_mul_scalar,
     "sigmoid": _case_sigmoid,
@@ -566,12 +552,8 @@ PRIMITIVE_CASES = {
     "clip_unit": _case_clip_unit,
     "softmax_rows": _case_softmax_rows,
     "segment_softmax": _case_segment_softmax,
-    "row_sums": _case_row_sums,
-    "col_sums": _case_col_sums,
-    "sum_all": _case_sum_all,
-    "broadcast_rows": _case_broadcast_rows,
-    "broadcast_cols": _case_broadcast_cols,
-    "broadcast_full": _case_broadcast_full,
+    "sums": _case_sums,
+    "broadcast": _case_broadcast,
     "gather_rows": _case_gather_rows,
     "scatter_rows": _case_scatter_rows,
     "gather_pairs": _case_gather_pairs,
@@ -581,19 +563,33 @@ PRIMITIVE_CASES = {
 
 def primitive_gradient_errors(op_name, rng, step=1e-5):
     """Max relative error of the tape gradient vs central differences,
-    per operand, for one random instantiation of the named primitive."""
+    per operand, for one random instantiation of the named primitive.
+
+    A case's call returns one output or a tuple of them (one per form of
+    the primitive); the checked scalar is a random weighting of them all.
+    """
     arrays, call = PRIMITIVE_CASES[op_name](rng)
-    probe = call(*[nx.Tensor(a) for a in arrays])
-    weights = rng.uniform(-1.0, 1.0, size=probe.shape)
+
+    def outputs(tensors):
+        out = call(*tensors)
+        return out if isinstance(out, tuple) else (out,)
+
+    weights = [
+        nx.Tensor(rng.uniform(-1.0, 1.0, size=out.shape))
+        for out in outputs([nx.Tensor(a) for a in arrays])
+    ]
+
+    def weighted(tensors):
+        terms = [nx.sums(nx.hadamard(out, w), None) for out, w in zip(outputs(tensors), weights)]
+        return functools.reduce(nx.add, terms)
 
     def scalar(values):
-        out = call(*[nx.Tensor(v) for v in values])
-        return nx.sum_all(nx.hadamard(out, nx.Tensor(weights))).item()
+        return weighted([nx.Tensor(v) for v in values]).item()
 
     tracked = [nx.Tensor(a, requires_grad=True) for a in arrays]
     tape = nx.Tape()
     with tape:
-        loss = nx.sum_all(nx.hadamard(call(*tracked), nx.Tensor(weights)))
+        loss = weighted(tracked)
     grads = tape.gradient(loss, tracked)
 
     errors = []

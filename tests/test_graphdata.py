@@ -408,6 +408,13 @@ def test_sbm_is_deterministic_in_the_seed():
     assert any(sa.edges != sc.edges for sa, sc in zip(a, c))
 
 
+def test_sbm_snapshots_share_one_identity_feature_tensor():
+    seq = gd.generate_drifting_sbm(15, 3, 0.5, 0.05, 0.1, 5, seed=9)
+    first = seq.snapshot_at(1).features
+    assert np.array_equal(first.data, np.eye(15))
+    assert all(snap.features is first for snap in seq)
+
+
 def test_sbm_zero_drift_keeps_membership_fixed():
     seq = gd.generate_drifting_sbm(12, 2, 0.9, 0.1, 0.0, 5, seed=3)
     first = seq.snapshot_at(1).node_labels
@@ -615,6 +622,24 @@ def test_classification_batches():
         gd.classification_batch(unlabeled, "node_classification")
     with pytest.raises(ValidationError):
         gd.classification_batch(unlabeled, "edge_classification")
+
+
+def test_supervised_batch_is_none_without_supervision_and_rejects_unknown_tasks():
+    unlabeled = gd.SnapshotGraph(1, 4, [(0, 1)], np.eye(4))
+    edgeless = gd.SnapshotGraph(2, 4, [], np.eye(4), node_labels=[0, 1, 0, 1])
+    for snap, task in [
+        (edgeless, "link_prediction"),
+        (unlabeled, "node_classification"),
+        (unlabeled, "edge_classification"),
+        (gd.SnapshotGraph(3, 4, [], np.eye(4), edge_labels=[]), "edge_classification"),
+    ]:
+        assert gd.supervised_batch(snap, task, 1, "train", 0) is None, (snap.time_index, task)
+    assert gd.supervised_batch(edgeless, "node_classification", 1, "train", 0).kind == "node"
+    labelled = gd.SnapshotGraph(4, 4, [(0, 1), (2, 3)], np.eye(4), edge_labels=[1, 0])
+    assert gd.supervised_batch(labelled, "edge_classification", 1, "train", 0).size == 2
+    for snap in (unlabeled, edgeless, labelled):
+        with pytest.raises(ValidationError, match="bogus"):
+            gd.supervised_batch(snap, "bogus", 1, "train", 0)
 
 
 def test_task_batch_validation():

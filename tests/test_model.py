@@ -314,7 +314,7 @@ def test_apply_pairs_matches_the_concatenated_pair_head(create_graph):
     tape = Tape()
     with tape:
         logits = head.apply_pairs(params, h, _PAIRS)
-        loss = nx.sum_all(nx.hadamard(logits, Tensor(upstream)))
+        loss = nx.sums(nx.hadamard(logits, Tensor(upstream)), None)
     grads = tape.gradient(loss, [h] + weights, create_graph=create_graph)
     ref_logits, ref_grads = oracles.concatenated_pair_head(
         h.data, _PAIRS, *(w.data for w in weights), upstream
