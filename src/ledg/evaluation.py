@@ -109,9 +109,34 @@ def _check_relevance(relevance: np.ndarray) -> None:
         raise ValidationError("relevance must be 0 or 1")
 
 
+def _dense_rank(values: np.ndarray) -> np.ndarray:
+    """Each value's index among the distinct values, smallest first."""
+    by_value = np.argsort(values)
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[by_value] = np.cumsum(_run_heads(values[by_value])) - 1
+    return ranks
+
+
+def _ranking_order(keys, candidate_ids, scores) -> np.ndarray:
+    """The order ``np.lexsort((candidate_ids, -scores, keys))``, from integer sorts.
+
+    Items sort by key, then by descending score, then by candidate id, and
+    items equal on all three keep their input order. One float sort ranks
+    the scores densely; two stable sorts of two-rank integer keys then give
+    the order. A dense rank is below M, the item count, so such a key is
+    below M², which int64 holds for every M up to 3·10⁹.
+    """
+    m = scores.size
+    major = _dense_rank(keys) * m + _dense_rank(-scores)
+    order = np.argsort(major, kind="stable")
+    # runs of equal (key, score) in that order still need their candidates sorted
+    tied = np.cumsum(_run_heads(major[order])) - 1
+    return order[np.argsort(tied * m + _dense_rank(candidate_ids)[order], kind="stable")]
+
+
 def _rank(keys, candidate_ids, scores, relevance, query_ids=None) -> RankedQueries:
     """Sort items into one query per distinct key, each in ranking order."""
-    order = np.lexsort((candidate_ids, -scores, keys))
+    order = _ranking_order(keys, candidate_ids, scores)
     keys = keys[order]
     starts = np.flatnonzero(_run_heads(keys))
     arrays = (

@@ -261,7 +261,12 @@ class _SgdState:
 
 
 class _AdamState:
-    """Plain adaptive-moment estimation with bias correction."""
+    """Plain adaptive-moment estimation with bias correction.
+
+    The moments are flat vectors over every updated tensor, laid out in the
+    first step's name order. Each entry sees the same elementwise arithmetic
+    as a per-tensor update, so it gets the same bits.
+    """
 
     def __init__(self, eta: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.eta = eta
@@ -269,23 +274,36 @@ class _AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.shapes: dict[str, tuple[int, int]] = {}
+        self._slices: list[slice] = []
+        # zero moments start as scalars, so step 1 does the per-tensor arithmetic
+        self.m = self.v = 0.0
 
     def apply(self, params: ParameterSet, grads: dict[str, Tensor]) -> ParameterSet:
+        if self.step == 0:
+            self.shapes = {name: g.shape for name, g in grads.items()}
+            ends = np.cumsum([g.size for g in grads.values()]).tolist()
+            self._slices = [slice(a, b) for a, b in zip([0, *ends], ends)]
+        elif grads.keys() != self.shapes.keys():
+            raise ContractError(
+                f"adam step {self.step + 1} updates {sorted(grads)},"
+                f" but step 1 updated {sorted(self.shapes)}"
+            )
+        names = self.shapes
+        g = np.concatenate([grads[name].data.ravel() for name in names])
+        current = np.concatenate([params[name].data.ravel() for name in names])
         self.step += 1
-        updates = {}
-        for name, g in grads.items():
-            gd = g.data
-            m = self.beta1 * self.m.get(name, 0.0) + (1 - self.beta1) * gd
-            v = self.beta2 * self.v.get(name, 0.0) + (1 - self.beta2) * gd * gd
-            self.m[name] = m
-            self.v[name] = v
-            m_hat = m / (1 - self.beta1**self.step)
-            v_hat = v / (1 - self.beta2**self.step)
-            new = params[name].data - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
-            updates[name] = Tensor(new, requires_grad=True)
-        return params.with_updates(updates)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        m_hat = self.m / (1 - self.beta1**self.step)
+        v_hat = self.v / (1 - self.beta2**self.step)
+        new = current - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
+        return params.with_updates(
+            {
+                name: Tensor._raw(new[part].reshape(shape), True)
+                for (name, shape), part in zip(names.items(), self._slices)
+            }
+        )
 
 
 def _make_optimizer(config: TrainingConfig):

@@ -137,10 +137,6 @@ class Tape:
         assert popped is self, "tapes must be exited in LIFO order"
         return False
 
-    def _record(self, node: TapeNode) -> None:
-        self._producer[id(node.output)] = len(self.nodes)
-        self.nodes.append(node)
-
     def gradient(
         self,
         output: Tensor,
@@ -196,38 +192,50 @@ class Tape:
         # An input is owed a contribution only when a requested gradient can
         # read it: it is requested, or it was made at or after the stop node.
         # Anything else passes its adjoint on only to nodes the walk skips.
-        producer = self._producer
+        produced_at = self._producer.get
+        pop_adjoint = adjoints.pop
+        held_adjoint = adjoints.get
+        rules = _BACKWARD
         for node in reversed(self.nodes[stop : out_idx + 1]):
             out_id = id(node.output)
-            upstream = adjoints.pop(out_id, None)
+            upstream = pop_adjoint(out_id, None)
             if upstream is None:
                 continue
             if out_id in wrt_ids:
                 results[out_id] = upstream
             need = [
-                inp.requires_grad and (producer.get(id(inp), -1) >= stop or id(inp) in wrt_ids)
+                inp.requires_grad and (produced_at(id(inp), -1) >= stop or id(inp) in wrt_ids)
                 for inp in node.inputs
             ]
             if True not in need:
                 continue
-            for inp, contrib in _BACKWARD[node.op](node, upstream, need):
-                held = adjoints.get(id(inp))
+            for inp, contrib in rules[node.op](node, upstream, need):
+                held = held_adjoint(id(inp))
                 adjoints[id(inp)] = contrib if held is None else add(held, contrib)
 
 
 def _emit(op: str, inputs: tuple, params: dict = _EMPTY) -> Tensor:
-    out = _FORWARD[op]([t.data for t in inputs], params)
-    result = Tensor._raw(out, any(t.requires_grad for t in inputs))
+    # the one chokepoint every op passes, so its bookkeeping is written inline
+    data = []
+    requires_grad = False
+    for t in inputs:
+        data.append(t.data)
+        if t.requires_grad:
+            requires_grad = True
+    result = Tensor._raw(_FORWARD[op](data, params), requires_grad)
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None:
-        tape._record(TapeNode(op, inputs, params, result))
+        tape._producer[id(result)] = len(tape.nodes)
+        tape.nodes.append(TapeNode(op, inputs, params, result))
     return result
 
 
 def _need_broadcastable(operand: tuple, shape: tuple, op: str) -> None:
     # the operand is shape itself, or a row, a column or a 1x1 that repeats to it
+    if operand == shape:
+        return
     n, m = shape
-    if operand not in (shape, (1, m), (n, 1), (1, 1)):
+    if operand not in ((1, m), (n, 1), (1, 1)):
         raise ShapeError(f"{op}: operand shape {operand} does not broadcast to {shape}")
 
 
@@ -266,7 +274,8 @@ def _k_sigmoid(d, p):
     # min(x, -x) is -|x| that passes a NaN on with its own sign bit
     x = d[0]
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
 def _k_relu(d, p):
@@ -305,7 +314,7 @@ def _k_smooth_l1(d, p):
 
 
 def _k_clip_unit(d, p):
-    return np.clip(d[0], -1.0, 1.0)
+    return np.minimum(np.maximum(d[0], -1.0), 1.0)
 
 
 def _k_softmax_rows(d, p):
@@ -328,7 +337,9 @@ def _k_sums(d, p):
 
 
 def _k_broadcast(d, p):
-    return np.broadcast_to(d[0], p["shape"]).copy()
+    out = np.empty(p["shape"])
+    out[...] = d[0]
+    return out
 
 
 def _k_gather_rows(d, p):
@@ -392,11 +403,10 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     The flags read the operands transposed in place, so no transposed copy
     is made or recorded.
     """
-    inner_a = a.shape[0] if ta else a.shape[1]
-    inner_b = b.shape[1] if tb else b.shape[0]
-    if inner_a != inner_b:
+    shape_a, shape_b = a.data.shape, b.data.shape
+    if shape_a[0 if ta else 1] != shape_b[1 if tb else 0]:
         raise ShapeError(
-            f"matmul: inner dimensions of {a.shape} and {b.shape} disagree"
+            f"matmul: inner dimensions of {shape_a} and {shape_b} disagree"
             f" (ta={bool(ta)}, tb={bool(tb)})"
         )
     return _emit("matmul", (a, b), {"ta": bool(ta), "tb": bool(tb)})
@@ -829,16 +839,23 @@ class ParameterSet:
         return out
 
     def with_updates(self, updates: dict[str, Tensor]) -> "ParameterSet":
+        tensors = self._tensors
         for name, t in updates.items():
-            if name not in self._tensors:
+            held = tensors.get(name)
+            if held is None:
                 raise ValidationError(f"cannot update unknown parameter {name!r}")
-            if t.shape != self._tensors[name].shape:
+            if t.data.shape != held.data.shape:
                 raise ShapeError(
-                    f"update for {name!r} has shape {t.shape}, expected {self._tensors[name].shape}"
+                    f"update for {name!r} has shape {t.shape}, expected {held.shape}"
                 )
-        merged = dict(self._tensors)
+        merged = dict(tensors)
         merged.update(updates)
-        return ParameterSet(merged, self._groups)
+        # same names, same groups: the constructor's group checks would pass
+        # again, so the new set shares the frozen groups unchecked
+        out = object.__new__(ParameterSet)
+        out._tensors = merged
+        out._groups = self._groups
+        return out
 
     def fingerprint(self, *groups: str) -> str:
         """SHA-256 over the named groups' values, order independent of dict layout."""

@@ -326,6 +326,52 @@ def scalar_link_prediction_batch(snapshot, negative_ratio, mode="train", seed=0)
 # ---------------------------------------------------------------------------
 # superseded kernels and encoders, kept as references
 
+def unshared_sigmoid(x):
+    """The one-pass sigmoid kernel as first written, forming 1 + exp(-|x|)
+    once per branch."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def numpy_clip_unit(x):
+    """The clip_unit kernel as numpy's clip into [-1, 1]."""
+    return np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
+
+
+def copied_broadcast(x, shape):
+    """The broadcast kernel as a copy of numpy's read-only broadcast view."""
+    return np.broadcast_to(np.asarray(x, dtype=np.float64), shape).copy()
+
+
+class PerTensorAdam:
+    """Adam with bias correction, one tensor at a time, moments kept per name."""
+
+    def __init__(self, eta, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.eta = eta
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step = 0
+        self.m = {}
+        self.v = {}
+
+    def apply(self, params, grads):
+        self.step += 1
+        updates = {}
+        for name, g in grads.items():
+            gd = g.data
+            m = self.beta1 * self.m.get(name, 0.0) + (1 - self.beta1) * gd
+            v = self.beta2 * self.v.get(name, 0.0) + (1 - self.beta2) * gd * gd
+            self.m[name] = m
+            self.v[name] = v
+            m_hat = m / (1 - self.beta1**self.step)
+            v_hat = v / (1 - self.beta2**self.step)
+            new = params[name].data - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
+            updates[name] = nx.Tensor(new, requires_grad=True)
+        return params.with_updates(updates)
+
+
 def masked_sigmoid(x):
     """The two-branch sigmoid kernel: 1/(1+exp(-x)) on x >= 0 and
     exp(x)/(1+exp(x)) elsewhere, each on its own masked subset."""

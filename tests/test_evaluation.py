@@ -356,18 +356,40 @@ def test_map_and_mrr_rank_each_query_once(monkeypatch):
     per_source = _per_source_queries(batch, scores)
     expected = (oracles.brute_force_map(per_source), oracles.brute_force_mrr(per_source))
     calls = []
-    original = np.lexsort
+    original = ev._ranking_order
 
-    def counted(keys):
-        calls.append(len(keys))
-        return original(keys)
+    def counted(keys, candidate_ids, scores):
+        calls.append(scores.size)
+        return original(keys, candidate_ids, scores)
 
-    monkeypatch.setattr(np, "lexsort", counted)
+    monkeypatch.setattr(ev, "_ranking_order", counted)
     queries = ev.queries_from_batch(batch, scores)
     got = (ev.mean_average_precision(queries), ev.mean_reciprocal_rank(queries))
-    # one three-key sort of the whole batch ranks every query for both metrics
-    assert calls == [3]
+    # one sort of the whole batch ranks every query for both metrics
+    assert calls == [batch.size]
     assert abs(got[0] - expected[0]) <= 1e-12 and abs(got[1] - expected[1]) <= 1e-12
+
+
+def test_ranking_order_is_the_three_key_lexsort():
+    """Source, descending score, candidate id, then input position: the
+    order ``np.lexsort`` gives, on ties of every kind."""
+    rng = np.random.default_rng(41)
+    zeros = np.array([0.0, -0.0])
+    # adjacent doubles: ties must be exact, not merely close
+    adjacent = 0.5 + np.arange(4) * np.spacing(0.5)
+    for instance in range(80):
+        m = int(rng.integers(1, 400))
+        sources = rng.integers(0, [1, 3, 40][instance % 3], m)
+        candidates = rng.integers(0, [2, 9, 1000][instance % 3 - 1], m)
+        if instance % 7 == 0:  # one candidate per query
+            sources = np.arange(m)
+        if instance % 5 == 0:  # ids far apart: any product of raw ids would overflow
+            sources = sources * (2**61) - 2**62
+            candidates = candidates * (2**60) - 2**61
+        scores = [rng.choice(zeros, m), np.round(rng.random(m), 1), rng.random(m),
+                  rng.choice(adjacent, m)][instance % 4]
+        expected = np.lexsort((candidates, -scores, sources))
+        assert np.array_equal(ev._ranking_order(sources, candidates, scores), expected)
 
 
 def test_queries_from_batch_checks():

@@ -315,6 +315,36 @@ def test_outer_step_without_optimizer_takes_one_step_of_the_configured_kind():
     assert not _bit_equal(stepped[0], stepped[2])
 
 
+def test_flat_adam_matches_the_per_tensor_loop_bitwise():
+    spec = ModelSpec(
+        EncoderConfig(base_model="attention", num_layers=2, input_dim=6, hidden_dim=5),
+        task="link_prediction",
+    )
+    params = md.init_parameters(spec, seed=3)
+    shapes = {t.shape for _, t in params.items_in()}
+    assert {(5, 1), (1, 5), (1, 1)} <= shapes
+    names = [name for name, _ in params.items_in()]
+    rng = np.random.default_rng(23)
+    flat, reference = mt._AdamState(0.01), oracles.PerTensorAdam(0.01)
+    stepped, expected = params, params
+    for scale in (1.0, 1e-3, 40.0, 0.2):
+        grads = {name: Tensor(rng.normal(size=t.shape) * scale) for name, t in params.items_in()}
+        grads["gnn_al1"] = Tensor(np.zeros(params["gnn_al1"].shape))
+        stepped = flat.apply(stepped, grads)
+        expected = reference.apply(expected, grads)
+        assert stepped.names == expected.names
+        assert _bit_equal(stepped, expected)
+        for moment, per_name in ((flat.m, reference.m), (flat.v, reference.v)):
+            joined = np.concatenate([per_name[name].ravel() for name in names])
+            assert np.array_equal(moment.view(np.int64), joined.view(np.int64))
+    dropped = dict(grads)
+    del dropped["gnn_w1"]
+    renamed = {("x_" + name if name == "gnn_w1" else name): g for name, g in grads.items()}
+    for changed in (dropped, renamed, {**grads, "extra": grads["gnn_w1"]}):
+        with pytest.raises(ContractError, match="adam step 5 updates"):
+            flat.apply(stepped, changed)
+
+
 def test_episode_objective_is_task_plus_weighted_time():
     seq = _small_sequence()
     spec = _small_spec()

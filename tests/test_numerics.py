@@ -94,6 +94,46 @@ def test_sigmoid_matches_the_masked_two_branch_kernel_bitwise():
         assert np.array_equal(out.view(np.int64), oracles.masked_sigmoid(x).view(np.int64))
 
 
+_SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan,
+                   5e-324, -5e-324, 1e-310, -1e-310, 745.0, -745.0]
+
+
+def _kernel_inputs(seed):
+    """The special values as one row, then seeded (N, 32) draws on several scales."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.normal(size=(40, 32)) * scale for scale in (0.5, 1.0, 3.0, 800.0)]
+    draws[1].ravel()[::7] = rng.choice(_SPECIAL_VALUES, draws[1].ravel()[::7].size)
+    return [np.array([_SPECIAL_VALUES])] + draws
+
+
+def _same_bits(a, b):
+    # compared as integers: every bit, NaN signs and payloads included
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "op, reference",
+    [(nx.sigmoid, oracles.unshared_sigmoid), (nx.clip_unit, oracles.numpy_clip_unit)],
+    ids=["sigmoid", "clip_unit"],
+)
+def test_elementwise_kernels_match_their_earlier_formulas_bitwise(op, reference):
+    for x in _kernel_inputs(17):
+        assert _same_bits(op(Tensor(x)).data, reference(x))
+
+
+def test_broadcast_kernel_matches_a_copied_broadcast_view_bitwise():
+    for x in _kernel_inputs(19):
+        rows, cols = x.shape
+        for operand, shape in (
+            (x[:1], (5, cols)),
+            (x[:, :1], (rows, 3)),
+            (x[:1, :1], (rows, cols)),
+            (x[-1:, 6:7], (2, 9)),
+        ):
+            out = nx.broadcast(Tensor(operand), shape).data
+            assert _same_bits(out, oracles.copied_broadcast(operand, shape))
+
+
 def test_segment_softmax_normalizes_each_segment():
     x = np.array([[1.0], [2.0], [3.0], [50.0], [1000.0], [0.0]])
     out = nx.segment_softmax(Tensor(x), [0, 3, 4]).data[:, 0]
@@ -643,13 +683,28 @@ def test_parameter_set_rejects_bad_group_maps():
 
 def test_with_updates_contracts():
     params = _toy_parameter_set()
+    before = params.fingerprint()
+    tensors = dict(params.items_in())
+    groups = {g: params.group_names(g) for g in params.groups}
     new = Tensor(np.ones((3, 4)), requires_grad=True)
-    updated = params.with_updates({"gnn_w1": new})
+    updated = params.with_updates({"gnn_w1": new, "adapter_b1": tensors["adapter_b1"]})
     assert np.array_equal(updated["gnn_w1"].data, np.ones((3, 4)))
-    assert np.array_equal(params["gnn_w1"].data, _toy_parameter_set()["gnn_w1"].data)
-    with pytest.raises(ValidationError):
-        params.with_updates({"gnn_w9": new})
-    with pytest.raises(ShapeError):
+    assert updated["gnn_w1"] is new
+    # the result is the set the constructor would build from the merged tensors
+    fresh = ParameterSet({**tensors, "gnn_w1": new}, groups)
+    assert updated.names == fresh.names == params.names
+    assert updated.groups == fresh.groups
+    for group in params.groups:
+        assert updated.group_names(group) == fresh.group_names(group)
+    assert updated.fingerprint() == fresh.fingerprint() != before
+    # the source set still holds its own tensors
+    assert params.fingerprint() == before
+    assert all(params[name] is t for name, t in tensors.items())
+    with pytest.raises(ValidationError, match="cannot update unknown parameter 'gnn_w9'"):
+        params.with_updates({"adapter_b1": tensors["adapter_b1"], "gnn_w9": new})
+    with pytest.raises(
+        ShapeError, match=r"update for 'gnn_w1' has shape \(4, 3\), expected \(3, 4\)"
+    ):
         params.with_updates({"gnn_w1": Tensor(np.ones((4, 3)), requires_grad=True)})
 
 
