@@ -203,21 +203,16 @@ def inner_adapt(
     losses: list[float] = []
     current = params
     exact = config.gradient_mode == "exact"
+    sgd = _SgdState(config.eta_in)
     with tape:
         for i, snap in enumerate(window.snapshots, start=1):
             step_tape = tape if exact else Tape()
             with step_tape:
                 bundle = embed(snap, current, spec)
                 loss = time_loss(bundle.time_part, current, spec, target_time=float(i))
-                pairs = current.items_in(*INNER_LOOP_GROUPS)
-                grads = step_tape.gradient(
-                    loss, [tensor for _, tensor in pairs], create_graph=exact
-                )
-            updates = {
-                name: nx.sub(tensor, nx.mul_scalar(g, config.eta_in))
-                for (name, tensor), g in zip(pairs, grads)
-            }
-            current = current.with_updates(updates)
+                names, tensors = zip(*current.items_in(*INNER_LOOP_GROUPS))
+                grads = step_tape.gradient(loss, list(tensors), create_graph=exact)
+            current = sgd.apply(current, dict(zip(names, grads)))
             states.append(current)
             losses.append(loss.item())
     return states, losses
@@ -249,13 +244,18 @@ class EpisodeRecord:
 
 
 class _SgdState:
+    """One plain gradient step, p - eta * g, for the inner and outer loops.
+
+    The step is built from tape primitives, so the active tape records it;
+    on no tape the new parameters stay tracked.
+    """
+
     def __init__(self, eta: float):
         self.eta = eta
 
     def apply(self, params: ParameterSet, grads: dict[str, Tensor]) -> ParameterSet:
         updates = {
-            name: Tensor(params[name].data - self.eta * g.data, requires_grad=True)
-            for name, g in grads.items()
+            name: nx.sub(params[name], nx.mul_scalar(g, self.eta)) for name, g in grads.items()
         }
         return params.with_updates(updates)
 
@@ -264,8 +264,9 @@ class _AdamState:
     """Plain adaptive-moment estimation with bias correction.
 
     The moments are flat vectors over every updated tensor, laid out in the
-    first step's name order. Each entry sees the same elementwise arithmetic
-    as a per-tensor update, so it gets the same bits.
+    first step's name order and updated in place. Each entry sees the same
+    elementwise arithmetic, in the same operand order, as a per-tensor
+    update, so it gets the same bits.
     """
 
     def __init__(self, eta: float, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -276,14 +277,14 @@ class _AdamState:
         self.step = 0
         self.shapes: dict[str, tuple[int, int]] = {}
         self._slices: list[slice] = []
-        # zero moments start as scalars, so step 1 does the per-tensor arithmetic
-        self.m = self.v = 0.0
+        self.m = self.v = np.empty(0)
 
     def apply(self, params: ParameterSet, grads: dict[str, Tensor]) -> ParameterSet:
         if self.step == 0:
             self.shapes = {name: g.shape for name, g in grads.items()}
             ends = np.cumsum([g.size for g in grads.values()]).tolist()
             self._slices = [slice(a, b) for a, b in zip([0, *ends], ends)]
+            self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
         elif grads.keys() != self.shapes.keys():
             raise ContractError(
                 f"adam step {self.step + 1} updates {sorted(grads)},"
@@ -293,14 +294,26 @@ class _AdamState:
         g = np.concatenate([grads[name].data.ravel() for name in names])
         current = np.concatenate([params[name].data.ravel() for name in names])
         self.step += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        m_hat = self.m / (1 - self.beta1**self.step)
-        v_hat = self.v / (1 - self.beta2**self.step)
-        new = current - self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g
+        scratch = np.multiply(g, 1 - self.beta1)
+        m *= self.beta1
+        m += scratch
+        np.multiply(g, 1 - self.beta2, out=scratch)
+        scratch *= g
+        v *= self.beta2
+        v += scratch
+        # current - eta m_hat / (sqrt(v_hat) + eps), with g as the second scratch
+        np.divide(m, 1 - self.beta1**self.step, out=scratch)
+        scratch *= self.eta
+        np.divide(v, 1 - self.beta2**self.step, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        scratch /= g
+        current -= scratch
         return params.with_updates(
             {
-                name: Tensor._raw(new[part].reshape(shape), True)
+                name: Tensor._raw(current[part].reshape(shape), True)
                 for (name, shape), part in zip(names.items(), self._slices)
             }
         )

@@ -1,14 +1,16 @@
 """Dense float64 matrices with a nestable reverse-mode autodiff tape.
 
-Everything is a 2-D matrix (scalars are 1x1, vectors are 1xN). Operations
-executed while a :class:`Tape` is active are appended to it in execution
-order, which is automatically a topological order. ``Tape.gradient`` walks
-the recording backwards and builds adjoints out of the same primitives.
-With ``create_graph=True`` the backward pass is itself recorded, so the
-gradient can be differentiated again (this is what makes meta-gradients
-through inner SGD steps exact). By default it runs unrecorded and returns
-plain constants, which yields the standard first-order approximation when a
-later gradient is taken through parameter updates built from them.
+Everything is a 2-D matrix (scalars are 1x1, vectors are 1xN). A tensor is
+tracked when it may carry a gradient. Tracked operations executed while a
+:class:`Tape` is active are appended to it in execution order, which is
+automatically a topological order; an operation on constants only makes a
+constant and is not recorded. ``Tape.gradient`` walks the recording
+backwards and builds adjoints out of the same primitives. With
+``create_graph=True`` the backward pass is itself recorded, so the gradient
+can be differentiated again (this is what makes meta-gradients through inner
+SGD steps exact). By default it runs unrecorded and returns constants, which
+yields the standard first-order approximation when a later gradient is taken
+through parameter updates built from them.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ __all__ = [
     "l2_norm",
 ]
 
-#: the tape that records new operations is on top; None on top pauses recording
+#: the tape that records new operations is on top; None on top pauses it, so
+#: that every new result is a constant
 _TAPE_STACK: list["Tape | None"] = []
 _EMPTY: dict = {}
 
@@ -71,7 +74,7 @@ class Tensor:
             arr = arr.reshape(1, arr.shape[0])
         elif arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D matrices, got shape {arr.shape}")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self.data = arr
         self.requires_grad = bool(requires_grad)
 
@@ -79,7 +82,7 @@ class Tensor:
     def _raw(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
         # Internal: wrap a freshly computed array without copying.
         t = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         t.data = arr
         t.requires_grad = requires_grad
         return t
@@ -116,9 +119,9 @@ class TapeNode:
 class Tape:
     """Ordered recording of primitive operations.
 
-    Used as a context manager; ops run inside the block are recorded.
-    Whether a gradient is itself recorded is chosen per call of
-    :meth:`gradient`.
+    Used as a context manager; ops run inside the block on at least one
+    tracked input are recorded. Whether a gradient is itself recorded is
+    chosen per call of :meth:`gradient`.
     """
 
     def __init__(self):
@@ -222,9 +225,13 @@ def _emit(op: str, inputs: tuple, params: dict = _EMPTY) -> Tensor:
         data.append(t.data)
         if t.requires_grad:
             requires_grad = True
-    result = Tensor._raw(_FORWARD[op](data, params), requires_grad)
+    # outside every tape a result stays tracked, so updates made there (the
+    # outer optimizers) remain parameters; a paused tape makes a constant
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
-    if tape is not None:
+    if tape is None and _TAPE_STACK:
+        requires_grad = False
+    result = Tensor._raw(_FORWARD[op](data, params), requires_grad)
+    if requires_grad and tape is not None:
         tape._producer[id(result)] = len(tape.nodes)
         tape.nodes.append(TapeNode(op, inputs, params, result))
     return result
@@ -261,10 +268,6 @@ def _k_hadamard(d, p):
     return d[0] * d[1]
 
 
-def _k_add_scalar(d, p):
-    return d[0] + p["value"]
-
-
 def _k_mul_scalar(d, p):
     return d[0] * p["value"]
 
@@ -280,15 +283,6 @@ def _k_sigmoid(d, p):
 
 def _k_relu(d, p):
     return np.maximum(d[0], 0.0)
-
-
-def _slope_gate(x, slope):
-    # 1 where x > 0, slope elsewhere
-    return (x > 0.0).astype(np.float64) * (1.0 - slope) + slope
-
-
-def _k_leaky_relu(d, p):
-    return d[0] * _slope_gate(d[0], p["slope"])
 
 
 def _k_one_minus(d, p):
@@ -372,11 +366,9 @@ _FORWARD = {
     "add": _k_add,
     "sub": _k_sub,
     "hadamard": _k_hadamard,
-    "add_scalar": _k_add_scalar,
     "mul_scalar": _k_mul_scalar,
     "sigmoid": _k_sigmoid,
     "relu": _k_relu,
-    "leaky_relu": _k_leaky_relu,
     "one_minus": _k_one_minus,
     "reciprocal": _k_reciprocal,
     "log": _k_log,
@@ -432,7 +424,8 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_scalar(a: Tensor, value: float) -> Tensor:
-    return _emit("add_scalar", (a,), {"value": float(value)})
+    """a + value, as ``add`` with a constant 1x1 operand."""
+    return add(a, Tensor(float(value)))
 
 
 def mul_scalar(a: Tensor, value: float) -> Tensor:
@@ -476,8 +469,10 @@ def clip_unit(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    """x for x > 0 else slope*x."""
-    return _emit("leaky_relu", (a,), {"slope": float(slope)})
+    """x for x > 0 else slope*x, as ``hadamard`` with a constant gate that is
+    1 where x > 0 and slope elsewhere."""
+    gate = (a.data > 0.0).astype(np.float64) * (1.0 - slope) + slope
+    return hadamard(a, Tensor._raw(gate))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -502,7 +497,7 @@ def segment_softmax(a: Tensor, starts) -> Tensor:
     if starts.size == 0 or starts[0] != 0 or (sizes <= 0).any():
         raise ShapeError("segment_softmax: starts must begin at 0 and mark nonempty segments")
     rows = np.repeat(np.arange(starts.size), sizes)
-    rows.flags.writeable = False
+    rows.setflags(write=False)
     return _emit("segment_softmax", (a,), {"rows": rows, "starts": starts})
 
 
@@ -529,7 +524,7 @@ def _frozen_indices(indices, bound: int | None, op: str) -> np.ndarray:
     if bound is not None and idx.size and (idx.min() < 0 or idx.max() >= bound):
         raise ShapeError(f"{op}: index out of range [0, {bound})")
     idx = idx.copy()
-    idx.flags.writeable = False
+    idx.setflags(write=False)
     return idx
 
 
@@ -582,17 +577,17 @@ def mean_pool(h: Tensor) -> Tensor:
 # backward rules, one per primitive, each built from the public primitives
 # above so that the backward pass is itself differentiable when recorded. A
 # piecewise-constant derivative (the 0/1 masks of relu, clamp_min and
-# clip_unit, the leaky_relu gate) has zero derivative almost everywhere, so
-# it enters as an untracked constant rather than as an op. A rule gets the
-# node, its output's adjoint and one flag per input saying whether that
-# input is owed a contribution (see Tape._walk_backward); it returns
-# (input, contribution) pairs for the flagged inputs only, since an exact
-# tape would record any other contribution as dead work. A rule of one
-# input is only called when its input is flagged. Gathers and scatters emit
-# their adjoints with the index arrays their forward node already checked. A
-# broadcast operand's contribution is summed over the axes it repeats along
-# after the rule's own elementwise step, the order an explicit broadcast
-# followed by the same-shape op would give, so the bits are the same.
+# clip_unit) has zero derivative almost everywhere, so it enters as an
+# untracked constant rather than as an op. A rule gets the node, its
+# output's adjoint and one flag per input saying whether that input is owed
+# a contribution (see Tape._walk_backward); it returns (input, contribution)
+# pairs for the flagged inputs only, since an exact tape would record any
+# other contribution as dead work. A rule of one input is only called when
+# its input is flagged. Gathers and scatters emit their adjoints with the
+# index arrays their forward node already checked. A broadcast operand's
+# contribution is summed over the axes it repeats along after the rule's own
+# elementwise step, the order an explicit broadcast followed by the
+# same-shape op would give, so the bits are the same.
 
 def _unbroadcast(g: Tensor, shape: tuple[int, int]) -> Tensor:
     """``g`` summed back to ``shape`` over the axes where the two differ."""
@@ -641,10 +636,6 @@ def _b_hadamard(node, g, need):
     return out
 
 
-def _b_add_scalar(node, g, need):
-    return ((node.inputs[0], g),)
-
-
 def _b_mul_scalar(node, g, need):
     return ((node.inputs[0], mul_scalar(g, node.params["value"])),)
 
@@ -657,11 +648,6 @@ def _b_sigmoid(node, g, need):
 def _b_relu(node, g, need):
     x = node.inputs[0]
     return ((x, hadamard(g, Tensor._raw((x.data > 0.0).astype(np.float64)))),)
-
-
-def _b_leaky_relu(node, g, need):
-    x = node.inputs[0]
-    return ((x, hadamard(g, Tensor._raw(_slope_gate(x.data, node.params["slope"])))),)
 
 
 def _b_one_minus(node, g, need):
@@ -746,11 +732,9 @@ _BACKWARD = {
     "add": _b_add,
     "sub": _b_sub,
     "hadamard": _b_hadamard,
-    "add_scalar": _b_add_scalar,
     "mul_scalar": _b_mul_scalar,
     "sigmoid": _b_sigmoid,
     "relu": _b_relu,
-    "leaky_relu": _b_leaky_relu,
     "one_minus": _b_one_minus,
     "reciprocal": _b_reciprocal,
     "log": _b_log,

@@ -339,6 +339,18 @@ def numpy_clip_unit(x):
     return np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
 
 
+def scalar_add(x, value):
+    """The add_scalar kernel: a Python float added to every entry."""
+    return np.asarray(x, dtype=np.float64) + value
+
+
+def gated_leaky_relu(x, slope):
+    """The leaky_relu kernel: x times a gate that is 1 where x > 0 and slope
+    elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * ((x > 0.0).astype(np.float64) * (1.0 - slope) + slope)
+
+
 def copied_broadcast(x, shape):
     """The broadcast kernel as a copy of numpy's read-only broadcast view."""
     return np.broadcast_to(np.asarray(x, dtype=np.float64), shape).copy()
@@ -580,16 +592,21 @@ def _case_scatter_pairs(rng):
     return [_u(rng, 6, 1)], lambda a: nx.scatter_pairs(a, _PAIR_ROWS, _PAIR_COLS, (4, 5))
 
 
+#: composites of one primitive and a constant operand
+COMPOSITE_CASES = {
+    "add_scalar": _case_add_scalar,
+    "leaky_relu": _case_leaky_relu,
+}
+
+
 PRIMITIVE_CASES = {
     "matmul": _case_matmul,
     "add": _broadcasting_case(nx.add, 3, 3),
     "sub": _broadcasting_case(nx.sub, 3, 3),
     "hadamard": _broadcasting_case(nx.hadamard, 2, 4),
-    "add_scalar": _case_add_scalar,
     "mul_scalar": _case_mul_scalar,
     "sigmoid": _case_sigmoid,
     "relu": _case_relu,
-    "leaky_relu": _case_leaky_relu,
     "one_minus": _case_one_minus,
     "reciprocal": _case_reciprocal,
     "log": _case_log,
@@ -609,12 +626,13 @@ PRIMITIVE_CASES = {
 
 def primitive_gradient_errors(op_name, rng, step=1e-5):
     """Max relative error of the tape gradient vs central differences,
-    per operand, for one random instantiation of the named primitive.
+    per operand, for one random instantiation of the named primitive (or
+    composite of ``COMPOSITE_CASES``).
 
     A case's call returns one output or a tuple of them (one per form of
     the primitive); the checked scalar is a random weighting of them all.
     """
-    arrays, call = PRIMITIVE_CASES[op_name](rng)
+    arrays, call = {**PRIMITIVE_CASES, **COMPOSITE_CASES}[op_name](rng)
 
     def outputs(tensors):
         out = call(*tensors)

@@ -203,7 +203,7 @@ def test_first_order_inner_adapt_records_only_the_updates():
     tape = Tape()
     mt.inner_adapt(window, params, spec, config, tape)
     per_step = len(params.items_in(*nx.INNER_LOOP_GROUPS))
-    assert [node.op for node in tape.nodes] == ["mul_scalar", "sub"] * (3 * per_step)
+    assert [node.op for node in tape.nodes] == ["sub"] * (3 * per_step)
 
 
 def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatch):
@@ -223,6 +223,33 @@ def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatc
     states, _ = mt.inner_adapt(window, params, spec, config, tape)
     mt.outer_step(window, states, batch, params, spec, config, tape)
     assert oracles.recorded_ancestors(tape, targets[-1]) == set(range(len(tape)))
+
+
+def test_first_order_episode_tape_holds_only_tracked_nodes(monkeypatch):
+    """Inner gradients are constants: no update scales them on the tape, and
+    no recorded node makes an untracked result."""
+    seq = _small_sequence()
+    spec = _small_spec()
+    config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01)
+    params, window, batch = _episode_pieces(seq, spec, config)
+    inner_grads = []
+    gradient = Tape.gradient
+
+    def spy(tape, output, wrt, create_graph=False):
+        grads = gradient(tape, output, wrt, create_graph)
+        inner_grads.extend(grads)
+        return grads
+
+    monkeypatch.setattr(Tape, "gradient", spy)
+    tape = Tape()
+    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    monkeypatch.setattr(Tape, "gradient", gradient)
+    mt.outer_step(window, states, batch, params, spec, config, tape)
+    assert len(inner_grads) == 3 * len(params.items_in(*nx.INNER_LOOP_GROUPS))
+    assert not any(g.requires_grad for g in inner_grads)
+    assert all(node.output.requires_grad for node in tape.nodes)
+    grad_ids = {id(g) for g in inner_grads}
+    assert not any(id(t) in grad_ids for node in tape.nodes for t in node.inputs)
 
 
 def test_exact_inner_steps_differentiate_back_to_their_own_parameters_only(monkeypatch):
@@ -313,6 +340,25 @@ def test_outer_step_without_optimizer_takes_one_step_of_the_configured_kind():
         stepped.append(new_params)
     assert _bit_equal(stepped[0], stepped[1])
     assert not _bit_equal(stepped[0], stepped[2])
+
+
+def test_sgd_step_matches_the_numpy_formula_bitwise():
+    spec = ModelSpec(
+        EncoderConfig(base_model="attention", num_layers=2, input_dim=6, hidden_dim=5),
+        task="link_prediction",
+    )
+    params = md.init_parameters(spec, seed=3)
+    rng = np.random.default_rng(29)
+    sgd = mt._SgdState(0.37)
+    for scale in (1.0, 1e-3, 40.0):
+        grads = {name: Tensor(rng.normal(size=t.shape) * scale) for name, t in params.items_in()}
+        stepped = sgd.apply(params, grads)
+        for name, g in grads.items():
+            old = params[name].data - 0.37 * g.data
+            assert np.array_equal(stepped[name].data.view(np.int64), old.view(np.int64))
+            # on no tape the new parameters stay trainable
+            assert stepped[name].requires_grad
+        params = stepped
 
 
 def test_flat_adam_matches_the_per_tensor_loop_bitwise():

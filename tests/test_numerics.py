@@ -38,6 +38,12 @@ def test_tensor_data_is_frozen():
         t.data[0, 0] = 9.0
 
 
+def test_op_outputs_are_frozen():
+    t = nx.add(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]))
+    with pytest.raises(ValueError):
+        t.data[0, 0] = 9.0
+
+
 def test_item_requires_scalar():
     assert Tensor(5.0).item() == 5.0
     with pytest.raises(ShapeError):
@@ -296,6 +302,87 @@ def test_every_primitive_matches_central_differences():
             rng = np.random.default_rng(gd.seed_from(7, op, point))
             errs = oracles.primitive_gradient_errors(op, rng)
             assert max(errs) <= 1e-4, (op, point, errs)
+
+
+#: composite -> (call, the one primitive it records, its former kernel)
+_CONSTANT_OPERAND_COMPOSITES = {
+    "add_scalar": (lambda x: nx.add_scalar(x, -0.3), "add",
+                   lambda x: oracles.scalar_add(x, -0.3)),
+    "leaky_relu": (lambda x: nx.leaky_relu(x, 0.2), "hadamard",
+                   lambda x: oracles.gated_leaky_relu(x, 0.2)),
+}
+
+
+def _composite_second_order_error(name, rng):
+    """d/dw of (d/dx sum(f(x) * w)) . probe, recorded, against central
+    differences of the recorded first gradient."""
+    (x_np,), call = oracles.COMPOSITE_CASES[name](rng)
+    w_np = rng.uniform(-1.0, 1.0, x_np.shape)
+    probe = Tensor(rng.uniform(-1.0, 1.0, x_np.shape))
+
+    def probed_gradient(w_values):
+        x, w = Tensor(x_np, requires_grad=True), Tensor(w_values, requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = nx.sums(nx.hadamard(call(x), w), None)
+            (gx,) = tape.gradient(loss, [x], create_graph=True)
+            out = nx.sums(nx.hadamard(gx, probe), None)
+        return tape, out, w
+
+    tape, out, w = probed_gradient(w_np)
+    (gw,) = tape.gradient(out, [w])
+    fd = oracles.central_difference(lambda v: probed_gradient(v)[1].item(), w_np.copy())
+    return oracles.max_rel_err(gw.data, fd)
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_OPERAND_COMPOSITES))
+def test_constant_operand_composites_record_one_primitive(name):
+    call, op, kernel = _CONSTANT_OPERAND_COMPOSITES[name]
+    assert name not in nx._FORWARD
+    special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 745.0]
+    rng = np.random.default_rng(31)
+    for x_np in (np.array([special]), rng.normal(size=(40, 32))):
+        x = Tensor(x_np, requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = call(x)
+        assert [node.op for node in tape.nodes] == [op]
+        assert not tape.nodes[0].inputs[1].requires_grad
+        assert np.array_equal(y.data.view(np.int64), kernel(x_np).view(np.int64))
+    for point in range(10):
+        rng = np.random.default_rng(gd.seed_from(7, name, point))
+        assert max(oracles.primitive_gradient_errors(name, rng)) <= 1e-4, (name, point)
+        assert _composite_second_order_error(name, rng) <= 1e-4, (name, point)
+
+
+def test_gradients_are_constants_unless_recorded():
+    x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+    for create_graph in (False, True):
+        tape = Tape()
+        with tape:
+            y = nx.sums(nx.hadamard(nx.sigmoid(x), x), None)
+        (g,) = tape.gradient(y, [x], create_graph=create_graph)
+        assert g.requires_grad is create_graph
+
+
+def test_ops_on_constants_record_nothing():
+    c = Tensor(np.ones((2, 2)))
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    tape = Tape()
+    with tape:
+        y = nx.sigmoid(nx.add(c, c))
+        z = nx.hadamard(x, y)
+    assert not y.requires_grad and z.requires_grad
+    assert [node.op for node in tape.nodes] == ["hadamard"]
+    assert tape.gradient(nx.sums(y, None), [x])[0].data.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_ops_outside_every_tape_keep_tracking():
+    # the outer optimizers update parameters on no tape
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    assert not nx._TAPE_STACK
+    assert nx.sub(x, nx.mul_scalar(Tensor(np.ones((2, 2))), 0.1)).requires_grad
+    assert not nx.mul_scalar(Tensor(np.ones((2, 2))), 0.1).requires_grad
 
 
 def test_gradient_of_square_at_three():
