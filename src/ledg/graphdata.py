@@ -195,7 +195,9 @@ class SnapshotGraph:
         (rows[k], cols[k]) runs over both orientations of every edge plus
         (i, i) for every node, sorted by (row, col): the nonzero pattern of
         the normalized adjacency, 2E + N pairs. Node i's pairs begin at
-        starts[i], and none is empty.
+        starts[i], and none is empty. Row i lists exactly the columns that
+        are not negatives for source i, so the attention encoder and the
+        link-prediction sampler read this one list.
         """
         if self._neighbourhood is None:
             n = self.num_nodes
@@ -607,16 +609,13 @@ def sample_link_prediction_batch(
 
     For each positive (u, v), ``negative_ratio`` negatives (u, v') are drawn
     uniformly with replacement over v' such that (u, v') is not an edge and
-    v' != u. Raises when a source node's non-neighbors run out (complete
-    rows), or when one positive's negatives take more than ``200 * ratio +
-    1000`` draws.
+    v' != u; a source connected to every other node raises.
 
-    The candidates are one stream of uniform node draws read in edge order:
-    each positive takes the draws that follow the previous one's until
-    ``negative_ratio`` of them pass, and a rejected draw past the attempt
-    limit raises. The stream is drawn in blocks (one ``rng.integers(0, n,
-    size=k)`` call yields the values of k scalar calls) and judged in
-    :func:`_pooled_negatives`.
+    Each negative of source u is one draw r below u's count of non-neighbours,
+    mapped to u's r-th smallest non-neighbour by a search of the cached
+    :meth:`SnapshotGraph.neighbourhood`, whose row u holds exactly the columns
+    u excludes. No draw is rejected, and one ``rng.integers`` call makes every
+    draw, positive-major like the items.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be 'train' or 'eval', not {mode!r}")
@@ -626,90 +625,26 @@ def sample_link_prediction_batch(
         raise ValidationError(f"snapshot {snapshot.time_index} has no edges to sample from")
 
     n, ratio = snapshot.num_nodes, negative_ratio
-    edges = snapshot.pairs
-    sources = edges[:, 0]
+    sources = snapshot.pairs[:, 0]
     # non-neighbor count of each positive's source; zero means a full row
     room = (n - 1 - snapshot.degrees())[sources]
-    full = np.flatnonzero(room < 1)
-    # a full row raises when its positive is reached, after the earlier
-    # positives have been served (their attempt limits may raise first)
-    stop = int(full[0]) if full.size else len(edges)
-    if stop > 0:
-        rng = np.random.default_rng(seed_from(seed, "negatives", snapshot.time_index, mode))
-        keys = np.concatenate((sources * n + edges[:, 1], edges[:, 1] * n + sources))
-        keys = np.append(np.sort(keys), n * n)  # the sentinel keeps lookups in range
-        negatives = _pooled_negatives(rng, n, keys, sources[:stop], room[:stop], ratio)
-    if stop < len(edges):
+    if room.min() == 0:
         raise ValidationError(
-            f"node {sources[stop]} is connected to every other node; "
+            f"node {sources[np.argmin(room)]} is connected to every other node; "
             "cannot sample negatives, lower the negative ratio or resplit"
         )
-    items = np.empty((len(edges), ratio + 1, 2), dtype=np.int64)
-    items[:, :, 0] = sources[:, None]
-    items[:, 0, 1] = edges[:, 1]
-    items[:, 1:, 1] = negatives
-    labels = np.zeros((len(edges), ratio + 1), dtype=np.int64)
+    rng = np.random.default_rng(seed_from(seed, "negatives", snapshot.time_index, mode))
+    draws = rng.integers(0, room[:, None], size=(len(sources), ratio))
+    rows, cols, starts = snapshot.neighbourhood()
+    # entry k of row u, column c, has c - k free columns below it, and keys
+    # u * n + c - k sort; row u's r-th free column is r + its keys <= u * n + r
+    below = rows * n + cols - (np.arange(rows.size) - starts[rows])
+    found = np.searchsorted(below, sources[:, None] * n + draws, "right")
+    items = np.repeat(snapshot.pairs, ratio + 1, axis=0).reshape(len(sources), ratio + 1, 2)
+    items[:, 1:, 1] = draws + found - starts[sources][:, None]  # the negatives' targets
+    labels = np.zeros((len(sources), ratio + 1), dtype=np.int64)
     labels[:, 0] = 1
     return TaskBatch(snapshot.time_index, "edge", items.reshape(-1, 2), labels.ravel())
-
-
-def _pooled_negatives(rng, n: int, keys, sources, room, ratio: int) -> np.ndarray:
-    """The (E, ratio) negatives of positives with these sources, in order.
-
-    A draw passes for source u when it is not u and ``u * n + draw`` is not
-    among the sorted edge ``keys``. Positive e takes the global passes
-    ``e * ratio + 1 .. (e + 1) * ratio``, so its draws end right after the
-    last of them; which source judges a draw depends on those ends in turn.
-    Starting from the ends expected at each source's pass rate, the draws are
-    judged by the positives the current ends assign them to, and the ends
-    are read off the passes again, until the ends stop moving (positives
-    before the first wrong end are always right, and a wrong end moves
-    forward or becomes right, so this settles, in practice within a few
-    rounds). Only draws whose judge changed are judged again. The pool
-    doubles while the ends run past it, unless a positive has already met a
-    rejected draw past its attempt limit.
-    """
-    limit = 200 * ratio + 1000
-    need = len(sources) * ratio
-    # expected draws per positive, no more than decide its attempt limit
-    expected = np.minimum(ratio * n / room, limit + ratio + 1)
-    ends = np.concatenate(([0], np.cumsum(expected).astype(np.int64)))
-    pool = rng.integers(0, n, size=int(ends[-1] + 4.0 * np.sqrt(ends[-1])) + 16)
-    judge = np.full(pool.size, -1)
-    ok = np.zeros(pool.size, dtype=bool)
-    while True:
-        # the first positive whose end is unknown judges every later draw
-        owner = np.empty(pool.size, dtype=np.int64)
-        owner[: ends[-1]] = np.repeat(sources[: ends.size - 1], np.diff(ends))
-        owner[ends[-1] :] = sources[min(ends.size - 1, len(sources) - 1)]
-        redo = np.flatnonzero(owner != judge)
-        cand, u = pool[redo], owner[redo]
-        code = u * n + cand
-        ok[redo] = (cand != u) & (keys[np.searchsorted(keys, code)] != code)
-        judge = owner
-        hits = np.flatnonzero(ok)
-        found = np.concatenate(([0], hits[ratio - 1 : need : ratio] + 1))
-        if not np.array_equal(found, ends):
-            ends = found
-            continue
-        # a rejected draw past the limit, before a positive's last pass, raises
-        for e in np.flatnonzero(np.diff(ends) > limit + 1).tolist():
-            if not ok[ends[e] + limit : ends[e + 1]].all():
-                _attempts_exceeded(sources[e], limit)
-        if ends.size == len(sources) + 1:
-            return pool[hits[:need]].reshape(len(sources), ratio)
-        if not ok[ends[-1] + limit :].all():
-            _attempts_exceeded(sources[ends.size - 1], limit)
-        pool = np.concatenate((pool, rng.integers(0, n, size=pool.size)))
-        judge = np.concatenate((judge, np.full(judge.size, -1)))
-        ok = np.concatenate((ok, np.zeros(ok.size, dtype=bool)))
-
-
-def _attempts_exceeded(u, limit: int):
-    raise ValidationError(
-        f"negative sampling for source {u} exceeded {limit} attempts; "
-        "the graph is too dense, lower the negative ratio"
-    )
 
 
 def classification_batch(snapshot: SnapshotGraph, task: str) -> TaskBatch:

@@ -247,7 +247,8 @@ class _SgdState:
     """One plain gradient step, p - eta * g, for the inner and outer loops.
 
     The step is built from tape primitives, so the active tape records it;
-    on no tape the new parameters stay tracked.
+    on no tape the new parameters stay tracked. Adding ``(-eta) * g`` gives the
+    difference's bits, and ``add`` passes its adjoint on with no op to record.
     """
 
     def __init__(self, eta: float):
@@ -255,7 +256,7 @@ class _SgdState:
 
     def apply(self, params: ParameterSet, grads: dict[str, Tensor]) -> ParameterSet:
         updates = {
-            name: nx.sub(params[name], nx.mul_scalar(g, self.eta)) for name, g in grads.items()
+            name: nx.add(params[name], nx.mul_scalar(g, -self.eta)) for name, g in grads.items()
         }
         return params.with_updates(updates)
 

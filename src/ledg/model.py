@@ -11,6 +11,7 @@ and record onto whatever tape is active.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,40 +406,48 @@ def save_checkpoint(params: ParameterSet, spec: ModelSpec, path, extra_meta: dic
     np.savez(path, **arrays)
 
 
+def _meta_field(path, table: dict, key: str, kind: type):
+    if isinstance(table.get(key), kind) and not isinstance(table[key], bool):
+        return table[key]
+    raise DatasetError(f"{path} checkpoint meta: {key!r} is missing or not of type {kind.__name__}")
+
+
 def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
-    """Load a checkpoint; rejects unknown formats and malformed shape maps."""
+    """Load a checkpoint. A file that is not an npz archive, a missing or
+    non-JSON ``__meta__`` entry, an unknown format, a missing or mistyped meta
+    field and a missing or mis-shaped tensor are each a DatasetError."""
+    if not zipfile.is_zipfile(path):
+        raise DatasetError(f"{path} is not a readable checkpoint: not an npz archive")
     with np.load(path) as bundle:
-        if "__meta__" not in bundle:
-            raise DatasetError(f"{path} is not a parameter checkpoint")
-        meta = json.loads(bundle["__meta__"].tobytes().decode())
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise DatasetError(
-                f"unknown checkpoint format {meta.get('format')!r}, expected {CHECKPOINT_FORMAT}"
-            )
-        enc = meta["encoder"]
-        spec = ModelSpec(
-            EncoderConfig(
-                base_model=enc["base_model"],
-                num_layers=int(enc["num_layers"]),
-                input_dim=int(enc["input_dim"]),
-                hidden_dim=int(enc["hidden_dim"]),
-                activation=enc["activation"],
-            ),
-            task=meta["task"],
-            num_classes=int(meta["num_classes"]),
-        )
-        tensors = {}
-        for group, names in meta["groups"].items():
-            for name in names:
-                if name not in bundle:
-                    raise DatasetError(f"checkpoint is missing tensor {name!r}")
-                tensors[name] = Tensor(bundle[name], requires_grad=True)
-        groups = {g: tuple(names) for g, names in meta["groups"].items()}
-        params = ParameterSet(tensors, groups)
-        expected = init_parameters(spec, seed=0)
-        for name in expected.names:
-            if name not in params or params[name].shape != expected[name].shape:
-                raise DatasetError(
-                    f"checkpoint tensor {name!r} missing or mis-shaped for its model spec"
-                )
-        return params, spec, meta.get("extra", {})
+        arrays = {name: bundle[name] for name in bundle.files}
+    try:
+        meta = json.loads(arrays.pop("__meta__").tobytes().decode())
+    except (KeyError, ValueError):
+        raise DatasetError(f"{path} is not a checkpoint: no JSON __meta__ entry") from None
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise DatasetError(f"unknown checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
+    enc = _meta_field(path, meta, "encoder", dict)
+    spec = ModelSpec(
+        EncoderConfig(
+            base_model=_meta_field(path, enc, "base_model", str),
+            num_layers=_meta_field(path, enc, "num_layers", int),
+            input_dim=_meta_field(path, enc, "input_dim", int),
+            hidden_dim=_meta_field(path, enc, "hidden_dim", int),
+            activation=_meta_field(path, enc, "activation", str),
+        ),
+        task=_meta_field(path, meta, "task", str),
+        num_classes=_meta_field(path, meta, "num_classes", int),
+    )
+    groups = {g: tuple(names) for g, names in _meta_field(path, meta, "groups", dict).items()}
+    tensors = {}
+    for name in (name for names in groups.values() for name in names):
+        if name not in arrays:
+            raise DatasetError(f"checkpoint is missing tensor {name!r}")
+        tensors[name] = Tensor(arrays[name], requires_grad=True)
+    params = ParameterSet(tensors, groups)
+    expected = init_parameters(spec, seed=0)
+    for name in expected.names:
+        if name not in params or params[name].shape != expected[name].shape:
+            raise DatasetError(f"checkpoint tensor {name!r} missing or mis-shaped for its model spec")
+    return params, spec, meta.get("extra", {})

@@ -275,9 +275,10 @@ def reference_ingest(lines, bucketing, task="link_prediction"):
 # negative sampling, one scalar draw at a time
 
 def scalar_link_prediction_batch(snapshot, negative_ratio, mode="train", seed=0):
-    """The link-prediction sampler as a plain loop: one ``rng.integers`` call
-    and one edge-set lookup per candidate. ``graphdata`` must reproduce its
-    items, labels and errors exactly."""
+    """The link-prediction sampler as a plain loop: per negative, one scalar
+    ``rng.integers(0, room)`` call indexes the source's sorted list of
+    non-neighbours, built from ``snapshot.edges``. ``graphdata`` must
+    reproduce its items, labels and errors exactly."""
     from ledg.errors import ValidationError
     from ledg.graphdata import TaskBatch, seed_from
 
@@ -289,37 +290,25 @@ def scalar_link_prediction_batch(snapshot, negative_ratio, mode="train", seed=0)
         raise ValidationError(f"snapshot {snapshot.time_index} has no edges to sample from")
 
     n = snapshot.num_nodes
-    edges = edge_set(snapshot)
-    degree = np.zeros(n, dtype=np.int64)
+    neighbours = [{u} for u in range(n)]
     for u, v, _, _ in snapshot.edges:
-        degree[u] += 1
-        degree[v] += 1
+        neighbours[u].add(v)
+        neighbours[v].add(u)
     rng = np.random.default_rng(seed_from(seed, "negatives", snapshot.time_index, mode))
     items = []
     labels = []
     for u, v, _, _ in snapshot.edges:
         items.append((u, v))
         labels.append(1)
-        if n - 1 - degree[u] < 1:
+        free = [c for c in range(n) if c not in neighbours[u]]
+        if not free:
             raise ValidationError(
                 f"node {u} is connected to every other node; "
                 "cannot sample negatives, lower the negative ratio or resplit"
             )
-        got = 0
-        attempts = 0
-        limit = 200 * negative_ratio + 1000
-        while got < negative_ratio:
-            cand = int(rng.integers(0, n))
-            attempts += 1
-            if cand != u and (min(u, cand), max(u, cand)) not in edges:
-                items.append((u, cand))
-                labels.append(0)
-                got += 1
-            elif attempts > limit:
-                raise ValidationError(
-                    f"negative sampling for source {u} exceeded {limit} attempts; "
-                    "the graph is too dense, lower the negative ratio"
-                )
+        for _ in range(negative_ratio):
+            items.append((u, free[int(rng.integers(0, len(free)))]))
+            labels.append(0)
     return TaskBatch(snapshot.time_index, "edge", np.array(items), np.array(labels))
 
 

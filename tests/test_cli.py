@@ -536,6 +536,15 @@ def test_eval_non_finite_model_is_a_runtime_error(trained_dir, tmp_path, capsys,
     assert not (tmp_path / "eval" / "metrics_test.csv").exists()
 
 
+def test_eval_unreadable_checkpoint_is_a_dataset_error(tmp_path, capsys):
+    checkpoint = tmp_path / "text.npz"
+    checkpoint.write_text("not a checkpoint\n")
+    rc = cli.main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert f"error: {checkpoint} is not a readable checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.npz"),
                    "--out", str(tmp_path / "eval")])

@@ -508,23 +508,27 @@ def _outcome(sampler, snapshot, ratio, mode, seed):
 
 
 def _assert_matches_scalar_reference(snapshot, ratio, mode, seed):
-    pooled = _outcome(gd.sample_link_prediction_batch, snapshot, ratio, mode, seed)
+    batched = _outcome(gd.sample_link_prediction_batch, snapshot, ratio, mode, seed)
     scalar = _outcome(oracles.scalar_link_prediction_batch, snapshot, ratio, mode, seed)
-    assert pooled == scalar, (snapshot.num_nodes, snapshot.num_edges, ratio, mode, seed)
-    return pooled
+    assert batched == scalar, (snapshot.num_nodes, snapshot.num_edges, ratio, mode, seed)
+    return batched
 
 
 def test_block_draws_equal_scalar_draws():
-    # the pooled sampler rests on this: a block of k draws is k scalar draws
-    for n in (7, 100, 150, 2000):
-        block = np.random.default_rng(n)
-        scalar = np.random.default_rng(n)
-        values = block.integers(0, n, size=500)
-        assert values.tolist() == [int(scalar.integers(0, n)) for _ in range(500)]
-        assert block.integers(0, n) == scalar.integers(0, n)
+    # the sampler rests on this: one call with per-row bounds gives the
+    # values of E * k scalar calls with those bounds, in row-major order
+    for seed in (7, 100, 150, 2000):
+        # every bound from 1 to 2000, in a seeded order
+        bounds = np.random.default_rng(seed).permutation(np.arange(1, 2001))
+        block = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        values = block.integers(0, bounds[:, None], size=(bounds.size, 3))
+        expected = [[int(scalar.integers(0, b)) for _ in range(3)] for b in bounds.tolist()]
+        assert values.tolist() == expected
+        assert block.integers(0, seed) == scalar.integers(0, seed)
 
 
-def test_pooled_sampler_is_bit_identical_to_the_scalar_reference():
+def test_sampler_is_bit_identical_to_the_scalar_reference():
     graphs = [
         gd.generate_drifting_sbm(100, 2, 0.025, 0.003, 0.05, 3, seed=1),
         gd.generate_drifting_sbm(40, 2, 0.5, 0.2, 0.1, 2, seed=2),
@@ -539,7 +543,7 @@ def test_pooled_sampler_is_bit_identical_to_the_scalar_reference():
                         assert isinstance(result[0], bytes)
 
 
-def test_pooled_sampler_matches_the_reference_on_random_dense_graphs():
+def test_sampler_matches_the_reference_on_random_dense_graphs():
     rng = np.random.default_rng(31)
     for trial in range(60):
         n = int(rng.integers(3, 30))
@@ -550,24 +554,23 @@ def test_pooled_sampler_matches_the_reference_on_random_dense_graphs():
             _assert_matches_scalar_reference(snap, int(rng.choice([1, 2, 5, 50])), "eval", trial)
 
 
-def test_pooled_sampler_trips_the_attempt_limit_like_the_reference():
-    # node 0 misses one edge of 2000, so its draws pass 1 time in 2000 and
-    # the limit (1200 draws at ratio 1, 2000 at ratio 5) stops the sampler
+def test_near_complete_sources_draw_only_their_free_columns():
+    # node 0 misses only column n - 1, so every one of its negatives is that
+    # column; no draw is rejected however dense the row
     n = 2000
     near_complete = [(0, v) for v in range(1, n - 1)] + [(5, 7)]
     snap = gd.SnapshotGraph(1, n, near_complete, np.zeros((n, 1)))
-    for ratio, limit in ((1, 1200), (5, 2000)):
+    for ratio in (1, 5):
         result = _assert_matches_scalar_reference(snap, ratio, "train", 0)
-        assert result == (
-            ValidationError,
-            f"negative sampling for source 0 exceeded {limit} attempts; "
-            "the graph is too dense, lower the negative ratio",
-        )
-    # the near-complete row comes after another source's positive
+        items = np.frombuffer(result[0], dtype=np.int64).reshape(-1, ratio + 1, 2)
+        assert (items[:-1, 1:, 1] == n - 1).all()
+    # the near-complete row comes after another source's positive; node 1
+    # misses columns 0 and n - 1 only
     later = [(0, 3)] + [(1, v) for v in range(2, n - 1)]
     snap = gd.SnapshotGraph(1, n, later, np.zeros((n, 1)))
     result = _assert_matches_scalar_reference(snap, 2, "eval", 4)
-    assert result[0] is ValidationError and "source 1 exceeded" in result[1]
+    items = np.frombuffer(result[0], dtype=np.int64).reshape(-1, 3, 2)
+    assert set(items[1:, 1:, 1].ravel().tolist()) == {0, n - 1}
 
 
 def test_pooled_sampler_errors_match_the_reference():

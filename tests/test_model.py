@@ -491,3 +491,31 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
     np.savez(truncated, **arrays)
     with pytest.raises(DatasetError):
         md.load_checkpoint(truncated)
+
+    # malformed files name their path: unreadable, non-JSON meta, and meta
+    # fields that are missing or not integers
+    def with_meta(name, raw):
+        with np.load(good) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
+        path = tmp_path / name
+        np.savez(path, **arrays)
+        return path
+
+    good_meta = json.loads(arrays["__meta__"].tobytes().decode())
+    no_encoder = {k: v for k, v in good_meta.items() if k != "encoder"}
+    fractional = dict(good_meta, num_classes=2.5)
+    text = tmp_path / "text.npz"
+    text.write_text("not a checkpoint\n")
+    malformed = [
+        (text, "is not a readable checkpoint"),
+        (with_meta("not_json.npz", b"{format: LEDGCKPT1"), "no JSON __meta__ entry"),
+        (with_meta("no_encoder.npz", json.dumps(no_encoder).encode()),
+         "'encoder' is missing or not of type dict"),
+        (with_meta("fractional.npz", json.dumps(fractional).encode()),
+         "'num_classes' is missing or not of type int"),
+    ]
+    for path, message in malformed:
+        with pytest.raises(DatasetError) as caught:
+            md.load_checkpoint(path)
+        assert str(caught.value).startswith(str(path)) and message in str(caught.value)
