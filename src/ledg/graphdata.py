@@ -719,14 +719,35 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
             np.save(directory / f"labels_{snap.time_index:03d}.npy", snap.node_labels)
 
 
+def _read(path: Path, reader):
+    # a missing, unreadable or undecodable file is a fault of the dataset
+    try:
+        return reader(path)
+    except (OSError, ValueError, EOFError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise DatasetError(f"{path}: cannot read: {reason}") from None
+
+
+def _finite(path: Path, values: np.ndarray, what: str) -> np.ndarray:
+    if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
+        raise DatasetError(f"{path}: every {what} must be a finite number")
+    return values
+
+
 def load_dataset(directory) -> DynamicGraphSequence:
-    """Load a dataset directory written by :func:`save_dataset`."""
+    """Load a dataset directory written by :func:`save_dataset`.
+
+    A missing or unreadable file, a meta value that is not an integer and a
+    non-finite edge weight or feature are each a DatasetError naming the
+    file; the checks run here, on data read from disk, and not in
+    :class:`SnapshotGraph`.
+    """
     directory = Path(directory)
     meta_path = directory / "meta"
     if not meta_path.exists():
         raise DatasetError(f"{directory} has no meta file")
     meta = {}
-    for line in meta_path.read_text().splitlines():
+    for line in _read(meta_path, Path.read_text).splitlines():
         if "=" not in line:
             raise DatasetError(f"malformed meta line {line!r}")
         key, _, value = line.partition("=")
@@ -743,25 +764,35 @@ def load_dataset(directory) -> DynamicGraphSequence:
         split = (int(meta["train_end"]), int(meta["val_end"]), int(meta["test_end"]))
     except KeyError as exc:
         raise DatasetError(f"meta file is missing key {exc}") from None
+    except ValueError as exc:
+        raise DatasetError(f"{meta_path}: {exc}") from None
 
-    names = (directory / "nodes.map").read_text().splitlines()
+    names = _read(directory / "nodes.map", Path.read_text).splitlines()
     snapshots = []
     for t in range(1, num_snapshots + 1):
         stem = f"snapshot_{t:03d}"
-        lines = (directory / f"{stem}.edges").read_text().splitlines()
+        edges_path = directory / f"{stem}.edges"
+        lines = _read(edges_path, Path.read_text).splitlines()
         fields = [line.split() for line in lines]
         width = len(fields[0]) if fields else 3
         for lineno, (line, parts) in enumerate(zip(lines, fields), 1):
             if len(parts) != width or width not in (3, 4):
                 raise DatasetError(f"{stem}.edges line {lineno}: malformed edge {line!r}")
         table = np.array(fields, dtype=str).reshape(len(fields), width)
-        features = np.load(directory / f"{stem}.npy")
+        try:
+            pairs = table[:, :2].astype(np.int64)
+            weights = table[:, 2].astype(np.float64)
+            edge_labels = table[:, 3].astype(np.int64) if width == 4 else None
+        except ValueError as exc:
+            raise DatasetError(f"{edges_path}: {exc}") from None
+        _finite(edges_path, weights, "edge weight")
+        features_path = directory / f"{stem}.npy"
+        features = _finite(features_path, _read(features_path, np.load), "feature")
         labels_path = directory / f"labels_{t:03d}.npy"
-        labels = np.load(labels_path) if labels_path.exists() else None
+        labels = _read(labels_path, np.load) if labels_path.exists() else None
         snapshots.append(SnapshotGraph(
-            t, num_nodes, table[:, :2].astype(np.int64), features, node_labels=labels,
-            weights=table[:, 2].astype(np.float64),
-            edge_labels=table[:, 3].astype(np.int64) if width == 4 else None,
+            t, num_nodes, pairs, features, node_labels=labels,
+            weights=weights, edge_labels=edge_labels,
         ))
     return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
 

@@ -10,6 +10,7 @@ and record onto whatever tape is active.
 
 from __future__ import annotations
 
+import functools
 import json
 import zipfile
 from dataclasses import dataclass
@@ -114,7 +115,12 @@ class EmbeddingBundle:
     combined: Tensor
     gate: Tensor
     time_part: Tensor
-    graph_part: Tensor
+
+    @functools.cached_property
+    def graph_part(self) -> Tensor:
+        """gate * combined, formed on first read on whatever tape is active
+        then: inner steps read only the time part, so they never form it."""
+        return nx.hadamard(self.gate, self.combined)
 
 
 @dataclass(frozen=True)
@@ -141,56 +147,47 @@ class MlpHead:
             raise ShapeError(
                 f"{self.role}: input width {x.shape[1]} != expected {w1.shape[0]}"
             )
-        return self._finish(params, nx.matmul(x, w1))
+        _, b1, w2, b2 = (params[n] for n in self.parameter_names)
+        hidden = nx.relu(nx.add(nx.matmul(x, w1), b1))
+        return nx.add(nx.matmul(hidden, w2), b2)
 
     def apply_pairs(self, params: ParameterSet, h: Tensor, items: np.ndarray) -> Tensor:
         """``apply`` on the rows [h_u, h_v] of every pair (u, v) in ``items``.
 
         The first layer on a pair is h_u W1[:d] + h_v W1[d:], so every node
-        row is projected once by each half of W1 and the pairs gather those
-        projections. The same arithmetic as ``pair_logits``' first output,
-        recorded on the active tape.
+        row is projected once by each half of W1. The hidden layer
+        relu(first[u] + second[v] + b1) is one ``pair_hidden`` node, whose
+        (M, hidden) rows are the only pair-sized output the head records.
+        The same arithmetic as ``pair_logits``' first output, recorded on the
+        active tape.
         """
-        w1 = params[self.parameter_names[0]]
+        w1, b1, w2, b2 = (params[n] for n in self.parameter_names)
         d = h.shape[1]
         if 2 * d != w1.shape[0]:
             raise ShapeError(f"{self.role}: pair width {2 * d} != expected {w1.shape[0]}")
         first = nx.matmul(h, nx.gather_rows(w1, np.arange(d)))
         second = nx.matmul(h, nx.gather_rows(w1, np.arange(d, 2 * d)))
-        return self._finish(
-            params, nx.add(nx.gather_rows(first, items[:, 0]), nx.gather_rows(second, items[:, 1]))
-        )
-
-    def _finish(self, params: ParameterSet, projected: Tensor) -> Tensor:
-        # b1, ReLU and the second layer on first-layer products
-        _, b1, w2, b2 = (params[n] for n in self.parameter_names)
-        h = nx.relu(nx.add(projected, b1))
-        return nx.add(nx.matmul(h, w2), b2)
+        hidden = nx.pair_hidden(first, second, b1, items)
+        return nx.add(nx.matmul(hidden, w2), b2)
 
     def pair_logits(self, params: ParameterSet, h: np.ndarray, items: np.ndarray):
         """Untaped ``apply_pairs`` on both endpoint orders of every pair
         (u, v) in ``items``, as two arrays; the first equals ``apply_pairs``
         bit for bit.
 
-        Both orders gather the same two node projections, and each
-        (M, hidden) temporary is reused in place, which matters at
-        evaluation's negative ratios.
+        Both orders gather the same two node projections, and the hidden
+        layer is ``pair_hidden``'s kernel, which works in place on one
+        (M, hidden) array; that matters at evaluation's negative ratios.
         """
         w1, b1, w2, b2 = (params[n].data for n in self.parameter_names)
         d = h.shape[1]
         if 2 * d != w1.shape[0]:
             raise ShapeError(f"{self.role}: pair width {2 * d} != expected {w1.shape[0]}")
         first, second = h @ w1[:d], h @ w1[d:]
-
-        def logits(src, dst):
-            # in place: each temporary is a fresh (M, hidden) array
-            x = first[src]
-            x += second[dst]
-            x += b1
-            return np.maximum(x, 0.0, out=x) @ w2 + b2
-
         u, v = items[:, 0], items[:, 1]
-        return logits(u, v), logits(v, u)
+        forward = nx.pair_hidden_rows(first, second, b1, u, v) @ w2 + b2
+        backward = nx.pair_hidden_rows(first, second, b1, v, u) @ w2 + b2
+        return forward, backward
 
 
 def _heads(spec: ModelSpec) -> dict[str, MlpHead]:
@@ -247,10 +244,11 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
     normalized adjacency. The attention base scores each (target, source)
     neighbor pair additively, leaky-ReLUs the score, softmax-normalizes over
     the target's neighborhood including its self-loop, aggregates, then
-    applies the activation. Single attention head. Scores and their softmax
-    live on the 2E + N neighbour pairs (:meth:`SnapshotGraph.neighbourhood`);
-    only the aggregation scatters the weights into a dense N x N matrix,
-    because a BLAS product beats a numpy segment sum at these sizes.
+    applies the activation. Single attention head. Scores, their softmax and
+    the aggregation ``spmm(alpha, wh)`` all work on the 2E + N neighbour
+    pairs (:meth:`SnapshotGraph.neighbourhood`), so the tape holds no N x N
+    matrix; ``spmm``'s kernel alone forms a transient dense one, because a
+    BLAS product beats a numpy segment sum at these sizes.
     """
     if snapshot.feature_width != config.input_dim:
         raise ShapeError(
@@ -263,7 +261,6 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
             h = _activate(nx.matmul(nx.matmul(a_hat, h), params[f"gnn_w{layer}"]), config.activation)
         return h
 
-    n = snapshot.num_nodes
     rows, cols, starts = snapshot.neighbourhood()
     for layer in range(1, config.num_layers + 1):
         wh = nx.matmul(h, params[f"gnn_w{layer}"])
@@ -271,8 +268,7 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         right = nx.matmul(wh, params[f"gnn_ar{layer}"])
         scores = nx.add(nx.gather_rows(left, rows), nx.gather_rows(right, cols))
         alpha = nx.segment_softmax(nx.leaky_relu(scores, ATTENTION_SLOPE), starts)
-        weights = nx.scatter_pairs(alpha, rows, cols, (n, n))
-        h = _activate(nx.matmul(weights, wh), config.activation)
+        h = _activate(nx.spmm(alpha, wh, rows, cols), config.activation)
     return h
 
 
@@ -281,12 +277,12 @@ def disentangle(h: Tensor, params: ParameterSet, spec: ModelSpec) -> EmbeddingBu
 
     gate = sigmoid(adapter(h)); the graph-intrinsic part is gate * h, the
     time-varying part is (1 - gate) * h, so the two parts sum back to h
-    exactly.
+    exactly. The graph part is formed only when read
+    (:attr:`EmbeddingBundle.graph_part`).
     """
     gate = nx.sigmoid(_heads(spec)["adapter"].apply(params, h))
-    graph_part = nx.hadamard(gate, h)
     time_part = nx.hadamard(nx.one_minus(gate), h)
-    return EmbeddingBundle(combined=h, gate=gate, time_part=time_part, graph_part=graph_part)
+    return EmbeddingBundle(combined=h, gate=gate, time_part=time_part)
 
 
 def embed(snapshot: SnapshotGraph, params: ParameterSet, spec: ModelSpec) -> EmbeddingBundle:

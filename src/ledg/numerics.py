@@ -49,8 +49,10 @@ __all__ = [
     "broadcast",
     "gather_rows",
     "scatter_rows",
-    "gather_pairs",
-    "scatter_pairs",
+    "pair_hidden",
+    "pair_hidden_rows",
+    "spmm",
+    "sddmm",
     "mean_pool",
     "l2_norm",
 ]
@@ -350,15 +352,31 @@ def _k_scatter_rows(d, p):
     return out.reshape(p["num_rows"], m)
 
 
-def _k_gather_pairs(d, p):
-    return d[0][p["rows"], p["cols"]][:, None]
+def pair_hidden_rows(first, second, b1, u, v) -> np.ndarray:
+    """relu(first[u] + second[v] + b1) on bare arrays: the kernel of
+    :func:`pair_hidden`, shared with untaped pair scoring. Every step works in
+    place on the one fresh (M, hidden) array the first gather makes."""
+    x = first[u]
+    x += second[v]
+    x += b1
+    return np.maximum(x, 0.0, out=x)
 
 
-def _k_scatter_pairs(d, p):
-    # accumulates repeated pairs, so it is the exact adjoint of gather_pairs
-    n, m = p["shape"]
-    out = np.bincount(p["rows"] * m + p["cols"], weights=d[0][:, 0], minlength=n * m)
-    return out.reshape(n, m)
+def _k_pair_hidden(d, p):
+    return pair_hidden_rows(d[0], d[1], d[2], p["u"], p["v"])
+
+
+def _k_spmm(d, p):
+    # dense at the sizes trained here: the pairs are scattered into a
+    # transient N x N matrix (repeated pairs accumulate) and one BLAS product
+    # multiplies it; only the (N, d) result is kept
+    n = d[1].shape[0]
+    s = np.bincount(p["rows"] * n + p["cols"], weights=d[0][:, 0], minlength=n * n).reshape(n, n)
+    return (s.T if p["transpose"] else s) @ d[1]
+
+
+def _k_sddmm(d, p):
+    return (d[0] @ d[1].T)[p["rows"], p["cols"]][:, None]
 
 
 _FORWARD = {
@@ -381,8 +399,9 @@ _FORWARD = {
     "broadcast": _k_broadcast,
     "gather_rows": _k_gather_rows,
     "scatter_rows": _k_scatter_rows,
-    "gather_pairs": _k_gather_pairs,
-    "scatter_pairs": _k_scatter_pairs,
+    "pair_hidden": _k_pair_hidden,
+    "spmm": _k_spmm,
+    "sddmm": _k_sddmm,
 }
 
 
@@ -541,28 +560,48 @@ def scatter_rows(a: Tensor, indices, num_rows: int) -> Tensor:
     return _emit("scatter_rows", (a,), {"indices": idx, "num_rows": int(num_rows)})
 
 
-def _pair_indices(rows, cols, shape, op: str):
-    rows = _frozen_indices(rows, shape[0], op)
-    cols = _frozen_indices(cols, shape[1], op)
+def _pair_indices(rows, cols, n: int, op: str):
+    # the entries of an n x n matrix at (rows[k], cols[k])
+    rows = _frozen_indices(rows, n, op)
+    cols = _frozen_indices(cols, n, op)
     if rows.shape != cols.shape:
         raise ShapeError(f"{op}: {rows.size} row indices but {cols.size} column indices")
     return rows, cols
 
 
-def gather_pairs(a: Tensor, rows, cols) -> Tensor:
-    """The entries a[rows[k], cols[k]] as a (P, 1) column."""
-    rows, cols = _pair_indices(rows, cols, a.shape, "gather_pairs")
-    return _emit("gather_pairs", (a,), {"rows": rows, "cols": cols})
+def pair_hidden(first: Tensor, second: Tensor, b1: Tensor, items) -> Tensor:
+    """relu(first[u] + second[v] + b1) for every pair (u, v) of the (M, 2)
+    ``items``, as one node: a pair head's hidden layer on projected node rows."""
+    items = np.asarray(items)
+    if items.ndim != 2 or items.shape[1] != 2:
+        raise ShapeError(f"pair_hidden: items must be (M, 2) pairs, got shape {items.shape}")
+    width = first.shape[1]
+    if second.shape[1] != width or b1.shape != (1, width):
+        raise ShapeError(
+            f"pair_hidden: widths of {first.shape}, {second.shape} and bias {b1.shape} disagree"
+        )
+    u = _frozen_indices(items[:, 0], first.shape[0], "pair_hidden")
+    v = _frozen_indices(items[:, 1], second.shape[0], "pair_hidden")
+    return _emit("pair_hidden", (first, second, b1), {"u": u, "v": v})
 
 
-def scatter_pairs(a: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
-    """A zero matrix of the given shape with the (P, 1) column ``a`` added
-    at the entries (rows[k], cols[k]); the adjoint of gather_pairs."""
-    shape = (int(shape[0]), int(shape[1]))
-    rows, cols = _pair_indices(rows, cols, shape, "scatter_pairs")
-    if a.shape != (rows.size, 1):
-        raise ShapeError(f"scatter_pairs: need a ({rows.size}, 1) column, got {a.shape}")
-    return _emit("scatter_pairs", (a,), {"rows": rows, "cols": cols, "shape": shape})
+def spmm(values: Tensor, h: Tensor, rows, cols, transpose: bool = False) -> Tensor:
+    """S @ h, or S^T @ h with ``transpose``, for the N x N matrix S that holds
+    the (P, 1) column ``values`` at the entries (rows[k], cols[k]) (repeated
+    pairs add); N is h's row count."""
+    rows, cols = _pair_indices(rows, cols, h.shape[0], "spmm")
+    if values.shape != (rows.size, 1):
+        raise ShapeError(f"spmm: need a ({rows.size}, 1) column of values, got {values.shape}")
+    return _emit("spmm", (values, h), {"rows": rows, "cols": cols, "transpose": bool(transpose)})
+
+
+def sddmm(a: Tensor, b: Tensor, rows, cols) -> Tensor:
+    """The entries (a @ b^T)[rows[k], cols[k]] as a (P, 1) column, for a and
+    b of one (N, d) shape; the gradient of :func:`spmm` for its values."""
+    if a.shape != b.shape:
+        raise ShapeError(f"sddmm: operand shapes {a.shape} and {b.shape} differ")
+    rows, cols = _pair_indices(rows, cols, a.shape[0], "sddmm")
+    return _emit("sddmm", (a, b), {"rows": rows, "cols": cols})
 
 
 def mean_pool(h: Tensor) -> Tensor:
@@ -716,15 +755,47 @@ def _b_scatter_rows(node, g, need):
     return ((node.inputs[0], _emit("gather_rows", (g,), {"indices": node.params["indices"]})),)
 
 
-def _b_gather_pairs(node, g, need):
-    x = node.inputs[0]
-    params = {"rows": node.params["rows"], "cols": node.params["cols"], "shape": x.shape}
-    return ((x, _emit("scatter_pairs", (g,), params)),)
+def _b_pair_hidden(node, g, need):
+    # relu's mask as a constant, then the adjoints of the bias add and of the
+    # two row gathers, emitted and returned in the order the unfused chain
+    # gather, gather, add, add, relu gave them
+    first, second, b1 = node.inputs
+    gz = hadamard(g, Tensor._raw((node.output.data > 0.0).astype(np.float64)))
+    out = []
+    if need[2]:
+        out.append((b1, sums(gz, 0)))
+    if need[1]:
+        params = {"indices": node.params["v"], "num_rows": second.shape[0]}
+        out.append((second, _emit("scatter_rows", (gz,), params)))
+    if need[0]:
+        params = {"indices": node.params["u"], "num_rows": first.shape[0]}
+        out.append((first, _emit("scatter_rows", (gz,), params)))
+    return out
 
 
-def _b_scatter_pairs(node, g, need):
-    params = {"rows": node.params["rows"], "cols": node.params["cols"]}
-    return ((node.inputs[0], _emit("gather_pairs", (g,), params)),)
+def _b_spmm(node, g, need):
+    values, h = node.inputs
+    rows, cols, transpose = node.params["rows"], node.params["cols"], node.params["transpose"]
+    out = []
+    if need[0]:
+        # dS[r, c] = g[r] . h[c], or h[r] . g[c] for the transposed product
+        pair = (h, g) if transpose else (g, h)
+        out.append((values, _emit("sddmm", pair, {"rows": rows, "cols": cols})))
+    if need[1]:
+        params = {"rows": rows, "cols": cols, "transpose": not transpose}
+        out.append((h, _emit("spmm", (values, g), params)))
+    return out
+
+
+def _b_sddmm(node, g, need):
+    a, b = node.inputs
+    rows, cols = node.params["rows"], node.params["cols"]
+    out = []
+    if need[0]:
+        out.append((a, _emit("spmm", (g, b), {"rows": rows, "cols": cols, "transpose": False})))
+    if need[1]:
+        out.append((b, _emit("spmm", (g, a), {"rows": rows, "cols": cols, "transpose": True})))
+    return out
 
 
 _BACKWARD = {
@@ -747,8 +818,9 @@ _BACKWARD = {
     "broadcast": _b_broadcast,
     "gather_rows": _b_gather_rows,
     "scatter_rows": _b_scatter_rows,
-    "gather_pairs": _b_gather_pairs,
-    "scatter_pairs": _b_scatter_pairs,
+    "pair_hidden": _b_pair_hidden,
+    "spmm": _b_spmm,
+    "sddmm": _b_sddmm,
 }
 
 assert set(_FORWARD) == set(_BACKWARD)

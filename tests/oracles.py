@@ -424,6 +424,19 @@ def dense_attention_encode(snapshot, params, config):
     return h
 
 
+def gathered_pair_head(head, params, h, items):
+    """``MlpHead.apply_pairs`` as the unfused chain of recorded primitives:
+    two ``gather_rows`` of the node projections, two ``add`` and a ``relu``
+    before the second layer, each an (M, hidden) node."""
+    w1, b1, w2, b2 = (params[name] for name in head.parameter_names)
+    d = h.shape[1]
+    first = nx.matmul(h, nx.gather_rows(w1, np.arange(d)))
+    second = nx.matmul(h, nx.gather_rows(w1, np.arange(d, 2 * d)))
+    projected = nx.add(nx.gather_rows(first, items[:, 0]), nx.gather_rows(second, items[:, 1]))
+    hidden = nx.relu(nx.add(projected, b1))
+    return nx.add(nx.matmul(hidden, w2), b2)
+
+
 def concatenated_pair_head(h, items, w1, b1, w2, b2, upstream):
     """A classifier head on the concatenated pair rows [h_u, h_v], in numpy.
 
@@ -568,17 +581,30 @@ def _case_scatter_rows(rng):
     return [_u(rng, 4, 2)], lambda a: nx.scatter_rows(a, idx, 6)
 
 
-# (1, 2) twice exercises accumulation in scatter_pairs
+# pairs of a 5 x 5 matrix; (1, 2) twice exercises accumulation in spmm
 _PAIR_ROWS = [0, 1, 1, 3, 1, 2]
 _PAIR_COLS = [0, 2, 4, 1, 2, 0]
 
 
-def _case_gather_pairs(rng):
-    return [_u(rng, 4, 5)], lambda a: nx.gather_pairs(a, _PAIR_ROWS, _PAIR_COLS)
+def _case_spmm(rng):
+    def call(values, h):
+        return (nx.spmm(values, h, _PAIR_ROWS, _PAIR_COLS),
+                nx.spmm(values, h, _PAIR_ROWS, _PAIR_COLS, transpose=True))
+
+    return [_u(rng, 6, 1), _u(rng, 5, 3)], call
 
 
-def _case_scatter_pairs(rng):
-    return [_u(rng, 6, 1)], lambda a: nx.scatter_pairs(a, _PAIR_ROWS, _PAIR_COLS, (4, 5))
+def _case_sddmm(rng):
+    return [_u(rng, 5, 3), _u(rng, 5, 3)], lambda a, b: nx.sddmm(a, b, _PAIR_ROWS, _PAIR_COLS)
+
+
+def _case_pair_hidden(rng):
+    # repeated endpoints exercise the scatter adjoints; a pre-activation
+    # within the FD step of relu's kink has probability ~1e-5 per entry
+    items = np.array([[0, 1], [2, 2], [0, 3], [1, 1], [3, 0]])
+    return [_u(rng, 4, 3), _u(rng, 4, 3), _u(rng, 1, 3)], (
+        lambda first, second, b1: nx.pair_hidden(first, second, b1, items)
+    )
 
 
 #: composites of one primitive and a constant operand
@@ -608,8 +634,9 @@ PRIMITIVE_CASES = {
     "broadcast": _case_broadcast,
     "gather_rows": _case_gather_rows,
     "scatter_rows": _case_scatter_rows,
-    "gather_pairs": _case_gather_pairs,
-    "scatter_pairs": _case_scatter_pairs,
+    "pair_hidden": _case_pair_hidden,
+    "spmm": _case_spmm,
+    "sddmm": _case_sddmm,
 }
 
 

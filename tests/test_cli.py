@@ -405,6 +405,7 @@ def test_train_task_mismatch_is_a_config_error(dataset_dir, tmp_path, capsys):
 
 
 def test_train_corrupted_dataset_is_a_runtime_error(dataset_dir, tmp_path, capsys):
+    # a missing snapshot file is a fault of the input: exit 1, naming the file
     broken = tmp_path / "broken"
     shutil.copytree(dataset_dir, broken)
     (broken / "snapshot_001.edges").unlink()
@@ -412,8 +413,57 @@ def test_train_corrupted_dataset_is_a_runtime_error(dataset_dir, tmp_path, capsy
         "train", "--dataset", str(broken), "--out", str(tmp_path / "run"),
         "--hidden-dim", "4", "--window-size", "2", "--epochs", "1",
     ])
-    assert rc == 2
-    assert "runtime error:" in capsys.readouterr().err
+    assert rc == 1
+    assert str(broken / "snapshot_001.edges") in capsys.readouterr().err
+
+
+def _drop(path):
+    path.unlink()
+
+
+def _replace_meta_value(key, value):
+    def corrupt(meta):
+        lines = meta.read_text().splitlines()
+        meta.write_text("\n".join(f"{key}={value}" if line.startswith(f"{key}=") else line
+                                  for line in lines) + "\n")
+    return corrupt
+
+
+def _nan_first_weight(edges):
+    first, *rest = edges.read_text().splitlines()
+    u, v, _ = first.split()
+    edges.write_text("\n".join([f"{u} {v} nan"] + rest) + "\n")
+
+
+def _nan_first_feature(features):
+    values = np.load(features)
+    values[0, 0] = np.nan
+    np.save(features, values)
+
+
+#: case -> (file corrupted, how)
+_BAD_DATASET_FILES = {
+    "missing nodes.map": ("nodes.map", _drop),
+    "missing features": ("snapshot_002.npy", _drop),
+    "unreadable features": ("snapshot_002.npy", lambda path: path.write_bytes(b"not an array")),
+    "non-integer meta value": ("meta", _replace_meta_value("num_nodes", "30.5")),
+    "non-finite edge weight": ("snapshot_003.edges", _nan_first_weight),
+    "non-finite feature": ("snapshot_001.npy", _nan_first_feature),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DATASET_FILES))
+def test_train_on_a_bad_dataset_file_exits_1_naming_it(case, dataset_dir, tmp_path, capsys):
+    name, corrupt = _BAD_DATASET_FILES[case]
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset_dir, broken)
+    corrupt(broken / name)
+    rc = cli.main([
+        "train", "--dataset", str(broken), "--out", str(tmp_path / "run"),
+        "--hidden-dim", "4", "--window-size", "2", "--epochs", "1",
+    ])
+    assert rc == 1
+    assert str(broken / name) in capsys.readouterr().err
 
 
 def test_train_non_finite_run_is_a_runtime_error_without_checkpoint(tmp_path, capsys):

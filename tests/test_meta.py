@@ -287,6 +287,28 @@ def test_exact_inner_steps_differentiate_back_to_their_own_parameters_only(monke
     assert len(live) >= 0.9 * len(tape), (len(live), len(tape))
 
 
+def test_exact_attention_episode_records_no_dense_or_pair_row_outputs():
+    """Attention aggregates with spmm and each pair head's hidden layer is
+    one pair_hidden node, so an exact episode's tape holds no N x N output
+    and no (M, hidden) rows gathered for the M pairs of the batch."""
+    seq = _small_sequence()
+    hidden = 5
+    spec = ModelSpec(
+        EncoderConfig(base_model="attention", num_layers=2, input_dim=16, hidden_dim=hidden),
+        task="link_prediction",
+    )
+    config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01, gradient_mode="exact")
+    params, window, batch = _episode_pieces(seq, spec, config)
+    tape = Tape()
+    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    mt.outer_step(window, states, batch, params, spec, config, tape)
+    n = seq.num_nodes
+    outputs = [(node.op, node.output.shape) for node in tape.nodes]
+    assert not [op for op, shape in outputs if shape == (n, n)]
+    assert ("gather_rows", (batch.size, hidden)) not in outputs
+    assert {"spmm", "sddmm", "pair_hidden"} <= {op for op, _ in outputs}
+
+
 # --------------------------------------------------------------- outer update
 
 

@@ -95,6 +95,37 @@ def test_attention_encode_matches_the_dense_masked_reference(layers, activation)
         assert oracles.norm_rel_err(got, reference) <= 1e-12, edge_p
 
 
+@pytest.mark.parametrize("create_graph", [False, True], ids=["first_order", "exact"])
+def test_attention_gradients_match_the_dense_masked_reference(create_graph):
+    """Gradients through spmm/sddmm aggregation equal the dense encoder's
+    within 1e-12, and with a recorded gradient so do its second derivatives."""
+    config = EncoderConfig(base_model="attention", num_layers=2, input_dim=3, hidden_dim=4)
+    rng = np.random.default_rng(21)
+    snap = oracles.random_snapshot(rng, 1, 12, 0.3, rng.normal(size=(12, 3)))
+    params = md.init_parameters(ModelSpec(config), seed=4)
+    tracked = [t for _, t in params.items_in("gnn")]
+    upstream = Tensor(rng.normal(size=(12, 4)))
+    probes = [Tensor(rng.normal(size=t.shape)) for t in tracked]
+
+    def derivatives(encoder):
+        tape = Tape()
+        with tape:
+            loss = nx.sums(nx.hadamard(encoder(snap, params, config), upstream), None)
+        grads = tape.gradient(loss, tracked, create_graph=create_graph)
+        found = [g.data for g in grads]
+        if create_graph:
+            with tape:
+                probed = [nx.sums(nx.hadamard(g, p), None) for g, p in zip(grads, probes)]
+                total = probed[0]
+                for term in probed[1:]:
+                    total = nx.add(total, term)
+            found += [g.data for g in tape.gradient(total, tracked)]
+        return found
+
+    for got, want in zip(derivatives(md.encode), derivatives(oracles.dense_attention_encode)):
+        assert oracles.norm_rel_err(got, want) <= 1e-12
+
+
 def test_encode_rejects_feature_width_mismatch():
     spec = _edge_spec(input_dim=4)
     params = md.init_parameters(spec, seed=0)
@@ -331,6 +362,27 @@ def test_apply_pairs_equals_untaped_pair_logits_bit_for_bit(hidden):
     items = rng.integers(0, 40, size=(300, 2))
     forward, _ = head.pair_logits(params, h.data, items)
     assert np.array_equal(head.apply_pairs(params, h, items).data, forward)
+
+
+@pytest.mark.parametrize("create_graph", [False, True], ids=["first_order", "exact"])
+def test_apply_pairs_equals_the_gathered_relu_chain_bit_for_bit(create_graph):
+    """One pair_hidden node gives the logits and gradients of the unfused
+    gather/add/relu chain bit for bit, recorded or not."""
+    rng = np.random.default_rng(12)
+    head, params, h = _random_pair_head(rng, hidden=8, num_nodes=20)
+    items = rng.integers(0, 20, size=(60, 2))
+    upstream = Tensor(rng.normal(size=(60, head.out_dim)))
+    tracked = [h] + [params[name] for name in head.parameter_names]
+
+    def run(apply):
+        tape = Tape()
+        with tape:
+            logits = apply(head, params, h, items)
+            loss = nx.sums(nx.hadamard(logits, upstream), None)
+        grads = tape.gradient(loss, tracked, create_graph=create_graph)
+        return [logits.data.tobytes()] + [g.data.tobytes() for g in grads]
+
+    assert run(md.MlpHead.apply_pairs) == run(oracles.gathered_pair_head)
 
 
 def test_apply_pairs_rejects_a_pair_width_mismatch():

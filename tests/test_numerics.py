@@ -150,17 +150,61 @@ def test_segment_softmax_normalizes_each_segment():
 
 
 def test_pair_primitives_are_mutually_adjoint():
+    """spmm is the product with the dense matrix of its pairs, sddmm gathers
+    a dense product, and each is the other's adjoint in both orientations."""
     rng = np.random.default_rng(14)
-    rows, cols = rng.integers(0, 4, size=9), rng.integers(0, 6, size=9)
-    x, y = rng.normal(size=(9, 1)), rng.normal(size=(4, 6))
-    scattered = nx.scatter_pairs(Tensor(x), rows, cols, (4, 6)).data
-    gathered = nx.gather_pairs(Tensor(y), rows, cols).data
-    assert gathered.shape == (9, 1)
-    assert np.array_equal(gathered[:, 0], y[rows, cols])
-    assert math.isclose(float((scattered * y).sum()), float((x * gathered).sum()), rel_tol=1e-13)
-    dense = np.zeros((4, 6))
+    rows, cols = rng.integers(0, 6, size=9), rng.integers(0, 6, size=9)
+    x, h, y = rng.normal(size=(9, 1)), rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    dense = np.zeros((6, 6))
     np.add.at(dense, (rows, cols), x[:, 0])
-    assert np.allclose(scattered, dense, rtol=1e-15, atol=1e-15)
+    product = nx.spmm(Tensor(x), Tensor(h), rows, cols).data
+    transposed = nx.spmm(Tensor(x), Tensor(h), rows, cols, transpose=True).data
+    assert np.allclose(product, dense @ h, rtol=1e-14, atol=1e-14)
+    assert np.allclose(transposed, dense.T @ h, rtol=1e-14, atol=1e-14)
+    gathered = nx.sddmm(Tensor(y), Tensor(h), rows, cols).data
+    assert gathered.shape == (9, 1)
+    assert np.array_equal(gathered[:, 0], (y @ h.T)[rows, cols])
+    assert math.isclose(float((product * y).sum()), float((x * gathered).sum()), rel_tol=1e-13)
+    flipped = nx.sddmm(Tensor(h), Tensor(y), rows, cols).data
+    assert math.isclose(float((transposed * y).sum()), float((x * flipped).sum()), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_spmm_and_sddmm_differentiate_twice(transpose):
+    """A recorded gradient through spmm and sddmm, differentiated again,
+    matches central differences of the first gradient."""
+    rng = np.random.default_rng([16, transpose])
+    rows, cols = [0, 1, 1, 3, 2, 3, 1], [2, 0, 1, 3, 2, 0, 1]
+    arrays = [rng.normal(size=(7, 1)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
+    weights = [Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(7, 1)))]
+    probes = [Tensor(rng.normal(size=a.shape)) for a in arrays]
+
+    def probed_gradient(values, h, other):
+        tape = Tape()
+        with tape:
+            product = nx.spmm(values, h, rows, cols, transpose=transpose)
+            gathered = nx.sddmm(product, other, rows, cols)
+            loss = nx.add(
+                nx.sums(nx.hadamard(nx.hadamard(product, product), weights[0]), None),
+                nx.sums(nx.hadamard(nx.hadamard(gathered, values), weights[1]), None),
+            )
+        grads = tape.gradient(loss, [values, h, other], create_graph=True)
+        with tape:
+            terms = [nx.sums(nx.hadamard(g, p), None) for g, p in zip(grads, probes)]
+            probed = nx.add(nx.add(terms[0], terms[1]), terms[2])
+        return tape, probed
+
+    tracked = [Tensor(a, requires_grad=True) for a in arrays]
+    tape, probed = probed_gradient(*tracked)
+    second = tape.gradient(probed, tracked)
+    for i, a in enumerate(arrays):
+        def f(x, i=i):
+            values = [Tensor(v, requires_grad=True) for v in arrays]
+            values[i] = Tensor(x, requires_grad=True)
+            return probed_gradient(*values)[1].item()
+
+        fd = oracles.central_difference(f, a.copy())
+        assert oracles.max_rel_err(second[i].data, fd) <= 1e-6, i
 
 
 def _zeros(rows, cols):
@@ -174,12 +218,17 @@ _MISSHAPED_CALLS = {
     "segment_softmax late start": lambda: nx.segment_softmax(_zeros(3, 1), [1]),
     "segment_softmax no segments": lambda: nx.segment_softmax(_zeros(0, 1), []),
     "segment_softmax 2-D starts": lambda: nx.segment_softmax(_zeros(3, 1), [[0, 2]]),
-    "gather_pairs lengths": lambda: nx.gather_pairs(_zeros(3, 3), [0, 1], [0]),
-    "gather_pairs range": lambda: nx.gather_pairs(_zeros(3, 3), [0, 3], [0, 1]),
-    "gather_pairs 2-D": lambda: nx.gather_pairs(_zeros(3, 3), [[0, 1]], [[0, 1]]),
-    "scatter_pairs column": lambda: nx.scatter_pairs(_zeros(1, 2), [0, 1], [0, 1], (3, 3)),
-    "scatter_pairs range": lambda: nx.scatter_pairs(_zeros(2, 1), [0, 1], [0, 3], (3, 3)),
-    "scatter_pairs lengths": lambda: nx.scatter_pairs(_zeros(2, 1), [0, 1], [0], (3, 3)),
+    "sddmm lengths": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), [0, 1], [0]),
+    "sddmm range": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), [0, 3], [0, 1]),
+    "sddmm 2-D": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), [[0, 1]], [[0, 1]]),
+    "sddmm operands": lambda: nx.sddmm(_zeros(3, 2), _zeros(4, 2), [0, 1], [0, 1]),
+    "spmm column": lambda: nx.spmm(_zeros(1, 2), _zeros(3, 2), [0, 1], [0, 1]),
+    "spmm range": lambda: nx.spmm(_zeros(2, 1), _zeros(3, 2), [0, 1], [0, 3]),
+    "spmm lengths": lambda: nx.spmm(_zeros(2, 1), _zeros(3, 2), [0, 1], [0]),
+    "pair_hidden items": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(3, 2), _zeros(1, 2), [0, 1]),
+    "pair_hidden range": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(2, 2), _zeros(1, 2), [[0, 2]]),
+    "pair_hidden widths": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(3, 3), _zeros(1, 2), [[0, 1]]),
+    "pair_hidden bias": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(3, 2), _zeros(2, 2), [[0, 1]]),
 }
 
 
@@ -598,10 +647,12 @@ _CHAIN_OPS = {
     "sums_all": (1, lambda a: nx.broadcast(nx.sums(a, None), (_N, _N))),
     "gather_rows": (1, lambda a: nx.gather_rows(a, [2, 0, 2])),
     "scatter_rows": (1, lambda a: nx.scatter_rows(a, [1, 1, 0], _N)),
-    "pairs": (1, lambda a: nx.scatter_pairs(nx.gather_pairs(a, *_PAIR_SRC), *_PAIR_DST, (_N, _N))),
-    "segment_softmax": (1, lambda a: nx.scatter_pairs(
-        nx.segment_softmax(nx.gather_pairs(a, *_PAIR_SRC), [0, 2]), *_PAIR_DST, (_N, _N)
+    "spmm": (2, lambda a, b: nx.spmm(nx.sddmm(a, b, *_PAIR_SRC), b, *_PAIR_DST)),
+    "spmm_t": (2, lambda a, b: nx.spmm(nx.sddmm(a, b, *_PAIR_SRC), a, *_PAIR_DST, transpose=True)),
+    "segment_softmax": (1, lambda a: nx.spmm(
+        nx.segment_softmax(nx.sddmm(a, a, *_PAIR_SRC), [0, 2]), a, *_PAIR_DST
     )),
+    "pair_hidden": (2, lambda a, b: nx.pair_hidden(a, b, nx.sums(b, 0), [[0, 2], [1, 1], [2, 0]])),
 }
 
 
