@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics as nx
 from .errors import ConfigError
 from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch, supervised_batch
-from .meta import TrainingConfig, _episode_seed, _SgdState, build_window, earliest_target_time
+from .meta import TrainingConfig, _episode_seed, _SgdState, build_window, training_targets
 from .model import (
     ModelSpec,
     encode,
@@ -93,10 +93,7 @@ def train_static_gcn(
     structure snapshot and uses the trainer's batch-sampling seeds. Returns
     the trained parameters and the per-epoch summed losses.
     """
-    train_end = sequence.split[0]
-    first = earliest_target_time(config)
-    if first > train_end:
-        raise ConfigError(f"no training targets exist for window_size {config.window_size}")
+    targets = training_targets(config, sequence.split[0])
     params = (
         initial_params if initial_params is not None else init_static_parameters(spec, config.seed)
     )
@@ -106,7 +103,7 @@ def train_static_gcn(
         tape = Tape()
         total = None
         with tape:
-            for t in range(first, train_end + 1):
+            for t in targets:
                 batch = supervised_batch(
                     sequence.snapshot_at(t),
                     sequence.task,

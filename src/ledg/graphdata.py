@@ -71,34 +71,6 @@ def seed_from(base: int, *labels) -> np.random.SeedSequence:
     return np.random.SeedSequence(parts)
 
 
-def _canonical_pairs(pairs, num_nodes: int):
-    """Validate undirected node pairs and put them in canonical form.
-
-    Returns the (E, 2) int64 pairs with ``u < v`` sorted by ``u * n + v``,
-    and the order that sorts the given rows into them. An endpoint outside
-    [0, num_nodes), a self-loop or a repeated pair is a ValidationError.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError(f"edge pairs must form an (E, 2) array, got shape {pairs.shape}")
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-    outside = (lo < 0) | (hi >= num_nodes)
-    bad = outside | (lo == hi)
-    if bad.any():
-        first = np.argmax(bad)
-        u, v = pairs[first].tolist()
-        if outside[first]:
-            raise ValidationError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-        raise ValidationError(f"self-loop ({u}, {u}) is not storable")
-    keys = lo * num_nodes + hi
-    order = np.argsort(keys, kind="stable")
-    if np.any(np.diff(keys[order]) == 0):
-        raise ValidationError("duplicate undirected edges in snapshot")
-    return np.stack((lo[order], hi[order]), axis=1), order
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -118,8 +90,8 @@ class SnapshotGraph:
     The edges are stored once, as read-only arrays: ``pairs`` (E, 2) int64
     with ``u < v`` sorted by ``u * n + v``, ``weights`` (E,) float64 (1 when
     not given) and ``edge_labels`` (E,) int64 or None. There are no
-    self-loops and no duplicates. The symmetric normalized adjacency and the
-    neighbour-pair list are computed on first use and cached.
+    self-loops and no duplicates. The neighbour-pair list and the normalized
+    adjacency's values at those pairs are computed on first use and cached.
     """
 
     __slots__ = (
@@ -137,11 +109,28 @@ class SnapshotGraph:
     def __init__(self, time_index, num_nodes, pairs, features, node_labels=None,
                  weights=None, edge_labels=None):
         self.time_index = int(time_index)
-        self.num_nodes = int(num_nodes)
-        if self.num_nodes < 1:
+        self.num_nodes = n = int(num_nodes)
+        if n < 1:
             raise ValidationError("a snapshot needs at least one node")
-        pairs, order = _canonical_pairs(pairs, self.num_nodes)
-        self.pairs = _frozen(pairs)
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError(f"edge pairs must form an (E, 2) array, got shape {pairs.shape}")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        outside = (lo < 0) | (hi >= n)
+        bad = outside | (lo == hi)
+        if bad.any():
+            first = np.argmax(bad)
+            u, v = pairs[first].tolist()
+            if outside[first]:
+                raise ValidationError(f"edge ({u}, {v}) out of range for {n} nodes")
+            raise ValidationError(f"self-loop ({u}, {u}) is not storable")
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")  # sorts the given rows into canonical order
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValidationError("duplicate undirected edges in snapshot")
+        self.pairs = _frozen(np.stack((lo[order], hi[order]), axis=1))
         if weights is None:
             weights = np.ones(order.size)
         self.weights = _per_edge(weights, np.float64, "weights", order)
@@ -150,14 +139,12 @@ class SnapshotGraph:
         )
         if not isinstance(features, Tensor):
             features = Tensor(features)
-        if features.shape[0] != self.num_nodes:
-            raise ValidationError(
-                f"feature rows {features.shape[0]} != num_nodes {self.num_nodes}"
-            )
+        if features.shape[0] != n:
+            raise ValidationError(f"feature rows {features.shape[0]} != num_nodes {n}")
         self.features = features
         if node_labels is not None:
             node_labels = np.asarray(node_labels, dtype=np.int64)
-            if node_labels.shape != (self.num_nodes,):
+            if node_labels.shape != (n,):
                 raise ValidationError("node_labels must have one entry per node")
             node_labels = _frozen(node_labels.copy())
         self.node_labels = node_labels
@@ -185,7 +172,7 @@ class SnapshotGraph:
     @property
     def normalized_adjacency(self) -> Tensor:
         if self._adjacency is None:
-            self._adjacency = normalize_adjacency(self.pairs, self.num_nodes)
+            self._adjacency = normalize_adjacency(self)
         return self._adjacency
 
     def neighbourhood(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,21 +198,14 @@ class SnapshotGraph:
         return self._neighbourhood
 
 
-def normalize_adjacency(pairs, num_nodes: int) -> Tensor:
-    """Symmetric degree normalization of the self-looped binary adjacency.
-
-    Builds A from the undirected (E, 2) node pairs, adds the identity, and
-    returns D^(-1/2) (A + I) D^(-1/2) where D holds the row sums of A + I.
-    The pairs are checked as a snapshot checks them. The result is
-    symmetric with nonnegative entries and an isolated node contributes a
-    bare 1 on the diagonal.
-    """
-    u, v = _canonical_pairs(pairs, num_nodes)[0].T
-    a = np.eye(num_nodes)
-    a[u, v] = 1.0
-    a[v, u] = 1.0
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return Tensor(a * inv_sqrt[:, None] * inv_sqrt[None, :])
+def normalize_adjacency(snapshot: SnapshotGraph) -> Tensor:
+    """The (2E + N, 1) column of D^(-1/2) (A + I) D^(-1/2) at the snapshot's
+    neighbour pairs, in :meth:`SnapshotGraph.neighbourhood` order; its other
+    entries are 0. A is the binary adjacency and D holds the row sums of
+    A + I, the degrees plus one, which are a row's pair count."""
+    rows, cols, _ = snapshot.neighbourhood()
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows))
+    return Tensor((inv_sqrt[rows] * inv_sqrt[cols])[:, None])
 
 
 class DynamicGraphSequence:
@@ -734,13 +714,24 @@ def _finite(path: Path, values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _node_labels(path: Path, task: str, num_classes: int) -> np.ndarray:
+    # checked before SnapshotGraph's int64 cast, which would make 0.5 class 0;
+    # only node classification reads the labels as classes
+    values = _finite(path, _read(path, np.load), "node label")
+    top = num_classes if task == "node_classification" else np.inf
+    if np.any((values != np.floor(values)) | (values < 0) | (values >= top)):
+        raise DatasetError(f"{path}: every node label must be an integer in [0, {top})")
+    return values
+
+
 def load_dataset(directory) -> DynamicGraphSequence:
     """Load a dataset directory written by :func:`save_dataset`.
 
-    A missing or unreadable file, a meta value that is not an integer and a
-    non-finite edge weight or feature are each a DatasetError naming the
-    file; the checks run here, on data read from disk, and not in
-    :class:`SnapshotGraph`.
+    A missing or unreadable file, a meta value that is not an integer, a
+    non-finite edge weight or feature and a node label that is not a
+    nonnegative integer (below ``num_classes`` for node classification) are
+    each a DatasetError naming the file; the checks run here, on data read
+    from disk, and not in :class:`SnapshotGraph`.
     """
     directory = Path(directory)
     meta_path = directory / "meta"
@@ -789,7 +780,7 @@ def load_dataset(directory) -> DynamicGraphSequence:
         features_path = directory / f"{stem}.npy"
         features = _finite(features_path, _read(features_path, np.load), "feature")
         labels_path = directory / f"labels_{t:03d}.npy"
-        labels = _read(labels_path, np.load) if labels_path.exists() else None
+        labels = _node_labels(labels_path, task, num_classes) if labels_path.exists() else None
         snapshots.append(SnapshotGraph(
             t, num_nodes, pairs, features, node_labels=labels,
             weights=weights, edge_labels=edge_labels,

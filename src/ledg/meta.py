@@ -48,6 +48,7 @@ __all__ = [
     "TrainResult",
     "build_window",
     "earliest_target_time",
+    "training_targets",
     "inner_adapt",
     "outer_step",
     "run_episode",
@@ -142,6 +143,18 @@ def earliest_target_time(config: TrainingConfig) -> int:
     """Smallest t whose whole window lies within the sequence (times >= 1)."""
     w = config.window_size
     return w if config.target_structure_mode == "same_snapshot" else w + 1
+
+
+def training_targets(config: TrainingConfig, train_end: int) -> range:
+    """The target times a training epoch sweeps, in order, from
+    :func:`earliest_target_time` to ``train_end``; ConfigError if none."""
+    targets = range(earliest_target_time(config), train_end + 1)
+    if not targets:
+        raise ConfigError(
+            f"window_size {config.window_size} leaves no training target in the "
+            f"{train_end} training snapshots in {config.target_structure_mode} mode"
+        )
+    return targets
 
 
 def build_window(sequence: DynamicGraphSequence, t: int, config: TrainingConfig) -> EpisodeWindow:
@@ -451,13 +464,7 @@ def train(
     objective or gradient norm are not finite. Deterministic given
     (sequence, spec, config).
     """
-    train_end = sequence.split[0]
-    if config.window_size >= train_end:
-        raise ConfigError(
-            f"window_size {config.window_size} must be smaller than the "
-            f"{train_end} training snapshots in {config.target_structure_mode} mode"
-        )
-    first = earliest_target_time(config)
+    targets = training_targets(config, sequence.split[0])
     params = initial_params if initial_params is not None else init_parameters(spec, config.seed)
     result = TrainResult(params=params)
     optimizer = _make_optimizer(config)
@@ -467,7 +474,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         epoch_total = 0.0
         count = 0
-        for t in range(first, train_end + 1):
+        for t in targets:
             params, record = run_episode(
                 sequence, t, params, spec, config, epoch=epoch, optimizer=optimizer
             )

@@ -240,28 +240,28 @@ def _activate(x: Tensor, activation: str) -> Tensor:
 def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig) -> Tensor:
     """Run the message-passing encoder over one snapshot.
 
-    The gcn base stacks ``h <- act(A_hat h W)`` layers on the symmetric
-    normalized adjacency. The attention base scores each (target, source)
-    neighbor pair additively, leaky-ReLUs the score, softmax-normalizes over
-    the target's neighborhood including its self-loop, aggregates, then
-    applies the activation. Single attention head. Scores, their softmax and
-    the aggregation ``spmm(alpha, wh)`` all work on the 2E + N neighbour
-    pairs (:meth:`SnapshotGraph.neighbourhood`), so the tape holds no N x N
-    matrix; ``spmm``'s kernel alone forms a transient dense one, because a
-    BLAS product beats a numpy segment sum at these sizes.
+    Both bases propagate with ``spmm`` over the 2E + N self-looped neighbour
+    pairs (:meth:`SnapshotGraph.neighbourhood`); they differ in the pair
+    weights. The gcn base stacks ``h <- act(A_hat h W)`` layers with the
+    normalized adjacency's values (:attr:`SnapshotGraph.normalized_adjacency`).
+    The attention base scores each (target, source) pair additively,
+    leaky-ReLUs the score, softmax-normalizes over the target's
+    neighbourhood and aggregates ``spmm(alpha, wh)`` before the activation;
+    single head. The tape holds no N x N matrix; only ``spmm``'s kernel forms
+    a transient dense one, as a BLAS product beats a numpy segment sum here.
     """
     if snapshot.feature_width != config.input_dim:
         raise ShapeError(
             f"snapshot feature width {snapshot.feature_width} != config input_dim {config.input_dim}"
         )
     h = snapshot.features
+    rows, cols, starts = snapshot.neighbourhood()
     if config.base_model == "gcn":
         a_hat = snapshot.normalized_adjacency
         for layer in range(1, config.num_layers + 1):
-            h = _activate(nx.matmul(nx.matmul(a_hat, h), params[f"gnn_w{layer}"]), config.activation)
+            h = _activate(nx.matmul(nx.spmm(a_hat, h, rows, cols), params[f"gnn_w{layer}"]), config.activation)
         return h
 
-    rows, cols, starts = snapshot.neighbourhood()
     for layer in range(1, config.num_layers + 1):
         wh = nx.matmul(h, params[f"gnn_w{layer}"])
         left = nx.matmul(wh, params[f"gnn_al{layer}"])

@@ -588,7 +588,8 @@ def pair_hidden(first: Tensor, second: Tensor, b1: Tensor, items) -> Tensor:
 def spmm(values: Tensor, h: Tensor, rows, cols, transpose: bool = False) -> Tensor:
     """S @ h, or S^T @ h with ``transpose``, for the N x N matrix S that holds
     the (P, 1) column ``values`` at the entries (rows[k], cols[k]) (repeated
-    pairs add); N is h's row count."""
+    pairs add); N is h's row count. Both encoders propagate with it: GCN's
+    values are the constant normalized adjacency, attention's its weights."""
     rows, cols = _pair_indices(rows, cols, h.shape[0], "spmm")
     if values.shape != (rows.size, 1):
         raise ShapeError(f"spmm: need a ({rows.size}, 1) column of values, got {values.shape}")

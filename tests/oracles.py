@@ -398,6 +398,30 @@ def random_snapshot(rng, time_index, num_nodes, edge_p, features, isolated=2, no
     return SnapshotGraph(time_index, num_nodes, edges, features, node_labels)
 
 
+def dense_normalized_adjacency(snapshot):
+    """D^(-1/2) (A + I) D^(-1/2) as a dense N x N array, built from the
+    binary adjacency plus the identity and its row sums."""
+    u, v = snapshot.pairs.T
+    a = np.eye(snapshot.num_nodes)
+    a[u, v] = 1.0
+    a[v, u] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def dense_gcn_encode(snapshot, params, config):
+    """The GCN encoder as dense products ``act(A_hat @ h @ W)`` with the
+    N x N :func:`dense_normalized_adjacency`, recorded with the library's
+    primitives."""
+    a_hat = nx.Tensor(dense_normalized_adjacency(snapshot))
+    h = snapshot.features
+    for layer in range(1, config.num_layers + 1):
+        h = nx.matmul(nx.matmul(a_hat, h), params[f"gnn_w{layer}"])
+        if config.activation == "relu":
+            h = nx.relu(h)
+    return h
+
+
 #: additive offset that zeroes non-neighbours after a dense row softmax
 MASK_VALUE = -1e9
 
@@ -408,7 +432,7 @@ def dense_attention_encode(snapshot, params, config):
     softmax-normalized over all N columns. Recorded with the library's
     primitives, so a recorded gradient differentiates through it."""
     n = snapshot.num_nodes
-    mask = (snapshot.normalized_adjacency.data > 0.0).astype(np.float64)
+    mask = (dense_normalized_adjacency(snapshot) > 0.0).astype(np.float64)
     mask, offset = nx.Tensor(mask), nx.Tensor((1.0 - mask) * MASK_VALUE)
     h = snapshot.features
     for layer in range(1, config.num_layers + 1):

@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ledg
 from ledg import cli
 from ledg import graphdata as gd
 from ledg import meta as mt
@@ -31,6 +36,18 @@ def dataset_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def node_dataset_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "sbm_nodes"
+    rc = cli.main([
+        "generate", "--out", str(out), "--num-nodes", "30", "--intra-p", "0.3",
+        "--inter-p", "0.05", "--num-snapshots", "10", "--seed", "5",
+        "--task", "node_classification",
+    ])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, dataset_dir):
     out = tmp_path_factory.mktemp("run") / "train"
     rc = cli.main([
@@ -40,6 +57,23 @@ def trained_dir(tmp_path_factory, dataset_dir):
     ])
     assert rc == 0
     return out
+
+
+# ----------------------------------------------------------------- imports
+
+
+def test_importing_the_library_loads_no_scipy_or_test_tools():
+    """``import ledg`` in a fresh process pulls in none of scipy, pytest or
+    hypothesis: importing scipy.sparse alone adds about 22 MB of resident
+    memory to every run."""
+    source = str(Path(ledg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, ledg; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    for name in ("scipy", "pytest", "hypothesis"):
+        assert f"'{name}'" not in loaded, name
 
 
 # ------------------------------------------------------------- configuration
@@ -441,7 +475,16 @@ def _nan_first_feature(features):
     np.save(features, values)
 
 
-#: case -> (file corrupted, how)
+def _first_label(value):
+    def corrupt(labels):
+        values = np.load(labels).astype(np.asarray(value).dtype)
+        values[0] = value
+        np.save(labels, values)
+    return corrupt
+
+
+#: case -> (file corrupted, how); a labels file is corrupted in a
+#: node-classification dataset, every other file in a link-prediction one
 _BAD_DATASET_FILES = {
     "missing nodes.map": ("nodes.map", _drop),
     "missing features": ("snapshot_002.npy", _drop),
@@ -449,17 +492,25 @@ _BAD_DATASET_FILES = {
     "non-integer meta value": ("meta", _replace_meta_value("num_nodes", "30.5")),
     "non-finite edge weight": ("snapshot_003.edges", _nan_first_weight),
     "non-finite feature": ("snapshot_001.npy", _nan_first_feature),
+    "non-numeric node label": ("labels_002.npy", _first_label("a")),
+    "non-finite node label": ("labels_002.npy", _first_label(np.nan)),
+    "non-integral node label": ("labels_002.npy", _first_label(0.5)),
+    "negative node label": ("labels_002.npy", _first_label(-1)),
+    "node label beyond the classes": ("labels_002.npy", _first_label(7)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_DATASET_FILES))
-def test_train_on_a_bad_dataset_file_exits_1_naming_it(case, dataset_dir, tmp_path, capsys):
+def test_train_on_a_bad_dataset_file_exits_1_naming_it(
+    case, dataset_dir, node_dataset_dir, tmp_path, capsys
+):
     name, corrupt = _BAD_DATASET_FILES[case]
+    task = "node_classification" if name.startswith("labels_") else "link_prediction"
     broken = tmp_path / "broken"
-    shutil.copytree(dataset_dir, broken)
+    shutil.copytree(node_dataset_dir if task == "node_classification" else dataset_dir, broken)
     corrupt(broken / name)
     rc = cli.main([
-        "train", "--dataset", str(broken), "--out", str(tmp_path / "run"),
+        "train", "--dataset", str(broken), "--out", str(tmp_path / "run"), "--task", task,
         "--hidden-dim", "4", "--window-size", "2", "--epochs", "1",
     ])
     assert rc == 1

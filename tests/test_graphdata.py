@@ -42,8 +42,11 @@ def test_neighbourhood_is_the_cached_sorted_adjacency_pattern():
         assert rows.size == 2 * snap.num_edges + snap.num_nodes
         keys = rows * 12 + cols
         assert np.all(np.diff(keys) > 0)
-        pattern = np.nonzero(snap.normalized_adjacency.data)
+        reference = oracles.dense_normalized_adjacency(snap)
+        pattern = np.nonzero(reference)
         assert np.array_equal(rows, pattern[0]) and np.array_equal(cols, pattern[1])
+        column = snap.normalized_adjacency.data
+        assert column.tobytes() == reference[rows, cols][:, None].tobytes()
         assert np.array_equal(starts, np.searchsorted(rows, np.arange(12)))
         assert np.array_equal(np.diff(starts, append=rows.size), snap.degrees() + 1)
 
@@ -77,19 +80,33 @@ def test_sequence_split_and_time_ranges():
 # ------------------------------------------------------------- normalization
 
 
+def _normalized(pairs, n):
+    """A snapshot's cached normalized adjacency placed in a dense matrix,
+    checked against the dense oracle bit for bit: a (2E + N, 1) column at
+    the neighbour pairs, exact zeros elsewhere."""
+    snap = gd.SnapshotGraph(1, n, pairs, np.eye(n))
+    column = snap.normalized_adjacency
+    assert column.shape == (2 * snap.num_edges + n, 1)
+    assert snap.normalized_adjacency is column
+    rows, cols, _ = snap.neighbourhood()
+    dense = np.zeros((n, n))
+    dense[rows, cols] = column.data[:, 0]
+    assert dense.tobytes() == oracles.dense_normalized_adjacency(snap).tobytes()
+    return dense
+
+
 def test_normalize_adjacency_isolated_node():
-    out = gd.normalize_adjacency([], 1)
-    assert np.array_equal(out.data, [[1.0]])
+    assert np.array_equal(_normalized([], 1), [[1.0]])
 
 
 def test_normalize_adjacency_single_edge_pair():
     # entries are 1/sqrt(2) * 1/sqrt(2), i.e. 0.5 up to the sqrt rounding
-    out = gd.normalize_adjacency([(0, 1)], 2)
-    assert np.max(np.abs(out.data - 0.5)) <= 1e-12
+    out = _normalized([(0, 1)], 2)
+    assert np.max(np.abs(out - 0.5)) <= 1e-12
 
 
 def test_normalize_adjacency_mixes_isolated_and_connected():
-    out = gd.normalize_adjacency([(0, 1)], 3).data
+    out = _normalized([(0, 1)], 3)
     assert out[2, 2] == 1.0
     assert np.all(out[2, :2] == 0.0) and np.all(out[:2, 2] == 0.0)
 
@@ -99,7 +116,7 @@ def test_normalized_adjacency_spectral_radius_and_symmetry():
         rng = np.random.default_rng(seed)
         n = 10
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        out = gd.normalize_adjacency(pairs, n).data
+        out = _normalized(pairs, n)
         assert np.max(np.abs(out - out.T)) <= 1e-12
         assert np.all(out >= 0.0)
         assert oracles.power_iteration_radius(out) <= 1.0 + 1e-9
@@ -110,14 +127,9 @@ def test_normalize_adjacency_permutation_equivariance():
     n = 8
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
     perm = rng.permutation(n)
-    base = gd.normalize_adjacency(pairs, n).data
-    permuted = gd.normalize_adjacency([(perm[u], perm[v]) for u, v in pairs], n).data
+    base = _normalized(pairs, n)
+    permuted = _normalized([(perm[u], perm[v]) for u, v in pairs], n)
     assert np.array_equal(permuted[np.ix_(perm, perm)], base)
-
-
-def test_normalize_adjacency_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        gd.normalize_adjacency([(0, 7)], 3)
 
 
 # ----------------------------------------------------------------- features

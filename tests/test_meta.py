@@ -309,6 +309,40 @@ def test_exact_attention_episode_records_no_dense_or_pair_row_outputs():
     assert {"spmm", "sddmm", "pair_hidden"} <= {op for op, _ in outputs}
 
 
+@pytest.mark.parametrize("mode", ["first_order", "exact"])
+def test_gcn_episode_records_no_dense_input_or_output(mode, monkeypatch):
+    """GCN propagates with spmm on the normalized adjacency's pair values, so
+    no tape of an episode, the throwaway first-order step tapes included,
+    records a node with an N x N input or output."""
+    seq = gd.generate_drifting_sbm(16, 2, 0.4, 0.1, 0.1, 6, seed=2, train_frac=0.7,
+                                   val_frac=0.1, feature_mode="degree_buckets")
+    spec = ModelSpec(
+        EncoderConfig(num_layers=2, input_dim=seq.feature_width, hidden_dim=5),
+        task="link_prediction",
+    )
+    config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01, gradient_mode=mode)
+    params, window, batch = _episode_pieces(seq, spec, config)
+    tapes = []
+
+    class KeptTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(mt, "Tape", KeptTape)
+    tape = KeptTape()
+    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    mt.outer_step(window, states, batch, params, spec, config, tape)
+    assert len(tapes) == (1 if mode == "exact" else 1 + config.window_size)
+    n = seq.num_nodes
+    shapes = [
+        (node.op, t.shape) for kept in tapes for node in kept.nodes
+        for t in (*node.inputs, node.output)
+    ]
+    assert not [op for op, shape in shapes if shape == (n, n)]
+    assert "spmm" in {op for op, _ in shapes}
+
+
 # --------------------------------------------------------------- outer update
 
 
@@ -509,13 +543,9 @@ def test_attention_exact_meta_gradient_matches_central_differences():
     assert worst_fo > 1e-2, worst_fo
 
 
-@pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("activation", ["relu", "linear"])
-def test_attention_exact_meta_gradient_matches_the_dense_masked_reference(
-    monkeypatch, layers, activation
-):
-    """The exact meta-gradient through the pair-list encoder equals the one
-    through the dense masked encoder, on windows with isolated nodes and an
+def _meta_gradients_against(monkeypatch, base, layers, activation, mode, reference):
+    """The episode objective and meta-gradient through ``md.encode`` and then
+    through the ``reference`` encoder, on windows with isolated nodes and an
     edgeless snapshot."""
     rng = np.random.default_rng([5, layers])
     feats = rng.normal(size=(10, 2))
@@ -525,24 +555,49 @@ def test_attention_exact_meta_gradient_matches_the_dense_masked_reference(
     ]
     seq = gd.DynamicGraphSequence(snaps, (3, 3, 3), "node_classification", 2)
     spec = ModelSpec(
-        EncoderConfig(base_model="attention", num_layers=layers, input_dim=2, hidden_dim=3,
+        EncoderConfig(base_model=base, num_layers=layers, input_dim=2, hidden_dim=3,
                       activation=activation),
         task="node_classification",
     )
-    config = TrainingConfig(window_size=2, eta_in=0.3, eta_out=0.05, gradient_mode="exact")
+    config = TrainingConfig(window_size=2, eta_in=0.3, eta_out=0.05, gradient_mode=mode)
     params = md.init_parameters(spec, seed=layers)
     pairs = params.items_in()
 
     def meta_gradient():
-        tape, total, _ = _episode_objective(seq, spec, config, params, "exact")
+        tape, total, _ = _episode_objective(seq, spec, config, params, mode)
         grads = tape.gradient(total, [tensor for _, tensor in pairs])
         return total.item(), np.concatenate([g.data.ravel() for g in grads])
 
-    objective, grad = meta_gradient()
-    monkeypatch.setattr(md, "encode", oracles.dense_attention_encode)
-    reference_objective, reference_grad = meta_gradient()
+    found = meta_gradient()
+    monkeypatch.setattr(md, "encode", reference)
+    return found, meta_gradient()
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_attention_exact_meta_gradient_matches_the_dense_masked_reference(
+    monkeypatch, layers, activation
+):
+    """The exact meta-gradient through the pair-list encoder equals the one
+    through the dense masked encoder, on windows with isolated nodes and an
+    edgeless snapshot."""
+    (objective, grad), (reference_objective, reference_grad) = _meta_gradients_against(
+        monkeypatch, "attention", layers, activation, "exact", oracles.dense_attention_encode
+    )
     assert objective == pytest.approx(reference_objective, rel=1e-12, abs=0.0)
     assert oracles.norm_rel_err(grad, reference_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["first_order", "exact"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_gcn_meta_gradient_equals_the_dense_reference_bit_for_bit(monkeypatch, layers, mode):
+    """GCN's spmm propagation gives the dense A_hat encoder's objective and
+    meta-gradient bit for bit, inner backward passes recorded or not."""
+    found, reference = _meta_gradients_against(
+        monkeypatch, "gcn", layers, "relu", mode, oracles.dense_gcn_encode
+    )
+    assert found[0] == reference[0]
+    assert found[1].tobytes() == reference[1].tobytes()
 
 
 # -------------------------------------------- eta_in = 0 degeneracy (joint)
@@ -625,13 +680,30 @@ def test_train_zero_epochs_returns_initial_parameters():
     assert result.records == [] and result.epoch_objectives == []
 
 
-def test_train_rejects_windows_wider_than_the_training_split():
+def test_train_rejects_windows_wider_than_the_training_split(monkeypatch):
+    """In same_snapshot mode a window as wide as the training split leaves
+    one target, t = train_end; a wider one leaves none, and both trainers
+    refuse it alike."""
+    from ledg import baselines as bl
+
     seq = _small_sequence()  # train_end = 4
     spec = _small_spec()
-    with pytest.raises(ConfigError):
-        mt.train(seq, spec, TrainingConfig(window_size=4, eta_out=0.01))
-    with pytest.raises(ConfigError):
-        mt.train(seq, spec, TrainingConfig(window_size=6, eta_out=0.01))
+    config = TrainingConfig(window_size=4, eta_out=0.01, epochs=2)
+    records = mt.train(seq, spec, config).records
+    assert [(r.epoch, r.target_time) for r in records] == [(1, 4), (2, 4)]
+    targets = []
+    predict = bl.static_predict
+    monkeypatch.setattr(
+        bl, "static_predict", lambda s, *args: targets.append(s.time_index) or predict(s, *args)
+    )
+    _, losses = bl.train_static_gcn(seq, spec, config)
+    assert len(losses) == 2 and targets == [4, 4]
+    for width in (5, 6):
+        wide = TrainingConfig(window_size=width, eta_out=0.01)
+        with pytest.raises(ConfigError):
+            mt.train(seq, spec, wide)
+        with pytest.raises(ConfigError):
+            bl.train_static_gcn(seq, spec, wide)
 
 
 def test_train_same_config_reproduces_logs_exactly():

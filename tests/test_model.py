@@ -95,11 +95,12 @@ def test_attention_encode_matches_the_dense_masked_reference(layers, activation)
         assert oracles.norm_rel_err(got, reference) <= 1e-12, edge_p
 
 
-@pytest.mark.parametrize("create_graph", [False, True], ids=["first_order", "exact"])
-def test_attention_gradients_match_the_dense_masked_reference(create_graph):
-    """Gradients through spmm/sddmm aggregation equal the dense encoder's
-    within 1e-12, and with a recorded gradient so do its second derivatives."""
-    config = EncoderConfig(base_model="attention", num_layers=2, input_dim=3, hidden_dim=4)
+def _encoder_derivatives(base, create_graph):
+    """A derivatives function of an encoder on a fixed 12-node snapshot:
+    the gradients of a random projection of its output with respect to the
+    ``gnn`` parameters and, with ``create_graph``, the gradients of a random
+    projection of those."""
+    config = EncoderConfig(base_model=base, num_layers=2, input_dim=3, hidden_dim=4)
     rng = np.random.default_rng(21)
     snap = oracles.random_snapshot(rng, 1, 12, 0.3, rng.normal(size=(12, 3)))
     params = md.init_parameters(ModelSpec(config), seed=4)
@@ -122,8 +123,41 @@ def test_attention_gradients_match_the_dense_masked_reference(create_graph):
             found += [g.data for g in tape.gradient(total, tracked)]
         return found
 
+    return derivatives
+
+
+@pytest.mark.parametrize("create_graph", [False, True], ids=["first_order", "exact"])
+def test_attention_gradients_match_the_dense_masked_reference(create_graph):
+    """Gradients through spmm/sddmm aggregation equal the dense encoder's
+    within 1e-12, and with a recorded gradient so do its second derivatives."""
+    derivatives = _encoder_derivatives("attention", create_graph)
     for got, want in zip(derivatives(md.encode), derivatives(oracles.dense_attention_encode)):
         assert oracles.norm_rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_gcn_encode_matches_the_dense_reference_bit_for_bit(layers, activation):
+    """``spmm`` on the normalized adjacency's pair values builds the dense
+    A_hat and makes the same BLAS product with it, so no bit moves."""
+    config = EncoderConfig(num_layers=layers, input_dim=3, hidden_dim=5, activation=activation)
+    params = md.init_parameters(ModelSpec(config), seed=layers)
+    rng = np.random.default_rng([layers, len(activation)])
+    for edge_p in (0.0, 0.1, 0.3, 0.8):
+        snap = oracles.random_snapshot(rng, 1, 14, edge_p, rng.normal(size=(14, 3)))
+        got = md.encode(snap, params, config).data
+        assert got.tobytes() == oracles.dense_gcn_encode(snap, params, config).data.tobytes()
+
+
+@pytest.mark.parametrize("create_graph", [False, True], ids=["first_order", "exact"])
+def test_gcn_gradients_match_the_dense_reference_bit_for_bit(create_graph):
+    """spmm's backward ``S^T @ g`` is matmul's ``A_hat^T @ g``, and on a
+    recorded gradient its second derivative is ``A_hat @ g`` as well."""
+    derivatives = _encoder_derivatives("gcn", create_graph)
+    got, want = derivatives(md.encode), derivatives(oracles.dense_gcn_encode)
+    assert len(got) == len(want) == (4 if create_graph else 2)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_encode_rejects_feature_width_mismatch():
