@@ -35,12 +35,12 @@ from .graphdata import (
     DynamicGraphSequence,
     EqualEdgeCountBucketing,
     FixedIntervalBucketing,
+    IdentityFeatures,
     SnapshotGraph,
     TaskBatch,
     classification_batch,
     degree_bucket_features,
     generate_drifting_sbm,
-    identity_features,
     ingest_edge_stream,
     load_dataset,
     normalize_adjacency,

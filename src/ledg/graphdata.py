@@ -9,6 +9,7 @@ simply have no incident edges there. All randomness flows through numpy
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ __all__ = [
     "TASKS",
     "normalize_adjacency",
     "degree_bucket_features",
-    "identity_features",
+    "IdentityFeatures",
     "ingest_edge_stream",
     "generate_drifting_sbm",
     "sample_link_prediction_batch",
@@ -58,17 +59,24 @@ MIN_CLASS_LIMIT = 1000
 def seed_from(base: int, *labels) -> np.random.SeedSequence:
     """Derive a child seed from a base seed plus arbitrary tag labels.
 
-    Integer labels are used directly; anything else is hashed to 32 bits.
-    Same (base, labels) always gives the same stream.
+    Integer labels are used directly; anything else is hashed to 32 bits,
+    once per distinct label text. Same (base, labels) always gives the same
+    stream.
     """
     parts = [int(base)]
     for lab in labels:
         if isinstance(lab, (int, np.integer)):
             parts.append(int(lab) & 0xFFFFFFFF)
         else:
-            digest = hashlib.blake2s(str(lab).encode(), digest_size=4).digest()
-            parts.append(int.from_bytes(digest, "big"))
+            parts.append(_label_word(str(lab)))
     return np.random.SeedSequence(parts)
+
+
+@functools.lru_cache(maxsize=256)
+def _label_word(label: str) -> int:
+    # the few tags the library uses ("episode", "negatives", "train", ...)
+    # recur in every sampled batch
+    return int.from_bytes(hashlib.blake2s(label.encode(), digest_size=4).digest(), "big")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -84,13 +92,41 @@ def _per_edge(values, dtype, name: str, order: np.ndarray) -> np.ndarray:
     return _frozen(values[order])
 
 
+class IdentityFeatures:
+    """One-hot node-id features of ``num_nodes`` nodes, the N x N identity,
+    held as this mark instead of an array.
+
+    The encoder reads a first-layer product ``I @ W`` as ``W`` itself, so
+    training never forms the identity. ``data`` builds a fresh read-only one
+    on each read, for whatever needs the values (``save_dataset``, dense
+    references). One mark can serve every snapshot of a sequence.
+    """
+
+    __slots__ = ("num_nodes",)
+
+    def __init__(self, num_nodes: int):
+        self.num_nodes = int(num_nodes)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.num_nodes, self.num_nodes)
+
+    @property
+    def data(self) -> np.ndarray:
+        eye = np.eye(self.num_nodes)
+        eye.setflags(write=False)
+        return eye
+
+
 class SnapshotGraph:
     """One undirected graph snapshot over the global node universe.
 
     The edges are stored once, as read-only arrays: ``pairs`` (E, 2) int64
     with ``u < v`` sorted by ``u * n + v``, ``weights`` (E,) float64 (1 when
     not given) and ``edge_labels`` (E,) int64 or None. There are no
-    self-loops and no duplicates. The neighbour-pair list and the normalized
+    self-loops and no duplicates. ``features`` is an (N, F) Tensor, or for
+    one-hot node ids an :class:`IdentityFeatures` mark of width N, which
+    holds no array. The neighbour-pair list and the normalized
     adjacency's values at those pairs are computed on first use and cached.
     """
 
@@ -137,7 +173,7 @@ class SnapshotGraph:
         self.edge_labels = (
             None if edge_labels is None else _per_edge(edge_labels, np.int64, "edge_labels", order)
         )
-        if not isinstance(features, Tensor):
+        if not isinstance(features, (Tensor, IdentityFeatures)):
             features = Tensor(features)
         if features.shape[0] != n:
             raise ValidationError(f"feature rows {features.shape[0]} != num_nodes {n}")
@@ -372,11 +408,6 @@ class EqualEdgeCountBucketing:
         return buckets
 
 
-def identity_features(num_nodes: int) -> Tensor:
-    """One-hot node identity features (N x N)."""
-    return Tensor(np.eye(num_nodes))
-
-
 def degree_bucket_features(pair_lists, num_nodes: int):
     """Per-snapshot one-hot features of log2-bucketed degree.
 
@@ -566,8 +597,7 @@ def generate_drifting_sbm(
         label_rows.append(members.copy())
 
     if feature_mode == "identity":
-        # a Tensor is frozen, so every snapshot can share one N x N eye
-        feats = [identity_features(num_nodes)] * num_snapshots
+        feats = [IdentityFeatures(num_nodes)] * num_snapshots
     else:
         feats = degree_bucket_features(pair_lists, num_nodes)
     snapshots = [
@@ -714,13 +744,29 @@ def _finite(path: Path, values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _node_labels(path: Path, task: str, num_classes: int) -> np.ndarray:
+def _node_labels(path: Path, task: str, num_classes: int, num_nodes: int) -> np.ndarray:
     # checked before SnapshotGraph's int64 cast, which would make 0.5 class 0;
     # only node classification reads the labels as classes
     values = _finite(path, _read(path, np.load), "node label")
+    if values.shape != (num_nodes,):
+        raise DatasetError(f"{path}: need one node label per node ({num_nodes},), got shape {values.shape}")
     top = num_classes if task == "node_classification" else np.inf
     if np.any((values != np.floor(values)) | (values < 0) | (values >= top)):
         raise DatasetError(f"{path}: every node label must be an integer in [0, {top})")
+    return values
+
+
+def _features(path: Path, num_nodes: int, width: int | None, identity: IdentityFeatures):
+    """A snapshot's feature matrix, or ``identity`` when the file holds the
+    N x N identity; ``width`` is snapshot 1's, None while reading it."""
+    values = _finite(path, _read(path, np.load), "feature")
+    if values.ndim != 2 or values.shape[0] != num_nodes:
+        raise DatasetError(f"{path}: features must be a ({num_nodes}, F) matrix, got shape {values.shape}")
+    if width is not None and values.shape[1] != width:
+        raise DatasetError(f"{path}: feature width {values.shape[1]} != {width} of snapshot 1")
+    square = values.shape[1] == num_nodes
+    if square and np.count_nonzero(values) == num_nodes and (values.diagonal() == 1).all():
+        return identity
     return values
 
 
@@ -728,10 +774,14 @@ def load_dataset(directory) -> DynamicGraphSequence:
     """Load a dataset directory written by :func:`save_dataset`.
 
     A missing or unreadable file, a meta value that is not an integer, a
-    non-finite edge weight or feature and a node label that is not a
-    nonnegative integer (below ``num_classes`` for node classification) are
-    each a DatasetError naming the file; the checks run here, on data read
-    from disk, and not in :class:`SnapshotGraph`.
+    non-finite edge weight or feature, an edge out of range, a self-loop or a
+    repeated edge, a feature file that is not an (N, F) matrix of snapshot
+    1's width, a node-label file without one entry per node and a node label
+    that is not a nonnegative integer (below ``num_classes`` for node
+    classification) are each a DatasetError naming the file; the checks run
+    here, on data read from disk, and not in :class:`SnapshotGraph`. Feature
+    files that hold the N x N identity load as one :class:`IdentityFeatures`
+    mark.
     """
     directory = Path(directory)
     meta_path = directory / "meta"
@@ -757,34 +807,45 @@ def load_dataset(directory) -> DynamicGraphSequence:
         raise DatasetError(f"meta file is missing key {exc}") from None
     except ValueError as exc:
         raise DatasetError(f"{meta_path}: {exc}") from None
+    if num_nodes < 1:
+        raise DatasetError(f"{meta_path}: num_nodes must be at least 1, got {num_nodes}")
 
     names = _read(directory / "nodes.map", Path.read_text).splitlines()
+    identity = IdentityFeatures(num_nodes)
+    width = None
     snapshots = []
     for t in range(1, num_snapshots + 1):
         stem = f"snapshot_{t:03d}"
         edges_path = directory / f"{stem}.edges"
         lines = _read(edges_path, Path.read_text).splitlines()
         fields = [line.split() for line in lines]
-        width = len(fields[0]) if fields else 3
+        columns = len(fields[0]) if fields else 3
         for lineno, (line, parts) in enumerate(zip(lines, fields), 1):
-            if len(parts) != width or width not in (3, 4):
+            if len(parts) != columns or columns not in (3, 4):
                 raise DatasetError(f"{stem}.edges line {lineno}: malformed edge {line!r}")
-        table = np.array(fields, dtype=str).reshape(len(fields), width)
+        table = np.array(fields, dtype=str).reshape(len(fields), columns)
         try:
             pairs = table[:, :2].astype(np.int64)
             weights = table[:, 2].astype(np.float64)
-            edge_labels = table[:, 3].astype(np.int64) if width == 4 else None
+            edge_labels = table[:, 3].astype(np.int64) if columns == 4 else None
         except ValueError as exc:
             raise DatasetError(f"{edges_path}: {exc}") from None
         _finite(edges_path, weights, "edge weight")
-        features_path = directory / f"{stem}.npy"
-        features = _finite(features_path, _read(features_path, np.load), "feature")
+        features = _features(directory / f"{stem}.npy", num_nodes, width, identity)
+        width = features.shape[1]
         labels_path = directory / f"labels_{t:03d}.npy"
-        labels = _node_labels(labels_path, task, num_classes) if labels_path.exists() else None
-        snapshots.append(SnapshotGraph(
-            t, num_nodes, pairs, features, node_labels=labels,
-            weights=weights, edge_labels=edge_labels,
-        ))
+        labels = None
+        if labels_path.exists():
+            labels = _node_labels(labels_path, task, num_classes, num_nodes)
+        try:
+            snapshots.append(SnapshotGraph(
+                t, num_nodes, pairs, features, node_labels=labels,
+                weights=weights, edge_labels=edge_labels,
+            ))
+        except ValidationError as exc:
+            # the node count, features and labels are checked above, so what
+            # the snapshot refuses is an edge: out of range, a loop or a repeat
+            raise DatasetError(f"{edges_path}: {exc}") from None
     return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "TrainingConfig",
     "EpisodeWindow",
     "EpisodeRecord",
+    "Adaptation",
     "TrainResult",
     "build_window",
     "earliest_target_time",
@@ -189,24 +190,49 @@ def build_window(sequence: DynamicGraphSequence, t: int, config: TrainingConfig)
     )
 
 
+@dataclass(frozen=True)
+class Adaptation:
+    """What :func:`inner_adapt` returns; it unpacks as ``(states, losses)``.
+
+    ``states`` are the w adapted states and ``losses`` the w inner losses.
+    ``structure_bundle`` is the last inner step's embedding of the structure
+    snapshot under state w-1, recorded on the episode tape, which
+    :func:`outer_step` scores in place of embedding that state again; None
+    when w = 1, whose only step embeds with the initial parameters.
+    """
+
+    states: list[ParameterSet]
+    losses: list[float]
+    structure_bundle: EmbeddingBundle | None
+
+    def __iter__(self):
+        return iter((self.states, self.losses))
+
+
 def inner_adapt(
     window: EpisodeWindow,
     params: ParameterSet,
     spec: ModelSpec,
     config: TrainingConfig,
     tape: Tape,
-) -> tuple[list[ParameterSet], list[float]]:
+) -> Adaptation:
     """Sequential SGD on time regression over the window snapshots.
 
     Step i embeds window snapshot i with the current state, regresses its
     relative index i, and moves only the encoder and adapter groups by
     eta_in times the gradient. Returns all w intermediate states (each a
-    full parameter set sharing the untouched heads) and the w loss values.
+    full parameter set sharing the untouched heads), the w loss values and,
+    for w >= 2, the last step's embedding (see :class:`Adaptation`).
     The update arithmetic runs on the given tape. Under ``config``'s exact
     gradient mode each step's forward pass and gradient are recorded there
     too, so later outer gradients flow through every step. A first-order
-    update reads its gradient as a constant, so each step's forward pass and
-    gradient run on a throwaway tape and only the updates are recorded.
+    update reads its gradient as a constant, so the forward pass and
+    gradient of each step before the last run on a throwaway tape and only
+    their updates are recorded. The last step of a window of w >= 2 embeds
+    the structure snapshot with state w-1, which the outer step scores too,
+    so its forward pass is recorded on the given tape in both modes; under
+    first order its time-loss nodes, from ``mean_pool`` to ``smooth_l1``,
+    are then the only recorded nodes the outer objective does not read.
     """
     if window.size != config.window_size:
         raise ContractError(
@@ -217,18 +243,22 @@ def inner_adapt(
     current = params
     exact = config.gradient_mode == "exact"
     sgd = _SgdState(config.eta_in)
+    shared = None
     with tape:
         for i, snap in enumerate(window.snapshots, start=1):
-            step_tape = tape if exact else Tape()
+            shares = i == window.size >= 2 and snap is window.structure_snapshot
+            step_tape = tape if exact or shares else Tape()
             with step_tape:
                 bundle = embed(snap, current, spec)
                 loss = time_loss(bundle.time_part, current, spec, target_time=float(i))
                 names, tensors = zip(*current.items_in(*INNER_LOOP_GROUPS))
                 grads = step_tape.gradient(loss, list(tensors), create_graph=exact)
+            if shares:
+                shared = bundle
             current = sgd.apply(current, dict(zip(names, grads)))
             states.append(current)
             losses.append(loss.item())
-    return states, losses
+    return Adaptation(states, losses, shared)
 
 
 @dataclass(frozen=True)
@@ -348,17 +378,22 @@ def outer_step(
     config: TrainingConfig,
     tape: Tape,
     optimizer=None,
+    structure_bundle: EmbeddingBundle | None = None,
 ) -> tuple[ParameterSet, EpisodeRecord]:
     """One meta-update from the summed target losses over all adapted states.
 
     The objective is sum over i of task_loss_i + lambda * time_loss_i, with
     every term computed on the target batch using adapted state i and the
     window's structure snapshot; the time term regresses the target's
-    relative index. The gradient is taken with respect to the original
-    (pre-adaptation) parameters on the same tape that recorded the inner
-    updates and every group is moved by one step of ``optimizer`` (a fresh
-    one of the config's ``outer_optimizer`` kind when none is given). Nothing
-    differentiates this gradient again, so it is not recorded.
+    relative index. ``structure_bundle``, the embedding of the structure
+    snapshot under ``adapted_states[-2]`` that :func:`inner_adapt` recorded
+    on ``tape``, is scored for that state instead of embedding it again, so
+    an episode encodes 2w - 1 times; without it every state is embedded. The gradient is taken with respect to
+    the original (pre-adaptation) parameters on the same tape that recorded
+    the inner updates and every group is moved by one step of ``optimizer``
+    (a fresh one of the config's ``outer_optimizer`` kind when none is
+    given). Nothing differentiates this gradient again, so it is not
+    recorded.
     """
     if len(adapted_states) != window.size:
         raise ContractError(
@@ -368,11 +403,15 @@ def outer_step(
         raise ContractError("outer_step needs the target snapshot's task batch")
     if optimizer is None:
         optimizer = _make_optimizer(config)
+    shared_index = window.size - 2 if structure_bundle is not None else None
     task_total = None
     time_total = None
     with tape:
-        for state in adapted_states:
-            bundle = embed(window.structure_snapshot, state, spec)
+        for i, state in enumerate(adapted_states):
+            if i == shared_index:
+                bundle = structure_bundle
+            else:
+                bundle = embed(window.structure_snapshot, state, spec)
             predictions = task_predict(bundle, state, spec, target_batch)
             l_task = task_loss(predictions, target_batch.labels)
             l_time = time_loss(
@@ -427,11 +466,12 @@ def run_episode(
         return params, None
     window = build_window(sequence, t, config)
     tape = Tape()
-    states, inner_losses = inner_adapt(window, params, spec, config, tape)
+    adapted = inner_adapt(window, params, spec, config, tape)
     new_params, record = outer_step(
-        window, states, target_batch, params, spec, config, tape, optimizer
+        window, adapted.states, target_batch, params, spec, config, tape, optimizer,
+        adapted.structure_bundle,
     )
-    record = replace(record, epoch=epoch, inner_losses=tuple(inner_losses))
+    record = replace(record, epoch=epoch, inner_losses=tuple(adapted.losses))
     return new_params, record
 
 

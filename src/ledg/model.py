@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ContractError, DatasetError, ShapeError, ValidationError
-from .graphdata import TASKS, SnapshotGraph, TaskBatch, seed_from
+from .graphdata import TASKS, IdentityFeatures, SnapshotGraph, TaskBatch, seed_from
 from .numerics import ParameterSet, Tensor
 
 __all__ = [
@@ -247,23 +247,31 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
     The attention base scores each (target, source) pair additively,
     leaky-ReLUs the score, softmax-normalizes over the target's
     neighbourhood and aggregates ``spmm(alpha, wh)`` before the activation;
-    single head. The tape holds no N x N matrix; only ``spmm``'s kernel forms
-    a transient dense one, as a BLAS product beats a numpy segment sum here.
+    single head. On :class:`IdentityFeatures` the first layer's ``X @ W1``
+    is ``gnn_w1`` itself: GCN's first layer is ``spmm(a_hat, gnn_w1)``, the
+    same BLAS product on the same operands as ``(A_hat I) W1``, and
+    attention's first ``wh`` is ``gnn_w1``. The tape holds no N x N matrix;
+    only ``spmm``'s kernel forms a transient dense one, as a BLAS product
+    beats a numpy segment sum here.
     """
     if snapshot.feature_width != config.input_dim:
         raise ShapeError(
             f"snapshot feature width {snapshot.feature_width} != config input_dim {config.input_dim}"
         )
-    h = snapshot.features
+    # None stands for identity features, whose product with W is W
+    h = None if isinstance(snapshot.features, IdentityFeatures) else snapshot.features
     rows, cols, starts = snapshot.neighbourhood()
     if config.base_model == "gcn":
         a_hat = snapshot.normalized_adjacency
         for layer in range(1, config.num_layers + 1):
-            h = _activate(nx.matmul(nx.spmm(a_hat, h, rows, cols), params[f"gnn_w{layer}"]), config.activation)
+            w = params[f"gnn_w{layer}"]
+            h = nx.spmm(a_hat, w, rows, cols) if h is None else nx.matmul(nx.spmm(a_hat, h, rows, cols), w)
+            h = _activate(h, config.activation)
         return h
 
     for layer in range(1, config.num_layers + 1):
-        wh = nx.matmul(h, params[f"gnn_w{layer}"])
+        w = params[f"gnn_w{layer}"]
+        wh = w if h is None else nx.matmul(h, w)
         left = nx.matmul(wh, params[f"gnn_al{layer}"])
         right = nx.matmul(wh, params[f"gnn_ar{layer}"])
         scores = nx.add(nx.gather_rows(left, rows), nx.gather_rows(right, cols))

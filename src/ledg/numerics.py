@@ -5,7 +5,8 @@ tracked when it may carry a gradient. Tracked operations executed while a
 :class:`Tape` is active are appended to it in execution order, which is
 automatically a topological order; an operation on constants only makes a
 constant and is not recorded. ``Tape.gradient`` walks the recording
-backwards and builds adjoints out of the same primitives. With
+backwards and builds adjoints out of the same primitives (an unrecorded walk
+sums a tensor's several contributions on the bare arrays instead). With
 ``create_graph=True`` the backward pass is itself recorded, so the gradient
 can be differentiated again (this is what makes meta-gradients through inner
 SGD steps exact). By default it runs unrecorded and returns constants, which
@@ -166,7 +167,9 @@ class Tape:
         if out_idx is not None:
             _TAPE_STACK.append(self if create_graph else None)
             try:
-                self._walk_backward(out_idx, self._stop_index(wrt), adjoints, wrt_ids, results)
+                self._walk_backward(
+                    out_idx, self._stop_index(wrt), adjoints, wrt_ids, results, create_graph
+                )
             finally:
                 _TAPE_STACK.pop()
 
@@ -193,10 +196,13 @@ class Tape:
             return 0
         return min(producers, default=0)
 
-    def _walk_backward(self, out_idx, stop, adjoints, wrt_ids, results) -> None:
+    def _walk_backward(self, out_idx, stop, adjoints, wrt_ids, results, recorded) -> None:
         # An input is owed a contribution only when a requested gradient can
         # read it: it is requested, or it was made at or after the stop node.
         # Anything else passes its adjoint on only to nodes the walk skips.
+        # A second contribution is summed by ``add`` when the walk is recorded;
+        # otherwise by add's own kernel expression on the bare arrays, in the
+        # same operand order, so the bits agree and no op passes ``_emit``.
         produced_at = self._producer.get
         pop_adjoint = adjoints.pop
         held_adjoint = adjoints.get
@@ -216,7 +222,9 @@ class Tape:
                 continue
             for inp, contrib in rules[node.op](node, upstream, need):
                 held = held_adjoint(id(inp))
-                adjoints[id(inp)] = contrib if held is None else add(held, contrib)
+                if held is not None:
+                    contrib = add(held, contrib) if recorded else Tensor._raw(held.data + contrib.data)
+                adjoints[id(inp)] = contrib
 
 
 def _emit(op: str, inputs: tuple, params: dict = _EMPTY) -> Tensor:

@@ -107,6 +107,47 @@ def full_walk_gradient(tape, output, wrt, create_graph=False):
     return grads
 
 
+def reembedding_outer_gradients(window, params, spec, config, batch):
+    """The outer gradient of an episode that embeds the structure snapshot
+    afresh for every adapted state, 2w encodes, where the library reuses the
+    last inner step's embedding for state w-1.
+
+    The inner steps repeat ``meta.inner_adapt``'s arithmetic: each step's
+    forward pass and gradient on a throwaway tape under first order,
+    recorded on the episode tape under exact mode, and the update
+    ``p + (-eta_in) g``. Returns the gradients of task + lambda * time,
+    summed over the states, for every parameter in ``params.items_in()``
+    order.
+    """
+    from ledg import model as md
+
+    exact = config.gradient_mode == "exact"
+    tape = nx.Tape()
+    current, states = params, []
+    with tape:
+        for i, snap in enumerate(window.snapshots, start=1):
+            step_tape = tape if exact else nx.Tape()
+            with step_tape:
+                bundle = md.embed(snap, current, spec)
+                loss = md.time_loss(bundle.time_part, current, spec, float(i))
+                names, tensors = zip(*current.items_in(*nx.INNER_LOOP_GROUPS))
+                grads = step_tape.gradient(loss, list(tensors), create_graph=exact)
+            current = current.with_updates({
+                name: nx.add(t, nx.mul_scalar(g, -config.eta_in))
+                for name, t, g in zip(names, tensors, grads)
+            })
+            states.append(current)
+        task_total = time_total = None
+        for state in states:
+            bundle = md.embed(window.structure_snapshot, state, spec)
+            l_task = md.task_loss(md.task_predict(bundle, state, spec, batch), batch.labels)
+            l_time = md.time_loss(bundle.time_part, state, spec, float(window.target_regression_index))
+            task_total = l_task if task_total is None else nx.add(task_total, l_task)
+            time_total = l_time if time_total is None else nx.add(time_total, l_time)
+        objective = nx.add(task_total, nx.mul_scalar(time_total, config.lambda_time))
+    return tape.gradient(objective, [t for _, t in params.items_in()])
+
+
 def replay(tape):
     """Recompute every recorded node from its inputs with the forward kernels.
 

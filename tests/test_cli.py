@@ -483,6 +483,20 @@ def _first_label(value):
     return corrupt
 
 
+def _resaved(change):
+    def corrupt(features):
+        np.save(features, change(np.load(features)))
+    return corrupt
+
+
+def _first_edge_as(line):
+    def corrupt(edges):
+        first, *rest = edges.read_text().splitlines()
+        u, v, weight = first.split()
+        edges.write_text("\n".join([line.format(u=u, v=v, w=weight)] + rest) + "\n")
+    return corrupt
+
+
 #: case -> (file corrupted, how); a labels file is corrupted in a
 #: node-classification dataset, every other file in a link-prediction one
 _BAD_DATASET_FILES = {
@@ -497,6 +511,13 @@ _BAD_DATASET_FILES = {
     "non-integral node label": ("labels_002.npy", _first_label(0.5)),
     "negative node label": ("labels_002.npy", _first_label(-1)),
     "node label beyond the classes": ("labels_002.npy", _first_label(7)),
+    "node labels of the wrong length": ("labels_002.npy", _resaved(lambda x: x[:-1])),
+    "features that are not 2-D": ("snapshot_002.npy", _resaved(lambda x: x[0])),
+    "feature rows other than num_nodes": ("snapshot_002.npy", _resaved(lambda x: x[:-1])),
+    "feature width unlike snapshot 1": ("snapshot_002.npy", _resaved(lambda x: x[:, :-1])),
+    "edge out of range": ("snapshot_003.edges", _first_edge_as("{u} 999 {w}")),
+    "self-loop edge": ("snapshot_003.edges", _first_edge_as("{u} {u} {w}")),
+    "repeated edge": ("snapshot_003.edges", _first_edge_as("{u} {v} {w}\n{v} {u} {w}")),
 }
 
 

@@ -135,8 +135,39 @@ def test_normalize_adjacency_permutation_equivariance():
 # ----------------------------------------------------------------- features
 
 
-def test_identity_features():
-    assert np.array_equal(gd.identity_features(3).data, np.eye(3))
+def _stored_arrays(snapshot):
+    """Every array a snapshot holds in its slots, tensors and tuples opened."""
+    found = []
+    for name in gd.SnapshotGraph.__slots__:
+        value = getattr(snapshot, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, Tensor):
+                item = item.data
+            if isinstance(item, np.ndarray):
+                found.append(item)
+    return found
+
+
+def test_identity_feature_snapshots_hold_no_square_array(tmp_path):
+    """Identity features are a mark of width N whose data is the eye; neither
+    a generated nor a loaded snapshot stores an N x N array, and saving
+    writes the eye's bytes."""
+    assert np.array_equal(gd.IdentityFeatures(3).data, np.eye(3))
+    n = 15
+    seq = gd.generate_drifting_sbm(n, 3, 0.5, 0.05, 0.1, 5, seed=9)
+    gd.save_dataset(seq, tmp_path / "ds")
+    assert np.load(tmp_path / "ds" / "snapshot_001.npy").tobytes() == np.eye(n).tobytes()
+    loaded = gd.load_dataset(tmp_path / "ds")
+    for snap in (*seq, *loaded):
+        assert snap.normalized_adjacency.shape == (2 * snap.num_edges + n, 1)
+        assert isinstance(snap.features, gd.IdentityFeatures)
+        assert snap.feature_width == n
+        shapes = [a.shape for a in _stored_arrays(snap)]
+        assert shapes and (n, n) not in shapes
+    # a square feature matrix that is not the eye stays an array
+    (tmp_path / "ds" / "snapshot_002.npy").unlink()
+    np.save(tmp_path / "ds" / "snapshot_002.npy", 2.0 * np.eye(n))
+    assert isinstance(gd.load_dataset(tmp_path / "ds").snapshot_at(2).features, Tensor)
 
 
 def test_degree_bucket_features_star_graph():
@@ -740,6 +771,30 @@ def test_sequence_summary_is_json(tmp_path):
 
 
 # ---------------------------------------------------------------------- seeds
+
+
+def test_seed_from_streams_keep_their_recorded_values(monkeypatch):
+    """String labels are hashed once per text; the streams they seed are
+    the ones recorded before the hash was cached."""
+    recorded = {
+        (0, "init"): [2069252909, 984208239, 2907435108],
+        (3, "episode", 5): [3124477125, 409542984, 3372859658],
+        (7, "negatives", 4, "train"): [2435105076, 3127539033, 1687372129],
+        (1, "sbm"): [1969232314, 1861272197, 1469986074],
+    }
+    for args, state in recorded.items():
+        assert gd.seed_from(*args).generate_state(3).tolist() == state
+    hashed = []
+    blake2s = gd.hashlib.blake2s
+
+    def spy(data, **kwargs):
+        hashed.append(data)
+        return blake2s(data, **kwargs)
+
+    monkeypatch.setattr(gd.hashlib, "blake2s", spy)
+    for epoch in range(4):
+        gd.seed_from(0, "a label no other test uses", epoch)
+    assert hashed == [b"a label no other test uses"]
 
 
 def test_seed_from_is_stable_and_label_sensitive():

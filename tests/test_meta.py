@@ -194,7 +194,18 @@ def test_inner_adapt_checks_window_size():
                        Tape())
 
 
+#: the ops of one embed + time_loss of a two-layer GCN on identity features
+_IDENTITY_GCN_STEP_OPS = (
+    ["spmm", "relu", "spmm", "matmul", "relu"]  # encode: spmm(a_hat, gnn_w1), then a full layer
+    + ["matmul", "add", "relu", "matmul", "add", "sigmoid", "one_minus", "hadamard"]  # gate
+    + ["sums", "mul_scalar"]  # mean_pool
+    + ["matmul", "add", "relu", "matmul", "add", "add", "smooth_l1"]  # time head and loss
+)
+
+
 def test_first_order_inner_adapt_records_only_the_updates():
+    """Steps 1..w-1 record only their updates; step w also records its
+    forward pass, whose embedding the outer step reuses."""
     seq = _small_sequence()
     spec = _small_spec()
     params = md.init_parameters(spec, seed=1)
@@ -203,7 +214,8 @@ def test_first_order_inner_adapt_records_only_the_updates():
     tape = Tape()
     mt.inner_adapt(window, params, spec, config, tape)
     per_step = len(params.items_in(*nx.INNER_LOOP_GROUPS))
-    assert [node.op for node in tape.nodes] == ["add"] * (3 * per_step)
+    expected = ["add"] * (2 * per_step) + _IDENTITY_GCN_STEP_OPS + ["add"] * per_step
+    assert [node.op for node in tape.nodes] == expected
 
 
 def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatch):
@@ -220,9 +232,17 @@ def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatc
 
     monkeypatch.setattr(Tape, "gradient", spy)
     tape = Tape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
-    mt.outer_step(window, states, batch, params, spec, config, tape)
-    assert oracles.recorded_ancestors(tape, targets[-1]) == set(range(len(tape)))
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    mt.outer_step(window, adapted.states, batch, params, spec, config, tape,
+                  structure_bundle=adapted.structure_bundle)
+    # the last inner step's time loss, from its mean_pool's sums to its
+    # smooth_l1, is the one part of its recorded forward pass nothing reads
+    step_w_loss = targets[config.window_size - 1]
+    last_loss = next(k for k, node in enumerate(tape.nodes) if node.output is step_w_loss)
+    time_loss_nodes = set(range(last_loss - 8, last_loss + 1))
+    assert [tape.nodes[k].op for k in (last_loss - 8, last_loss)] == ["sums", "smooth_l1"]
+    live = oracles.recorded_ancestors(tape, targets[-1])
+    assert live == set(range(len(tape))) - time_loss_nodes
 
 
 def test_first_order_episode_tape_holds_only_tracked_nodes(monkeypatch):
@@ -312,8 +332,8 @@ def test_exact_attention_episode_records_no_dense_or_pair_row_outputs():
 @pytest.mark.parametrize("mode", ["first_order", "exact"])
 def test_gcn_episode_records_no_dense_input_or_output(mode, monkeypatch):
     """GCN propagates with spmm on the normalized adjacency's pair values, so
-    no tape of an episode, the throwaway first-order step tapes included,
-    records a node with an N x N input or output."""
+    no tape of an episode, the w - 1 throwaway first-order step tapes
+    included, records a node with an N x N input or output."""
     seq = gd.generate_drifting_sbm(16, 2, 0.4, 0.1, 0.1, 6, seed=2, train_frac=0.7,
                                    val_frac=0.1, feature_mode="degree_buckets")
     spec = ModelSpec(
@@ -331,9 +351,10 @@ def test_gcn_episode_records_no_dense_input_or_output(mode, monkeypatch):
 
     monkeypatch.setattr(mt, "Tape", KeptTape)
     tape = KeptTape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
-    mt.outer_step(window, states, batch, params, spec, config, tape)
-    assert len(tapes) == (1 if mode == "exact" else 1 + config.window_size)
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    mt.outer_step(window, adapted.states, batch, params, spec, config, tape,
+                  structure_bundle=adapted.structure_bundle)
+    assert len(tapes) == (1 if mode == "exact" else config.window_size)
     n = seq.num_nodes
     shapes = [
         (node.op, t.shape) for kept in tapes for node in kept.nodes
@@ -341,6 +362,73 @@ def test_gcn_episode_records_no_dense_input_or_output(mode, monkeypatch):
     ]
     assert not [op for op, shape in shapes if shape == (n, n)]
     assert "spmm" in {op for op, _ in shapes}
+
+
+@pytest.mark.parametrize("structure", ["same_snapshot", "previous_snapshot"])
+@pytest.mark.parametrize("mode", ["first_order", "exact"])
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_an_episode_encodes_2w_minus_1_times(monkeypatch, w, mode, structure):
+    """The last inner step embeds the structure snapshot with state w-1 and
+    the outer step reuses that embedding, so an episode of w >= 2 encodes
+    2w - 1 times; a one-step window embeds with the initial parameters,
+    which the outer step does not score, so it encodes twice."""
+    seq = _small_sequence()
+    spec = _small_spec()
+    config = TrainingConfig(window_size=w, eta_in=0.1, eta_out=0.01, gradient_mode=mode,
+                            target_structure_mode=structure)
+    calls = []
+    encode = md.encode
+
+    def counted(*args):
+        calls.append(args[0])
+        return encode(*args)
+
+    monkeypatch.setattr(md, "encode", counted)
+    _, record = mt.run_episode(seq, 4, md.init_parameters(spec, seed=0), spec, config)
+    assert record is not None
+    assert len(calls) == (2 if w == 1 else 2 * w - 1)
+    structure_snapshot = mt.build_window(seq, 4, config).structure_snapshot
+    assert sum(snap is structure_snapshot for snap in calls) == w + (w == 1)
+
+
+@pytest.mark.parametrize("features", ["identity", "degree_buckets"])
+@pytest.mark.parametrize("mode", ["first_order", "exact"])
+@pytest.mark.parametrize("base", ["gcn", "attention"])
+def test_outer_gradient_equals_the_reembedding_reference(monkeypatch, base, mode, features):
+    """Reusing the last inner step's embedding gives the outer gradient of
+    an episode that embeds every adapted state afresh. Under first order
+    the reused nodes get the same contributions in the same order, and a
+    parameter that feeds one op per embedding sums two adjoints, which
+    commute, so the bits agree. Attention's first weight on identity
+    features feeds three ops, and an exact tape adds the recorded inner
+    backward's contributions, so there the sums associate differently and
+    the whole gradient agrees within 1e-12."""
+    seq = gd.generate_drifting_sbm(16, 2, 0.4, 0.1, 0.1, 6, seed=2, train_frac=0.7,
+                                   val_frac=0.1, feature_mode=features)
+    spec = ModelSpec(
+        EncoderConfig(base_model=base, num_layers=2, input_dim=seq.feature_width, hidden_dim=4),
+        task="link_prediction",
+    )
+    config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01, gradient_mode=mode)
+    params, window, batch = _episode_pieces(seq, spec, config)
+    reference = oracles.reembedding_outer_gradients(window, params, spec, config, batch)
+    found = []
+    gradient = Tape.gradient
+
+    def spy(tape, *args, **kwargs):
+        found[:] = gradient(tape, *args, **kwargs)
+        return found[:]
+
+    monkeypatch.setattr(Tape, "gradient", spy)
+    tape = Tape()
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    mt.outer_step(window, adapted.states, batch, params, spec, config, tape,
+                  structure_bundle=adapted.structure_bundle)
+    assert len(found) == len(reference)
+    if mode == "first_order" and not (base == "attention" and features == "identity"):
+        assert [g.data.tobytes() for g in found] == [g.data.tobytes() for g in reference]
+    flat = [np.concatenate([g.data.ravel() for g in grads]) for grads in (found, reference)]
+    assert oracles.norm_rel_err(*flat) <= 1e-12
 
 
 # --------------------------------------------------------------- outer update

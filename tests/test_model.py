@@ -160,6 +160,48 @@ def test_gcn_gradients_match_the_dense_reference_bit_for_bit(create_graph):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("create_graph", [False, True], ids=["first_order", "exact"])
+@pytest.mark.parametrize("base", ["gcn", "attention"])
+def test_identity_features_encode_like_the_dense_eye(base, create_graph):
+    """On identity features the first layer reads gnn_w1 for X @ W1. The
+    embeddings, gradients and, with a recorded gradient, second derivatives
+    equal the dense reference fed np.eye(N): bit for bit for GCN, whose
+    spmm(a_hat, W1) is the BLAS product (A_hat I) W1 on the same operands,
+    and within 1e-12 for attention."""
+    n = 12
+    config = EncoderConfig(base_model=base, num_layers=2, input_dim=n, hidden_dim=4)
+    rng = np.random.default_rng(22)
+    marked = oracles.random_snapshot(rng, 1, n, 0.3, gd.IdentityFeatures(n))
+    dense = gd.SnapshotGraph(1, n, marked.pairs, np.eye(n))
+    params = md.init_parameters(ModelSpec(config), seed=5)
+    tracked = [t for _, t in params.items_in("gnn")]
+    upstream = Tensor(rng.normal(size=(n, 4)))
+    probes = [Tensor(rng.normal(size=t.shape)) for t in tracked]
+    reference = oracles.dense_gcn_encode if base == "gcn" else oracles.dense_attention_encode
+
+    def derivatives(encoder, snap):
+        tape = Tape()
+        with tape:
+            h = encoder(snap, params, config)
+            loss = nx.sums(nx.hadamard(h, upstream), None)
+        grads = tape.gradient(loss, tracked, create_graph=create_graph)
+        found = [h.data] + [g.data for g in grads]
+        if create_graph:
+            with tape:
+                total = nx.sums(nx.hadamard(grads[0], probes[0]), None)
+                for g, p in zip(grads[1:], probes[1:]):
+                    total = nx.add(total, nx.sums(nx.hadamard(g, p), None))
+            found += [g.data for g in tape.gradient(total, tracked)]
+        return found
+
+    got, want = derivatives(md.encode, marked), derivatives(reference, dense)
+    assert len(got) == len(want) == len(tracked) * (2 if create_graph else 1) + 1
+    if base == "gcn":
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    for a, b in zip(got, want):
+        assert oracles.norm_rel_err(a, b) <= 1e-12
+
+
 def test_encode_rejects_feature_width_mismatch():
     spec = _edge_spec(input_dim=4)
     params = md.init_parameters(spec, seed=0)

@@ -503,6 +503,37 @@ def test_a_recorded_gradient_goes_on_its_own_tape_under_another():
     assert tape.gradient(g, [x])[0].item() == pytest.approx(12.0, abs=1e-10)
 
 
+def test_recorded_and_unrecorded_walks_sum_a_shared_adjoint_alike(monkeypatch):
+    """A tensor that feeds several ops collects one adjoint contribution per
+    use. A recorded walk sums them with ``add`` nodes; an unrecorded walk
+    sums the bare arrays with add's own kernel expression, in the same
+    order, and calls no op; the gradients agree bit for bit."""
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-2.0, 2.0, (4, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1.0, 1.0, (3, 3)), requires_grad=True)
+    tape = Tape()
+    with tape:
+        uses = [nx.sigmoid(x), nx.matmul(x, w), nx.hadamard(x, x), nx.mul_scalar(x, 0.3), nx.relu(x)]
+        y = nx.sums(nx.hadamard(functools.reduce(nx.add, uses), Tensor(rng.normal(size=(4, 3)))), None)
+    calls = []
+    add = nx.add
+
+    def counted(a, b):
+        calls.append(a.requires_grad or b.requires_grad)
+        return add(a, b)
+
+    monkeypatch.setattr(nx, "add", counted)
+    plain = tape.gradient(y, [x, w])
+    assert calls == []
+    before = len(tape)
+    recorded = tape.gradient(y, [x, w], create_graph=True)
+    # six contributions reach x (hadamard(x, x) gives two): five sums, each
+    # recorded unless both of its terms are still constants
+    assert len(calls) == 5
+    assert sum(node.op == "add" for node in tape.nodes[before:]) == sum(calls) > 0
+    assert _bits(plain) == _bits(recorded)
+
+
 def test_second_derivatives_match_finite_differences():
     """Exact-mode double backward against FD of the analytic first gradient."""
     rng = np.random.default_rng(23)
