@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetError, ParseError, ValidationError
-from .numerics import Tensor
+from .numerics import PairPlan, Tensor
 
 __all__ = [
     "SnapshotGraph",
@@ -126,8 +126,9 @@ class SnapshotGraph:
     not given) and ``edge_labels`` (E,) int64 or None. There are no
     self-loops and no duplicates. ``features`` is an (N, F) Tensor, or for
     one-hot node ids an :class:`IdentityFeatures` mark of width N, which
-    holds no array. The neighbour-pair list and the normalized
-    adjacency's values at those pairs are computed on first use and cached.
+    holds no array. The neighbour pairs' checked :class:`PairPlan` and the
+    normalized adjacency's values at those pairs are computed on first use
+    and cached.
     """
 
     __slots__ = (
@@ -211,26 +212,26 @@ class SnapshotGraph:
             self._adjacency = normalize_adjacency(self)
         return self._adjacency
 
-    def neighbourhood(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The self-looped neighbour pairs as read-only arrays (rows, cols,
-        starts), built on first use and cached.
+    def neighbourhood(self) -> PairPlan:
+        """The self-looped neighbour pairs as one checked :class:`PairPlan`
+        over the N nodes, built on first use and returned on every call.
 
         (rows[k], cols[k]) runs over both orientations of every edge plus
         (i, i) for every node, sorted by (row, col): the nonzero pattern of
         the normalized adjacency, 2E + N pairs. Node i's pairs begin at
-        starts[i], and none is empty. Row i lists exactly the columns that
-        are not negatives for source i, so the attention encoder and the
-        link-prediction sampler read this one list.
+        ``starts[i]``, and none is empty. Row i lists exactly the columns
+        that are not negatives for source i, so both encoders and the
+        link-prediction sampler read this one plan, and the arrays it derives
+        (flat keys, segment starts, the sampler's ``below`` keys) are built
+        once per snapshot.
         """
         if self._neighbourhood is None:
             n = self.num_nodes
             u, v = self.pairs.T
-            nodes = np.arange(n)
             # pair keys row * n + col sort in (row, col) order
-            keys = np.sort(np.concatenate([u * n + v, v * n + u, nodes * (n + 1)]))
+            keys = np.sort(np.concatenate([u * n + v, v * n + u, np.arange(n) * (n + 1)]))
             rows, cols = np.divmod(keys, n)
-            starts = np.searchsorted(rows, nodes)
-            self._neighbourhood = tuple(_frozen(arr) for arr in (rows, cols, starts))
+            self._neighbourhood = PairPlan(rows, cols, n)
         return self._neighbourhood
 
 
@@ -239,9 +240,9 @@ def normalize_adjacency(snapshot: SnapshotGraph) -> Tensor:
     neighbour pairs, in :meth:`SnapshotGraph.neighbourhood` order; its other
     entries are 0. A is the binary adjacency and D holds the row sums of
     A + I, the degrees plus one, which are a row's pair count."""
-    rows, cols, _ = snapshot.neighbourhood()
-    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows))
-    return Tensor((inv_sqrt[rows] * inv_sqrt[cols])[:, None])
+    plan = snapshot.neighbourhood()
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(plan.rows))
+    return Tensor((inv_sqrt[plan.rows] * inv_sqrt[plan.cols])[:, None])
 
 
 class DynamicGraphSequence:
@@ -335,6 +336,8 @@ class TaskBatch:
     Edge tasks use ``items`` of shape (M, 2) holding (src, dst) pairs; node
     tasks use shape (M,) node indices. ``labels`` holds one integer per
     item (for link prediction 1 marks a real edge, 0 a sampled non-edge).
+    An edge batch's pairs get one checked :class:`PairPlan`, ``pair_plan``,
+    built on first use and kept with the batch.
     """
 
     time_index: int
@@ -361,6 +364,13 @@ class TaskBatch:
     @property
     def size(self) -> int:
         return self.items.shape[0]
+
+    @functools.cached_property
+    def pair_plan(self) -> PairPlan:
+        """The (src, dst) items as a :class:`PairPlan`, for the pair heads."""
+        if self.kind != "edge":
+            raise ValidationError("only edge batches hold pairs")
+        return PairPlan.of_pairs(self.items)
 
 
 @dataclass(frozen=True)
@@ -645,13 +655,12 @@ def sample_link_prediction_batch(
         )
     rng = np.random.default_rng(seed_from(seed, "negatives", snapshot.time_index, mode))
     draws = rng.integers(0, room[:, None], size=(len(sources), ratio))
-    rows, cols, starts = snapshot.neighbourhood()
+    plan = snapshot.neighbourhood()
     # entry k of row u, column c, has c - k free columns below it, and keys
     # u * n + c - k sort; row u's r-th free column is r + its keys <= u * n + r
-    below = rows * n + cols - (np.arange(rows.size) - starts[rows])
-    found = np.searchsorted(below, sources[:, None] * n + draws, "right")
+    found = np.searchsorted(plan.below, sources[:, None] * n + draws, "right")
     items = np.repeat(snapshot.pairs, ratio + 1, axis=0).reshape(len(sources), ratio + 1, 2)
-    items[:, 1:, 1] = draws + found - starts[sources][:, None]  # the negatives' targets
+    items[:, 1:, 1] = draws + found - plan.starts[sources][:, None]  # the negatives' targets
     labels = np.zeros((len(sources), ratio + 1), dtype=np.int64)
     labels[:, 0] = 1
     return TaskBatch(snapshot.time_index, "edge", items.reshape(-1, 2), labels.ravel())

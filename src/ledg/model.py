@@ -103,6 +103,18 @@ class ModelSpec:
         d = self.encoder.hidden_dim
         return d if self.batch_kind == "node" else 2 * d
 
+    @functools.cached_property
+    def heads(self) -> dict[str, MlpHead]:
+        """The four heads by role (see ``HEAD_ROLES``), built once per spec."""
+        d = self.encoder.hidden_dim
+        pair = self.classifier_input_dim
+        return {
+            "adapter": MlpHead("adapter", d, d, d),
+            "time_predictor": MlpHead("time_predictor", d, d, 1),
+            "classifier_time": MlpHead("classifier_time", pair, d, self.num_classes),
+            "classifier_graph": MlpHead("classifier_graph", pair, d, self.num_classes),
+        }
+
 
 @dataclass(frozen=True)
 class EmbeddingBundle:
@@ -151,8 +163,9 @@ class MlpHead:
         hidden = nx.relu(nx.add(nx.matmul(x, w1), b1))
         return nx.add(nx.matmul(hidden, w2), b2)
 
-    def apply_pairs(self, params: ParameterSet, h: Tensor, items: np.ndarray) -> Tensor:
-        """``apply`` on the rows [h_u, h_v] of every pair (u, v) in ``items``.
+    def apply_pairs(self, params: ParameterSet, h: Tensor, plan: nx.PairPlan) -> Tensor:
+        """``apply`` on the rows [h_u, h_v] of every pair (u, v) of ``plan``
+        (an edge batch's :attr:`~ledg.graphdata.TaskBatch.pair_plan`).
 
         The first layer on a pair is h_u W1[:d] + h_v W1[d:], so every node
         row is projected once by each half of W1. The hidden layer
@@ -167,7 +180,7 @@ class MlpHead:
             raise ShapeError(f"{self.role}: pair width {2 * d} != expected {w1.shape[0]}")
         first = nx.matmul(h, nx.gather_rows(w1, np.arange(d)))
         second = nx.matmul(h, nx.gather_rows(w1, np.arange(d, 2 * d)))
-        hidden = nx.pair_hidden(first, second, b1, items)
+        hidden = nx.pair_hidden(first, second, b1, plan)
         return nx.add(nx.matmul(hidden, w2), b2)
 
     def pair_logits(self, params: ParameterSet, h: np.ndarray, items: np.ndarray):
@@ -188,16 +201,6 @@ class MlpHead:
         forward = nx.pair_hidden_rows(first, second, b1, u, v) @ w2 + b2
         backward = nx.pair_hidden_rows(first, second, b1, v, u) @ w2 + b2
         return forward, backward
-
-
-def _heads(spec: ModelSpec) -> dict[str, MlpHead]:
-    d = spec.encoder.hidden_dim
-    return {
-        "adapter": MlpHead("adapter", d, d, d),
-        "time_predictor": MlpHead("time_predictor", d, d, 1),
-        "classifier_time": MlpHead("classifier_time", spec.classifier_input_dim, d, spec.num_classes),
-        "classifier_graph": MlpHead("classifier_graph", spec.classifier_input_dim, d, spec.num_classes),
-    }
 
 
 def _glorot(rng, fan_in: int, fan_out: int, shape) -> Tensor:
@@ -223,7 +226,7 @@ def init_parameters(spec: ModelSpec, seed: int) -> ParameterSet:
                 gnn_names.append(vname)
         d_in = cfg.hidden_dim
     groups = {"gnn": tuple(gnn_names)}
-    for role, head in _heads(spec).items():
+    for role, head in spec.heads.items():
         w1, b1, w2, b2 = head.parameter_names
         tensors[w1] = _glorot(rng, head.in_dim, head.hidden_dim, (head.in_dim, head.hidden_dim))
         tensors[b1] = Tensor(np.zeros((1, head.hidden_dim)), requires_grad=True)
@@ -241,9 +244,10 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
     """Run the message-passing encoder over one snapshot.
 
     Both bases propagate with ``spmm`` over the 2E + N self-looped neighbour
-    pairs (:meth:`SnapshotGraph.neighbourhood`); they differ in the pair
-    weights. The gcn base stacks ``h <- act(A_hat h W)`` layers with the
-    normalized adjacency's values (:attr:`SnapshotGraph.normalized_adjacency`).
+    pairs, the snapshot's checked plan (:meth:`SnapshotGraph.neighbourhood`);
+    they differ in the pair weights. The gcn base stacks
+    ``h <- act(A_hat h W)`` layers with the normalized adjacency's values
+    (:attr:`SnapshotGraph.normalized_adjacency`).
     The attention base scores each (target, source) pair additively,
     leaky-ReLUs the score, softmax-normalizes over the target's
     neighbourhood and aggregates ``spmm(alpha, wh)`` before the activation;
@@ -260,12 +264,12 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         )
     # None stands for identity features, whose product with W is W
     h = None if isinstance(snapshot.features, IdentityFeatures) else snapshot.features
-    rows, cols, starts = snapshot.neighbourhood()
+    plan = snapshot.neighbourhood()
     if config.base_model == "gcn":
         a_hat = snapshot.normalized_adjacency
         for layer in range(1, config.num_layers + 1):
             w = params[f"gnn_w{layer}"]
-            h = nx.spmm(a_hat, w, rows, cols) if h is None else nx.matmul(nx.spmm(a_hat, h, rows, cols), w)
+            h = nx.spmm(a_hat, w, plan) if h is None else nx.matmul(nx.spmm(a_hat, h, plan), w)
             h = _activate(h, config.activation)
         return h
 
@@ -274,9 +278,9 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         wh = w if h is None else nx.matmul(h, w)
         left = nx.matmul(wh, params[f"gnn_al{layer}"])
         right = nx.matmul(wh, params[f"gnn_ar{layer}"])
-        scores = nx.add(nx.gather_rows(left, rows), nx.gather_rows(right, cols))
-        alpha = nx.segment_softmax(nx.leaky_relu(scores, ATTENTION_SLOPE), starts)
-        h = _activate(nx.spmm(alpha, wh, rows, cols), config.activation)
+        scores = nx.add(nx.gather_rows(left, plan.rows), nx.gather_rows(right, plan.cols))
+        alpha = nx.segment_softmax(nx.leaky_relu(scores, ATTENTION_SLOPE), plan)
+        h = _activate(nx.spmm(alpha, wh, plan), config.activation)
     return h
 
 
@@ -288,7 +292,7 @@ def disentangle(h: Tensor, params: ParameterSet, spec: ModelSpec) -> EmbeddingBu
     exactly. The graph part is formed only when read
     (:attr:`EmbeddingBundle.graph_part`).
     """
-    gate = nx.sigmoid(_heads(spec)["adapter"].apply(params, h))
+    gate = nx.sigmoid(spec.heads["adapter"].apply(params, h))
     time_part = nx.hadamard(nx.one_minus(gate), h)
     return EmbeddingBundle(combined=h, gate=gate, time_part=time_part)
 
@@ -307,9 +311,9 @@ def head_logits(
         raise ContractError(
             f"task {spec.task!r} needs {spec.batch_kind!r} batches, got {batch.kind!r}"
         )
-    head = _heads(spec)[role]
+    head = spec.heads[role]
     if batch.kind == "edge":
-        return head.apply_pairs(params, h, batch.items)
+        return head.apply_pairs(params, h, batch.pair_plan)
     return head.apply(params, nx.gather_rows(h, batch.items))
 
 
@@ -322,7 +326,7 @@ def time_loss(time_part: Tensor, params: ParameterSet, spec: ModelSpec, target_t
     tensor.
     """
     pooled = nx.mean_pool(time_part)
-    predicted = _heads(spec)["time_predictor"].apply(params, pooled)
+    predicted = spec.heads["time_predictor"].apply(params, pooled)
     residual = nx.add_scalar(predicted, -float(target_time))
     return nx.smooth_l1(residual)
 
@@ -350,21 +354,12 @@ def symmetric_pair_probabilities(params: ParameterSet, spec: ModelSpec, parts, i
     """
     if spec.batch_kind != "edge":
         raise ContractError(f"task {spec.task!r} has no edge pairs to score")
-    heads = _heads(spec)
     forward = backward = 0.0
     for role, h in parts:
-        f, b = heads[role].pair_logits(params, h, items)
+        f, b = spec.heads[role].pair_logits(params, h, items)
         forward, backward = forward + f, backward + b
-    return 0.5 * (_softmax_rows(forward) + _softmax_rows(backward))
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    # numerics.softmax_rows on a bare array, reduced down the columns of the
-    # transpose: numpy reduces a few long rows far faster than many short
-    # ones, and sums each row in the same order for fewer than 8 classes
-    t = np.ascontiguousarray(x.T)
-    e = np.exp(t - t.max(axis=0))
-    return (e / e.sum(axis=0)).T
+    forward, backward = (nx.softmax_rows(Tensor(x)).data for x in (forward, backward))
+    return 0.5 * (forward + backward)
 
 
 def task_loss(predictions: Tensor, labels) -> Tensor:

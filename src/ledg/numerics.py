@@ -12,6 +12,14 @@ can be differentiated again (this is what makes meta-gradients through inner
 SGD steps exact). By default it runs unrecorded and returns constants, which
 yields the standard first-order approximation when a later gradient is taken
 through parameter updates built from them.
+
+The pair ops (``spmm``, ``sddmm``, ``segment_softmax``, ``pair_hidden``)
+take their index pairs as a :class:`PairPlan`, checked once when it is built
+and kept with the snapshot or batch the pairs belong to, so a call checks
+only O(1) facts and reuses the index arrays the plan derived before.
+Reductions along rows of fewer than 8 columns (``sums(a, 1)``,
+``softmax_rows``) reduce the contiguous transpose, which adds each row's
+entries in the same order as a row-wise reduction, so the bits agree.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "TapeNode",
+    "PairPlan",
     "ParameterSet",
     "PARAMETER_GROUPS",
     "INNER_LOOP_GROUPS",
@@ -247,6 +256,95 @@ def _emit(op: str, inputs: tuple, params: dict = _EMPTY) -> Tensor:
     return result
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class PairPlan:
+    """Checked index pairs (rows[k], cols[k]) of an n x n matrix: the index
+    argument of ``spmm``, ``sddmm``, ``segment_softmax`` and ``pair_hidden``.
+
+    Built once from index arrays, which it checks (1-D, of one length, every
+    index in [0, n)) and keeps as read-only copies. The arrays the kernels
+    derive from the pairs are built on first use and kept: the flat keys
+    ``rows * n + cols``, the starts of sorted rows' segments, the sampler's
+    ``below`` keys and the bincount slots of row scatters, per width. An op
+    that takes a plan checks only O(1) facts, such as ``n`` against its
+    operand's row count. A plan is kept only by what its pairs belong to (a
+    snapshot's neighbourhood, an edge batch), so it goes when they go.
+    """
+
+    __slots__ = ("rows", "cols", "n", "_keys", "_starts", "_below", "_slots")
+
+    def __init__(self, rows, cols, n: int):
+        self.n = n = int(n)
+        self.rows = _frozen_indices(rows, n, "PairPlan")
+        self.cols = _frozen_indices(cols, n, "PairPlan")
+        if self.rows.shape != self.cols.shape:
+            raise ShapeError(
+                f"PairPlan: {self.rows.size} row indices but {self.cols.size} column indices"
+            )
+        self._keys = self._starts = self._below = None
+        self._slots = {}
+
+    @classmethod
+    def of_pairs(cls, pairs) -> "PairPlan":
+        """The plan of an (M, 2) array of (u, v) pairs, whose n is one more
+        than its largest index (0 for no pairs)."""
+        pairs = np.asarray(pairs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ShapeError(f"PairPlan: pairs must form an (M, 2) array, got shape {pairs.shape}")
+        return cls(pairs[:, 0], pairs[:, 1], int(pairs.max()) + 1 if pairs.size else 0)
+
+    @property
+    def size(self) -> int:
+        """The number of pairs, P."""
+        return self.rows.size
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The flat index rows[k] * n + cols[k] of every pair."""
+        if self._keys is None:
+            self._keys = _frozen(self.rows * self.n + self.cols)
+        return self._keys
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Where row i's pairs begin, for pairs sorted by row that leave none
+        of the n rows empty; a ShapeError for any other pairs."""
+        if self._starts is None:
+            rows, n = self.rows, self.n
+            steps = np.diff(rows)
+            covered = rows.size > 0 and rows[0] == 0 and rows[-1] == n - 1
+            if not covered or (steps < 0).any() or (steps > 1).any():
+                raise ShapeError(
+                    "PairPlan: segments need pairs sorted by row that leave no row empty"
+                )
+            self._starts = _frozen(np.searchsorted(rows, np.arange(n)))
+        return self._starts
+
+    @property
+    def below(self) -> np.ndarray:
+        """keys[k] less k's position within its row, for sorted rows (see
+        ``starts``); for a snapshot's neighbourhood, row u's r-th column
+        that holds no pair is r plus the count of these keys <= u * n + r."""
+        if self._below is None:
+            position = np.arange(self.size) - self.starts[self.rows]
+            self._below = _frozen(self.keys - position)
+        return self._below
+
+    def slots(self, side: int, width: int) -> np.ndarray:
+        """The bincount slots index * width + column that scatter (P, width)
+        rows to the pairs' rows (side 0) or columns (side 1)."""
+        key = (side, width)
+        slots = self._slots.get(key)
+        if slots is None:
+            index = self.cols if side else self.rows
+            slots = self._slots[key] = _frozen((index[:, None] * width + np.arange(width)).ravel())
+        return slots
+
+
 def _need_broadcastable(operand: tuple, shape: tuple, op: str) -> None:
     # the operand is shape itself, or a row, a column or a 1x1 that repeats to it
     if operand == shape:
@@ -321,8 +419,19 @@ def _k_clip_unit(d, p):
     return np.minimum(np.maximum(d[0], -1.0), 1.0)
 
 
+#: rows narrower than this reduce faster down the columns of their transpose
+#: and, unlike wider ones, add their entries in the same order there
+NARROW_ROWS = 8
+
+
 def _k_softmax_rows(d, p):
     x = d[0]
+    if x.shape[1] < NARROW_ROWS:
+        t = np.ascontiguousarray(x.T)
+        e = np.exp(t - t.max(axis=0))
+        out = np.empty(x.shape)
+        np.divide(e, e.sum(axis=0), out=out.T)
+        return out
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -331,13 +440,17 @@ def _k_softmax_rows(d, p):
 def _k_segment_softmax(d, p):
     # every segment is nonempty, so reduceat reduces exactly its own entries
     x = d[0][:, 0]
-    rows, starts = p["rows"], p["starts"]
+    plan = p["plan"]
+    rows, starts = plan.rows, plan.starts
     e = np.exp(x - np.maximum.reduceat(x, starts)[rows])
     return (e / np.add.reduceat(e, starts)[rows])[:, None]
 
 
 def _k_sums(d, p):
-    return d[0].sum(axis=p["axis"], keepdims=True)
+    x, axis = d[0], p["axis"]
+    if axis == 1 and x.shape[1] < NARROW_ROWS:
+        return np.ascontiguousarray(x.T).sum(axis=0)[:, None]
+    return x.sum(axis=axis, keepdims=True)
 
 
 def _k_broadcast(d, p):
@@ -352,10 +465,16 @@ def _k_gather_rows(d, p):
 
 def _k_scatter_rows(d, p):
     # one bincount over flattened (row, column) slots; accumulates colliding
-    # rows in input order, as np.add.at does, at a fraction of its cost
+    # rows in input order, as np.add.at does, at a fraction of its cost. A
+    # row of width 1 has its index as its slot; a pair op's adjoint passes
+    # the slots its plan keeps
     x = d[0]
     m = x.shape[1]
-    slots = (p["indices"][:, None] * m + np.arange(m)).ravel()
+    if m == 1:
+        return np.bincount(p["indices"], weights=x.ravel(), minlength=p["num_rows"])[:, None]
+    slots = p.get("slots")
+    if slots is None:
+        slots = (p["indices"][:, None] * m + np.arange(m)).ravel()
     out = np.bincount(slots, weights=x.ravel(), minlength=p["num_rows"] * m)
     return out.reshape(p["num_rows"], m)
 
@@ -371,20 +490,22 @@ def pair_hidden_rows(first, second, b1, u, v) -> np.ndarray:
 
 
 def _k_pair_hidden(d, p):
-    return pair_hidden_rows(d[0], d[1], d[2], p["u"], p["v"])
+    plan = p["plan"]
+    return pair_hidden_rows(d[0], d[1], d[2], plan.rows, plan.cols)
 
 
 def _k_spmm(d, p):
     # dense at the sizes trained here: the pairs are scattered into a
     # transient N x N matrix (repeated pairs accumulate) and one BLAS product
     # multiplies it; only the (N, d) result is kept
-    n = d[1].shape[0]
-    s = np.bincount(p["rows"] * n + p["cols"], weights=d[0][:, 0], minlength=n * n).reshape(n, n)
+    plan = p["plan"]
+    n = plan.n
+    s = np.bincount(plan.keys, weights=d[0][:, 0], minlength=n * n).reshape(n, n)
     return (s.T if p["transpose"] else s) @ d[1]
 
 
 def _k_sddmm(d, p):
-    return (d[0] @ d[1].T)[p["rows"], p["cols"]][:, None]
+    return np.take(d[0] @ d[1].T, p["plan"].keys)[:, None]
 
 
 _FORWARD = {
@@ -509,23 +630,14 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _emit("softmax_rows", (a,))
 
 
-def segment_softmax(a: Tensor, starts) -> Tensor:
-    """Softmax of a (P, 1) column within each segment of consecutive entries.
-
-    Segment i runs from ``starts[i]`` up to the next start (the last one up
-    to P): starts must begin at 0 and increase strictly, so that no segment
-    is empty.
-    """
-    starts = _frozen_indices(starts, None, "segment_softmax")
-    if a.shape[1] != 1:
-        raise ShapeError(f"segment_softmax: need a (P, 1) column, got {a.shape}")
-    bounds = np.concatenate((starts, [a.shape[0]]))
-    sizes = bounds[1:] - bounds[:-1]
-    if starts.size == 0 or starts[0] != 0 or (sizes <= 0).any():
-        raise ShapeError("segment_softmax: starts must begin at 0 and mark nonempty segments")
-    rows = np.repeat(np.arange(starts.size), sizes)
-    rows.setflags(write=False)
-    return _emit("segment_softmax", (a,), {"rows": rows, "starts": starts})
+def segment_softmax(a: Tensor, plan: PairPlan) -> Tensor:
+    """Softmax of a (P, 1) column over the entries of each row of the
+    plan's pairs, which must be sorted by row and leave no row empty (see
+    :attr:`PairPlan.starts`)."""
+    if a.shape != (plan.size, 1):
+        raise ShapeError(f"segment_softmax: need a ({plan.size}, 1) column, got {a.shape}")
+    plan.starts  # checks the segments once per plan
+    return _emit("segment_softmax", (a,), {"plan": plan})
 
 
 def sums(a: Tensor, axis: int | None) -> Tensor:
@@ -568,49 +680,45 @@ def scatter_rows(a: Tensor, indices, num_rows: int) -> Tensor:
     return _emit("scatter_rows", (a,), {"indices": idx, "num_rows": int(num_rows)})
 
 
-def _pair_indices(rows, cols, n: int, op: str):
-    # the entries of an n x n matrix at (rows[k], cols[k])
-    rows = _frozen_indices(rows, n, op)
-    cols = _frozen_indices(cols, n, op)
-    if rows.shape != cols.shape:
-        raise ShapeError(f"{op}: {rows.size} row indices but {cols.size} column indices")
-    return rows, cols
-
-
-def pair_hidden(first: Tensor, second: Tensor, b1: Tensor, items) -> Tensor:
-    """relu(first[u] + second[v] + b1) for every pair (u, v) of the (M, 2)
-    ``items``, as one node: a pair head's hidden layer on projected node rows."""
-    items = np.asarray(items)
-    if items.ndim != 2 or items.shape[1] != 2:
-        raise ShapeError(f"pair_hidden: items must be (M, 2) pairs, got shape {items.shape}")
+def pair_hidden(first: Tensor, second: Tensor, b1: Tensor, plan: PairPlan) -> Tensor:
+    """relu(first[u] + second[v] + b1) for every pair (u, v) of the plan
+    (rows u, columns v), as one node: a pair head's hidden layer on projected
+    node rows. ``first`` and ``second`` need at least the plan's n rows."""
     width = first.shape[1]
     if second.shape[1] != width or b1.shape != (1, width):
         raise ShapeError(
             f"pair_hidden: widths of {first.shape}, {second.shape} and bias {b1.shape} disagree"
         )
-    u = _frozen_indices(items[:, 0], first.shape[0], "pair_hidden")
-    v = _frozen_indices(items[:, 1], second.shape[0], "pair_hidden")
-    return _emit("pair_hidden", (first, second, b1), {"u": u, "v": v})
+    if min(first.shape[0], second.shape[0]) < plan.n:
+        raise ShapeError(
+            f"pair_hidden: pairs index {plan.n} rows, operands have {first.shape[0]}"
+            f" and {second.shape[0]}"
+        )
+    return _emit("pair_hidden", (first, second, b1), {"plan": plan})
 
 
-def spmm(values: Tensor, h: Tensor, rows, cols, transpose: bool = False) -> Tensor:
-    """S @ h, or S^T @ h with ``transpose``, for the N x N matrix S that holds
-    the (P, 1) column ``values`` at the entries (rows[k], cols[k]) (repeated
-    pairs add); N is h's row count. Both encoders propagate with it: GCN's
-    values are the constant normalized adjacency, attention's its weights."""
-    rows, cols = _pair_indices(rows, cols, h.shape[0], "spmm")
-    if values.shape != (rows.size, 1):
-        raise ShapeError(f"spmm: need a ({rows.size}, 1) column of values, got {values.shape}")
-    return _emit("spmm", (values, h), {"rows": rows, "cols": cols, "transpose": bool(transpose)})
+def spmm(values: Tensor, h: Tensor, plan: PairPlan, transpose: bool = False) -> Tensor:
+    """S @ h, or S^T @ h with ``transpose``, for the n x n matrix S that holds
+    the (P, 1) column ``values`` at the plan's pairs (rows[k], cols[k])
+    (repeated pairs add); h has the plan's n rows. Both encoders propagate
+    with it: GCN's values are the constant normalized adjacency, attention's
+    its weights."""
+    if h.shape[0] != plan.n:
+        raise ShapeError(f"spmm: pairs index {plan.n} rows, h has {h.shape[0]}")
+    if values.shape != (plan.size, 1):
+        raise ShapeError(f"spmm: need a ({plan.size}, 1) column of values, got {values.shape}")
+    return _emit("spmm", (values, h), {"plan": plan, "transpose": bool(transpose)})
 
 
-def sddmm(a: Tensor, b: Tensor, rows, cols) -> Tensor:
-    """The entries (a @ b^T)[rows[k], cols[k]] as a (P, 1) column, for a and
-    b of one (N, d) shape; the gradient of :func:`spmm` for its values."""
+def sddmm(a: Tensor, b: Tensor, plan: PairPlan) -> Tensor:
+    """The entries (a @ b^T)[rows[k], cols[k]] at the plan's pairs as a
+    (P, 1) column, for a and b of one (n, d) shape; the gradient of
+    :func:`spmm` for its values."""
     if a.shape != b.shape:
         raise ShapeError(f"sddmm: operand shapes {a.shape} and {b.shape} differ")
-    rows, cols = _pair_indices(rows, cols, a.shape[0], "sddmm")
-    return _emit("sddmm", (a, b), {"rows": rows, "cols": cols})
+    if a.shape[0] != plan.n:
+        raise ShapeError(f"sddmm: pairs index {plan.n} rows, operands have {a.shape[0]}")
+    return _emit("sddmm", (a, b), {"plan": plan})
 
 
 def mean_pool(h: Tensor) -> Tensor:
@@ -736,11 +844,9 @@ def _b_softmax_rows(node, g, need):
 def _b_segment_softmax(node, g, need):
     # y * (g - (segment sum of g * y), broadcast back to the segment's pairs)
     y = node.output
-    rows = node.params["rows"]
-    weighted = _emit(
-        "scatter_rows", (hadamard(g, y),), {"indices": rows, "num_rows": node.params["starts"].size}
-    )
-    spread = _emit("gather_rows", (weighted,), {"indices": rows})
+    plan = node.params["plan"]
+    weighted = _emit("scatter_rows", (hadamard(g, y),), {"indices": plan.rows, "num_rows": plan.n})
+    spread = _emit("gather_rows", (weighted,), {"indices": plan.rows})
     return ((node.inputs[0], hadamard(y, sub(g, spread))),)
 
 
@@ -769,41 +875,42 @@ def _b_pair_hidden(node, g, need):
     # two row gathers, emitted and returned in the order the unfused chain
     # gather, gather, add, add, relu gave them
     first, second, b1 = node.inputs
+    plan = node.params["plan"]
     gz = hadamard(g, Tensor._raw((node.output.data > 0.0).astype(np.float64)))
+    width = gz.shape[1]
     out = []
     if need[2]:
         out.append((b1, sums(gz, 0)))
     if need[1]:
-        params = {"indices": node.params["v"], "num_rows": second.shape[0]}
+        params = {"indices": plan.cols, "num_rows": second.shape[0], "slots": plan.slots(1, width)}
         out.append((second, _emit("scatter_rows", (gz,), params)))
     if need[0]:
-        params = {"indices": node.params["u"], "num_rows": first.shape[0]}
+        params = {"indices": plan.rows, "num_rows": first.shape[0], "slots": plan.slots(0, width)}
         out.append((first, _emit("scatter_rows", (gz,), params)))
     return out
 
 
 def _b_spmm(node, g, need):
     values, h = node.inputs
-    rows, cols, transpose = node.params["rows"], node.params["cols"], node.params["transpose"]
+    plan, transpose = node.params["plan"], node.params["transpose"]
     out = []
     if need[0]:
         # dS[r, c] = g[r] . h[c], or h[r] . g[c] for the transposed product
         pair = (h, g) if transpose else (g, h)
-        out.append((values, _emit("sddmm", pair, {"rows": rows, "cols": cols})))
+        out.append((values, _emit("sddmm", pair, {"plan": plan})))
     if need[1]:
-        params = {"rows": rows, "cols": cols, "transpose": not transpose}
-        out.append((h, _emit("spmm", (values, g), params)))
+        out.append((h, _emit("spmm", (values, g), {"plan": plan, "transpose": not transpose})))
     return out
 
 
 def _b_sddmm(node, g, need):
     a, b = node.inputs
-    rows, cols = node.params["rows"], node.params["cols"]
+    plan = node.params["plan"]
     out = []
     if need[0]:
-        out.append((a, _emit("spmm", (g, b), {"rows": rows, "cols": cols, "transpose": False})))
+        out.append((a, _emit("spmm", (g, b), {"plan": plan, "transpose": False})))
     if need[1]:
-        out.append((b, _emit("spmm", (g, a), {"rows": rows, "cols": cols, "transpose": True})))
+        out.append((b, _emit("spmm", (g, a), {"plan": plan, "transpose": True})))
     return out
 
 

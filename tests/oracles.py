@@ -489,15 +489,16 @@ def dense_attention_encode(snapshot, params, config):
     return h
 
 
-def gathered_pair_head(head, params, h, items):
+def gathered_pair_head(head, params, h, plan):
     """``MlpHead.apply_pairs`` as the unfused chain of recorded primitives:
-    two ``gather_rows`` of the node projections, two ``add`` and a ``relu``
-    before the second layer, each an (M, hidden) node."""
+    two ``gather_rows`` of the node projections at the plan's rows and
+    columns, two ``add`` and a ``relu`` before the second layer, each an
+    (M, hidden) node."""
     w1, b1, w2, b2 = (params[name] for name in head.parameter_names)
     d = h.shape[1]
     first = nx.matmul(h, nx.gather_rows(w1, np.arange(d)))
     second = nx.matmul(h, nx.gather_rows(w1, np.arange(d, 2 * d)))
-    projected = nx.add(nx.gather_rows(first, items[:, 0]), nx.gather_rows(second, items[:, 1]))
+    projected = nx.add(nx.gather_rows(first, plan.rows), nx.gather_rows(second, plan.cols))
     hidden = nx.relu(nx.add(projected, b1))
     return nx.add(nx.matmul(hidden, w2), b2)
 
@@ -621,8 +622,8 @@ def _case_softmax_rows(rng):
 def _case_segment_softmax(rng):
     # segments of 3, 1, 2 and 4 entries: a lone entry has weight 1 and
     # gradient 0, so the FD check sees it too
-    starts = [0, 3, 4, 6]
-    return [_u(rng, 10, 1)], lambda a: nx.segment_softmax(a, starts)
+    plan = segment_plan([0, 3, 4, 6], 10)
+    return [_u(rng, 10, 1)], lambda a: nx.segment_softmax(a, plan)
 
 
 def _case_sums(rng):
@@ -646,29 +647,37 @@ def _case_scatter_rows(rng):
     return [_u(rng, 4, 2)], lambda a: nx.scatter_rows(a, idx, 6)
 
 
+def segment_plan(starts, size):
+    """A plan of ``size`` pairs whose rows are the segments that begin at
+    ``starts`` (segment i from starts[i] to the next start, the last to
+    ``size``), each pair on the diagonal, for ``segment_softmax``."""
+    lengths = np.diff(starts, append=size)
+    rows = np.repeat(np.arange(len(starts)), lengths)
+    return nx.PairPlan(rows, rows, len(starts))
+
+
 # pairs of a 5 x 5 matrix; (1, 2) twice exercises accumulation in spmm
-_PAIR_ROWS = [0, 1, 1, 3, 1, 2]
-_PAIR_COLS = [0, 2, 4, 1, 2, 0]
+_PAIR_PLAN = nx.PairPlan([0, 1, 1, 3, 1, 2], [0, 2, 4, 1, 2, 0], 5)
 
 
 def _case_spmm(rng):
     def call(values, h):
-        return (nx.spmm(values, h, _PAIR_ROWS, _PAIR_COLS),
-                nx.spmm(values, h, _PAIR_ROWS, _PAIR_COLS, transpose=True))
+        return (nx.spmm(values, h, _PAIR_PLAN),
+                nx.spmm(values, h, _PAIR_PLAN, transpose=True))
 
     return [_u(rng, 6, 1), _u(rng, 5, 3)], call
 
 
 def _case_sddmm(rng):
-    return [_u(rng, 5, 3), _u(rng, 5, 3)], lambda a, b: nx.sddmm(a, b, _PAIR_ROWS, _PAIR_COLS)
+    return [_u(rng, 5, 3), _u(rng, 5, 3)], lambda a, b: nx.sddmm(a, b, _PAIR_PLAN)
 
 
 def _case_pair_hidden(rng):
     # repeated endpoints exercise the scatter adjoints; a pre-activation
     # within the FD step of relu's kink has probability ~1e-5 per entry
-    items = np.array([[0, 1], [2, 2], [0, 3], [1, 1], [3, 0]])
+    plan = nx.PairPlan.of_pairs([[0, 1], [2, 2], [0, 3], [1, 1], [3, 0]])
     return [_u(rng, 4, 3), _u(rng, 4, 3), _u(rng, 1, 3)], (
-        lambda first, second, b1: nx.pair_hidden(first, second, b1, items)
+        lambda first, second, b1: nx.pair_hidden(first, second, b1, plan)
     )
 
 

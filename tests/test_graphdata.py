@@ -35,10 +35,12 @@ def test_neighbourhood_is_the_cached_sorted_adjacency_pattern():
     rng = np.random.default_rng(17)
     for edge_p in (0.0, 0.05, 0.3, 1.0):
         snap = oracles.random_snapshot(rng, 1, 12, edge_p, np.eye(12), isolated=3)
-        rows, cols, starts = snap.neighbourhood()
-        assert snap.neighbourhood() is snap.neighbourhood()
+        plan = snap.neighbourhood()
+        assert snap.neighbourhood() is plan
+        rows, cols, starts = plan.rows, plan.cols, plan.starts
         for arr in (rows, cols, starts):
             assert not arr.flags.writeable
+        assert plan.n == snap.num_nodes
         assert rows.size == 2 * snap.num_edges + snap.num_nodes
         keys = rows * 12 + cols
         assert np.all(np.diff(keys) > 0)
@@ -88,9 +90,9 @@ def _normalized(pairs, n):
     column = snap.normalized_adjacency
     assert column.shape == (2 * snap.num_edges + n, 1)
     assert snap.normalized_adjacency is column
-    rows, cols, _ = snap.neighbourhood()
+    plan = snap.neighbourhood()
     dense = np.zeros((n, n))
-    dense[rows, cols] = column.data[:, 0]
+    dense[plan.rows, plan.cols] = column.data[:, 0]
     assert dense.tobytes() == oracles.dense_normalized_adjacency(snap).tobytes()
     return dense
 
@@ -702,6 +704,17 @@ def test_task_batch_validation():
         batch.items[0, 0] = 3
     snap = gd.SnapshotGraph(1, 3, [(0, 1)], np.eye(3))
     assert batch.items.max() >= snap.num_nodes  # node 5 lies outside the snapshot
+
+
+def test_edge_batches_keep_one_pair_plan():
+    batch = gd.TaskBatch(1, "edge", np.array([[0, 5], [2, 1]]), np.array([1, 0]))
+    plan = batch.pair_plan
+    assert batch.pair_plan is plan
+    assert plan.n == 6
+    assert np.array_equal(plan.rows, [0, 2]) and np.array_equal(plan.cols, [5, 1])
+    node_batch = gd.TaskBatch(1, "node", np.array([0, 1]), np.array([1, 0]))
+    with pytest.raises(ValidationError):
+        node_batch.pair_plan
 
 
 # -------------------------------------------------------------------- splits

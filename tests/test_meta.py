@@ -1012,3 +1012,66 @@ def test_static_gcn_training_reproduces_its_recorded_bits(mode, fingerprint, los
     params, epoch_losses = bl.train_static_gcn(_small_sequence(), _small_spec(), config)
     assert params.fingerprint() == fingerprint
     assert [loss.hex() for loss in epoch_losses] == losses
+
+
+# ------------------------------------------------- pinned training bits
+
+
+def _desk_fo_shaped_run():
+    # desk-fo's shape at a small size: GCN, first order, identity features,
+    # previous_snapshot structure, Adam
+    sequence = gd.generate_drifting_sbm(
+        30, 2, 0.2, 0.03, 0.05, 10, seed=4, train_frac=0.6, val_frac=0.1
+    )
+    spec = ModelSpec(EncoderConfig(base_model="gcn", num_layers=2, input_dim=30, hidden_dim=8))
+    return sequence, spec, "first_order"
+
+
+def _attn_exact_shaped_run():
+    # attn-exact's shape at a small size: attention, exact meta-gradients,
+    # degree features of an ingested stream of 40 nodes, 10 buckets of 10 s
+    rng = np.random.default_rng(11)
+    src, dst = rng.integers(0, 40, size=(2, 600))
+    stamps = np.sort(rng.integers(0, 100, size=600))
+    stamps[0] = 0
+    lines = [f"n{u} n{v} {ts}" for u, v, ts in zip(src, dst, stamps)]
+    sequence = gd.ingest_edge_stream(lines, gd.FixedIntervalBucketing(10.0), train_frac=0.6)
+    spec = ModelSpec(EncoderConfig(
+        base_model="attention", num_layers=2, input_dim=sequence.feature_width, hidden_dim=8,
+    ))
+    return sequence, spec, "exact"
+
+
+@pytest.mark.parametrize("run, fingerprint, records", [
+    (_desk_fo_shaped_run,
+     "61b4c7aa2fcf61ab2b01500713d2563cd3a3311bf5768d9b0982527c6f1ff94b",
+     "6d54ce12f2915d87a0784a4b51b3901248d0ab0a95b626925c5e7d8a770e146c"),
+    (_attn_exact_shaped_run,
+     "bdd4d49866ad61a13aca3c19d5983469af417c1819df9be1365ca9fc31422c91",
+     "2803648d90d3b82dd14c6bc8e2e6a23a5d3608f48a0a88962472efb46c4c8468"),
+], ids=["desk_fo_shape", "attn_exact_shape"])
+def test_training_reproduces_its_pinned_bits(run, fingerprint, records):
+    """Two short runs shaped like the benchmark's workloads reproduce their
+    recorded parameter fingerprint and the sha256 of their episode records
+    (recorded before pair ops took checked index plans).
+
+    Recipe: build the run's sequence and spec, train two epochs with window
+    3, eta_out 0.01, eta_in 0.25, previous_snapshot structure, Adam, seed 1
+    and 3 negatives per training edge; join every ``EpisodeRecord.to_json()``
+    with newlines and hash the UTF-8 bytes. A change that claims to keep
+    every bit must keep both values; one that moves them records the new
+    values here with the reason.
+    """
+    import hashlib
+
+    sequence, spec, mode = run()
+    config = TrainingConfig(
+        window_size=3, eta_out=0.01, eta_in=0.25, gradient_mode=mode,
+        target_structure_mode="previous_snapshot", epochs=2, seed=1,
+        outer_optimizer="adam", train_negative_ratio=3,
+    )
+    result = mt.train(sequence, spec, config)
+    lines = "\n".join(record.to_json() for record in result.records)
+    assert len(result.records) > 2
+    assert result.params.fingerprint() == fingerprint
+    assert hashlib.sha256(lines.encode()).hexdigest() == records

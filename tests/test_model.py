@@ -420,7 +420,7 @@ def test_apply_pairs_matches_the_concatenated_pair_head(create_graph):
     weights = [params[name] for name in head.parameter_names]
     tape = Tape()
     with tape:
-        logits = head.apply_pairs(params, h, _PAIRS)
+        logits = head.apply_pairs(params, h, nx.PairPlan.of_pairs(_PAIRS))
         loss = nx.sums(nx.hadamard(logits, Tensor(upstream)), None)
     grads = tape.gradient(loss, [h] + weights, create_graph=create_graph)
     ref_logits, ref_grads = oracles.concatenated_pair_head(
@@ -437,7 +437,7 @@ def test_apply_pairs_equals_untaped_pair_logits_bit_for_bit(hidden):
     head, params, h = _random_pair_head(rng, hidden, num_nodes=40)
     items = rng.integers(0, 40, size=(300, 2))
     forward, _ = head.pair_logits(params, h.data, items)
-    assert np.array_equal(head.apply_pairs(params, h, items).data, forward)
+    assert np.array_equal(head.apply_pairs(params, h, nx.PairPlan.of_pairs(items)).data, forward)
 
 
 @pytest.mark.parametrize("create_graph", [False, True], ids=["first_order", "exact"])
@@ -446,14 +446,14 @@ def test_apply_pairs_equals_the_gathered_relu_chain_bit_for_bit(create_graph):
     gather/add/relu chain bit for bit, recorded or not."""
     rng = np.random.default_rng(12)
     head, params, h = _random_pair_head(rng, hidden=8, num_nodes=20)
-    items = rng.integers(0, 20, size=(60, 2))
+    plan = nx.PairPlan.of_pairs(rng.integers(0, 20, size=(60, 2)))
     upstream = Tensor(rng.normal(size=(60, head.out_dim)))
     tracked = [h] + [params[name] for name in head.parameter_names]
 
     def run(apply):
         tape = Tape()
         with tape:
-            logits = apply(head, params, h, items)
+            logits = apply(head, params, h, plan)
             loss = nx.sums(nx.hadamard(logits, upstream), None)
         grads = tape.gradient(loss, tracked, create_graph=create_graph)
         return [logits.data.tobytes()] + [g.data.tobytes() for g in grads]
@@ -464,7 +464,7 @@ def test_apply_pairs_equals_the_gathered_relu_chain_bit_for_bit(create_graph):
 def test_apply_pairs_rejects_a_pair_width_mismatch():
     head, params, _ = _random_pair_head(np.random.default_rng(0), hidden=4)
     with pytest.raises(ShapeError):
-        head.apply_pairs(params, Tensor(np.ones((5, 3))), _PAIRS)
+        head.apply_pairs(params, Tensor(np.ones((5, 3))), nx.PairPlan.of_pairs(_PAIRS))
 
 
 def test_task_and_static_predict_score_pairs_with_apply_pairs(monkeypatch):
@@ -489,6 +489,15 @@ def test_task_and_static_predict_score_pairs_with_apply_pairs(monkeypatch):
 
 
 # ------------------------------------------------------------ initialization
+
+
+def test_heads_are_built_once_per_spec():
+    spec = _edge_spec(hidden=3, input_dim=4)
+    assert spec.heads is spec.heads
+    assert tuple(spec.heads) == md.HEAD_ROLES
+    assert spec.heads["classifier_time"].in_dim == 6
+    # equal specs share values, not the cached dict
+    assert _edge_spec(hidden=3, input_dim=4).heads == spec.heads
 
 
 def test_init_parameters_deterministic_and_grouped():

@@ -142,7 +142,7 @@ def test_broadcast_kernel_matches_a_copied_broadcast_view_bitwise():
 
 def test_segment_softmax_normalizes_each_segment():
     x = np.array([[1.0], [2.0], [3.0], [50.0], [1000.0], [0.0]])
-    out = nx.segment_softmax(Tensor(x), [0, 3, 4]).data[:, 0]
+    out = nx.segment_softmax(Tensor(x), oracles.segment_plan([0, 3, 4], 6)).data[:, 0]
     assert np.allclose(out[:3], np.exp([1.0, 2.0, 3.0]) / np.exp([1.0, 2.0, 3.0]).sum(),
                        rtol=1e-15, atol=0.0)
     assert out[3] == 1.0  # a lone entry, whatever its score
@@ -154,18 +154,19 @@ def test_pair_primitives_are_mutually_adjoint():
     a dense product, and each is the other's adjoint in both orientations."""
     rng = np.random.default_rng(14)
     rows, cols = rng.integers(0, 6, size=9), rng.integers(0, 6, size=9)
+    plan = nx.PairPlan(rows, cols, 6)
     x, h, y = rng.normal(size=(9, 1)), rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     dense = np.zeros((6, 6))
     np.add.at(dense, (rows, cols), x[:, 0])
-    product = nx.spmm(Tensor(x), Tensor(h), rows, cols).data
-    transposed = nx.spmm(Tensor(x), Tensor(h), rows, cols, transpose=True).data
+    product = nx.spmm(Tensor(x), Tensor(h), plan).data
+    transposed = nx.spmm(Tensor(x), Tensor(h), plan, transpose=True).data
     assert np.allclose(product, dense @ h, rtol=1e-14, atol=1e-14)
     assert np.allclose(transposed, dense.T @ h, rtol=1e-14, atol=1e-14)
-    gathered = nx.sddmm(Tensor(y), Tensor(h), rows, cols).data
+    gathered = nx.sddmm(Tensor(y), Tensor(h), plan).data
     assert gathered.shape == (9, 1)
     assert np.array_equal(gathered[:, 0], (y @ h.T)[rows, cols])
     assert math.isclose(float((product * y).sum()), float((x * gathered).sum()), rel_tol=1e-13)
-    flipped = nx.sddmm(Tensor(h), Tensor(y), rows, cols).data
+    flipped = nx.sddmm(Tensor(h), Tensor(y), plan).data
     assert math.isclose(float((transposed * y).sum()), float((x * flipped).sum()), rel_tol=1e-13)
 
 
@@ -174,7 +175,7 @@ def test_spmm_and_sddmm_differentiate_twice(transpose):
     """A recorded gradient through spmm and sddmm, differentiated again,
     matches central differences of the first gradient."""
     rng = np.random.default_rng([16, transpose])
-    rows, cols = [0, 1, 1, 3, 2, 3, 1], [2, 0, 1, 3, 2, 0, 1]
+    plan = nx.PairPlan([0, 1, 1, 3, 2, 3, 1], [2, 0, 1, 3, 2, 0, 1], 4)
     arrays = [rng.normal(size=(7, 1)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
     weights = [Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(7, 1)))]
     probes = [Tensor(rng.normal(size=a.shape)) for a in arrays]
@@ -182,8 +183,8 @@ def test_spmm_and_sddmm_differentiate_twice(transpose):
     def probed_gradient(values, h, other):
         tape = Tape()
         with tape:
-            product = nx.spmm(values, h, rows, cols, transpose=transpose)
-            gathered = nx.sddmm(product, other, rows, cols)
+            product = nx.spmm(values, h, plan, transpose=transpose)
+            gathered = nx.sddmm(product, other, plan)
             loss = nx.add(
                 nx.sums(nx.hadamard(nx.hadamard(product, product), weights[0]), None),
                 nx.sums(nx.hadamard(nx.hadamard(gathered, values), weights[1]), None),
@@ -211,24 +212,54 @@ def _zeros(rows, cols):
     return Tensor(np.zeros((rows, cols)))
 
 
+def _segments(rows, n):
+    return nx.PairPlan(rows, rows, n)
+
+
+def _pairs(pairs):
+    return nx.PairPlan.of_pairs(pairs)
+
+
+# each case fails where its fault is first seen: building the plan (lengths,
+# ranges, 2-D indices, pair arrays that are not (M, 2)) or calling the op
+# with the plan (segments, operand shapes and the plan's bound)
 _MISSHAPED_CALLS = {
-    "segment_softmax column": lambda: nx.segment_softmax(_zeros(1, 3), [0]),
-    "segment_softmax row count": lambda: nx.segment_softmax(_zeros(2, 1), [0, 2]),
-    "segment_softmax empty segment": lambda: nx.segment_softmax(_zeros(3, 1), [0, 2, 2]),
-    "segment_softmax late start": lambda: nx.segment_softmax(_zeros(3, 1), [1]),
-    "segment_softmax no segments": lambda: nx.segment_softmax(_zeros(0, 1), []),
-    "segment_softmax 2-D starts": lambda: nx.segment_softmax(_zeros(3, 1), [[0, 2]]),
-    "sddmm lengths": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), [0, 1], [0]),
-    "sddmm range": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), [0, 3], [0, 1]),
-    "sddmm 2-D": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), [[0, 1]], [[0, 1]]),
-    "sddmm operands": lambda: nx.sddmm(_zeros(3, 2), _zeros(4, 2), [0, 1], [0, 1]),
-    "spmm column": lambda: nx.spmm(_zeros(1, 2), _zeros(3, 2), [0, 1], [0, 1]),
-    "spmm range": lambda: nx.spmm(_zeros(2, 1), _zeros(3, 2), [0, 1], [0, 3]),
-    "spmm lengths": lambda: nx.spmm(_zeros(2, 1), _zeros(3, 2), [0, 1], [0]),
-    "pair_hidden items": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(3, 2), _zeros(1, 2), [0, 1]),
-    "pair_hidden range": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(2, 2), _zeros(1, 2), [[0, 2]]),
-    "pair_hidden widths": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(3, 3), _zeros(1, 2), [[0, 1]]),
-    "pair_hidden bias": lambda: nx.pair_hidden(_zeros(3, 2), _zeros(3, 2), _zeros(2, 2), [[0, 1]]),
+    "segment_softmax column": lambda: nx.segment_softmax(_zeros(1, 3), _segments([0], 1)),
+    "segment_softmax row count": lambda: nx.segment_softmax(_zeros(2, 1), _segments([0, 0], 2)),
+    "segment_softmax empty segment": lambda: nx.segment_softmax(
+        _zeros(3, 1), _segments([0, 0, 2], 3)
+    ),
+    "segment_softmax late start": lambda: nx.segment_softmax(_zeros(3, 1), _segments([1, 1, 1], 2)),
+    "segment_softmax early end": lambda: nx.segment_softmax(_zeros(3, 1), _segments([0, 1, 1], 3)),
+    "segment_softmax unsorted": lambda: nx.segment_softmax(_zeros(3, 1), _segments([0, 1, 0], 2)),
+    "segment_softmax no segments": lambda: nx.segment_softmax(_zeros(0, 1), _segments([], 0)),
+    "segment_softmax 2-D starts": lambda: nx.segment_softmax(
+        _zeros(3, 1), _segments([[0, 0, 1]], 2)
+    ),
+    "sddmm lengths": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), nx.PairPlan([0, 1], [0], 3)),
+    "sddmm range": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), nx.PairPlan([0, 3], [0, 1], 3)),
+    "sddmm 2-D": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), nx.PairPlan([[0, 1]], [[0, 1]], 3)),
+    "sddmm operands": lambda: nx.sddmm(_zeros(3, 2), _zeros(4, 2), nx.PairPlan([0, 1], [0, 1], 3)),
+    "sddmm bound": lambda: nx.sddmm(_zeros(3, 2), _zeros(3, 2), nx.PairPlan([0, 1], [0, 1], 2)),
+    "spmm column": lambda: nx.spmm(_zeros(1, 2), _zeros(3, 2), nx.PairPlan([0, 1], [0, 1], 3)),
+    "spmm range": lambda: nx.spmm(_zeros(2, 1), _zeros(3, 2), nx.PairPlan([0, 1], [0, 3], 3)),
+    "spmm lengths": lambda: nx.spmm(_zeros(2, 1), _zeros(3, 2), nx.PairPlan([0, 1], [0], 3)),
+    "spmm bound": lambda: nx.spmm(_zeros(2, 1), _zeros(3, 2), nx.PairPlan([0, 1], [0, 1], 4)),
+    "pair_hidden items": lambda: nx.pair_hidden(
+        _zeros(3, 2), _zeros(3, 2), _zeros(1, 2), _pairs([0, 1])
+    ),
+    "pair_hidden negative": lambda: nx.pair_hidden(
+        _zeros(3, 2), _zeros(3, 2), _zeros(1, 2), _pairs([[0, -1]])
+    ),
+    "pair_hidden range": lambda: nx.pair_hidden(
+        _zeros(3, 2), _zeros(2, 2), _zeros(1, 2), _pairs([[0, 2]])
+    ),
+    "pair_hidden widths": lambda: nx.pair_hidden(
+        _zeros(3, 2), _zeros(3, 3), _zeros(1, 2), _pairs([[0, 1]])
+    ),
+    "pair_hidden bias": lambda: nx.pair_hidden(
+        _zeros(3, 2), _zeros(3, 2), _zeros(2, 2), _pairs([[0, 1]])
+    ),
 }
 
 
@@ -236,6 +267,82 @@ _MISSHAPED_CALLS = {
 def test_pair_list_primitives_reject_misshaped_inputs(case):
     with pytest.raises(ShapeError):
         _MISSHAPED_CALLS[case]()
+
+
+def test_pair_plan_keeps_checked_read_only_copies_and_derives_fresh_arrays():
+    rng = np.random.default_rng(21)
+    n = 7
+    rows = np.sort(np.concatenate([np.arange(n), rng.integers(0, n, size=20)]))
+    cols = rng.integers(0, n, size=rows.size)
+    plan = nx.PairPlan(rows, cols, n)
+    rows[0], cols[0] = 3, 3  # the plan holds copies of its inputs
+    assert plan.rows[0] == 0 and plan.size == rows.size and plan.n == n
+    rows, cols = plan.rows, plan.cols
+    starts = np.searchsorted(rows, np.arange(n))
+    fresh = {
+        "keys": rows * n + cols,
+        "starts": starts,
+        "below": rows * n + cols - (np.arange(rows.size) - starts[rows]),
+        "slots 0": (rows[:, None] * 3 + np.arange(3)).ravel(),
+        "slots 1": (cols[:, None] * 3 + np.arange(3)).ravel(),
+    }
+    derived = {
+        "keys": plan.keys, "starts": plan.starts, "below": plan.below,
+        "slots 0": plan.slots(0, 3), "slots 1": plan.slots(1, 3),
+    }
+    for name, array in derived.items():
+        assert np.array_equal(array, fresh[name]), name
+        assert not array.flags.writeable, name
+    for array in (rows, cols):
+        assert not array.flags.writeable
+    # each derived array is built once and kept
+    assert plan.keys is plan.keys and plan.starts is plan.starts and plan.below is plan.below
+    assert plan.slots(1, 3) is plan.slots(1, 3)
+
+
+def test_pair_plan_of_pairs_is_sized_by_the_largest_index():
+    plan = nx.PairPlan.of_pairs(np.array([[0, 4], [2, 1], [4, 4]]))
+    assert plan.n == 5
+    assert np.array_equal(plan.rows, [0, 2, 4]) and np.array_equal(plan.cols, [4, 1, 4])
+    assert nx.PairPlan.of_pairs(np.zeros((0, 2), dtype=int)).n == 0
+
+
+def test_pair_ops_that_read_no_segments_take_unsorted_pairs():
+    plan = nx.PairPlan([2, 0, 1, 0], [1, 2, 0, 0], 3)
+    assert nx.sddmm(_zeros(3, 2), _zeros(3, 2), plan).shape == (4, 1)
+    with pytest.raises(ShapeError):
+        plan.starts
+
+
+@pytest.mark.parametrize("columns", range(2, 8))
+def test_narrow_row_reductions_equal_row_wise_ones_bit_for_bit(columns):
+    """Fewer than 8 columns reduce down the contiguous transpose, which adds
+    each row's entries in the order a row-wise reduction does."""
+    rng = np.random.default_rng(columns)
+    wide = rng.choice([-1.0, 1.0], size=(301, columns)) * 10.0 ** rng.uniform(-8, 8, (301, columns))
+    wide[rng.random(wide.shape) < 0.05] = 0.0
+    logits = 4.0 * rng.normal(size=(301, columns))
+    for x in (wide, logits, np.asfortranarray(wide)):
+        row_sums = np.ascontiguousarray(x).sum(axis=1, keepdims=True)
+        assert nx.sums(Tensor(x), 1).data.tobytes() == row_sums.tobytes()
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        expected = np.ascontiguousarray(e / e.sum(axis=1, keepdims=True))
+        out = nx.softmax_rows(Tensor(x)).data
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
+
+def test_width_one_and_planned_scatters_equal_the_slot_scatter_bit_for_bit():
+    rng = np.random.default_rng(23)
+    indices = rng.integers(0, 9, size=40)
+    for width in (1, 5):
+        x = rng.normal(size=(40, width))
+        slots = (indices[:, None] * width + np.arange(width)).ravel()
+        expected = np.bincount(slots, weights=x.ravel(), minlength=9 * width).reshape(9, width)
+        assert nx.scatter_rows(Tensor(x), indices, 9).data.tobytes() == expected.tobytes()
+        plan = nx.PairPlan(indices, indices, 9)
+        params = {"indices": plan.rows, "num_rows": 9, "slots": plan.slots(0, width)}
+        assert nx._FORWARD["scatter_rows"]([x], params).tobytes() == expected.tobytes()
 
 
 def test_softmax_rows_examples():
@@ -648,8 +755,8 @@ def test_backward_records_nothing_for_constant_operands(case, tracked):
 # ------------------------------------------------------- the pruned walk
 
 _N = 3
-_PAIR_SRC = ([0, 1, 1, 2], [2, 0, 0, 1])
-_PAIR_DST = ([0, 1, 1, 2], [1, 2, 2, 0])
+_PAIR_SRC = nx.PairPlan([0, 1, 1, 2], [2, 0, 0, 1], _N)
+_PAIR_DST = nx.PairPlan([0, 1, 1, 2], [1, 2, 2, 0], _N)
 
 #: square-preserving primitive chains: name -> (arity, call on (_N, _N) operands)
 _CHAIN_OPS = {
@@ -678,12 +785,14 @@ _CHAIN_OPS = {
     "sums_all": (1, lambda a: nx.broadcast(nx.sums(a, None), (_N, _N))),
     "gather_rows": (1, lambda a: nx.gather_rows(a, [2, 0, 2])),
     "scatter_rows": (1, lambda a: nx.scatter_rows(a, [1, 1, 0], _N)),
-    "spmm": (2, lambda a, b: nx.spmm(nx.sddmm(a, b, *_PAIR_SRC), b, *_PAIR_DST)),
-    "spmm_t": (2, lambda a, b: nx.spmm(nx.sddmm(a, b, *_PAIR_SRC), a, *_PAIR_DST, transpose=True)),
+    "spmm": (2, lambda a, b: nx.spmm(nx.sddmm(a, b, _PAIR_SRC), b, _PAIR_DST)),
+    "spmm_t": (2, lambda a, b: nx.spmm(nx.sddmm(a, b, _PAIR_SRC), a, _PAIR_DST, transpose=True)),
     "segment_softmax": (1, lambda a: nx.spmm(
-        nx.segment_softmax(nx.sddmm(a, a, *_PAIR_SRC), [0, 2]), a, *_PAIR_DST
+        nx.segment_softmax(nx.sddmm(a, a, _PAIR_SRC), oracles.segment_plan([0, 2], 4)), a, _PAIR_DST
     )),
-    "pair_hidden": (2, lambda a, b: nx.pair_hidden(a, b, nx.sums(b, 0), [[0, 2], [1, 1], [2, 0]])),
+    "pair_hidden": (2, lambda a, b: nx.pair_hidden(
+        a, b, nx.sums(b, 0), nx.PairPlan.of_pairs([[0, 2], [1, 1], [2, 0]])
+    )),
 }
 
 
