@@ -69,12 +69,14 @@ def static_scorer(sequence: DynamicGraphSequence, params: ParameterSet, spec: Mo
     """Edge scorer that embeds the last training snapshot, whatever time is asked.
 
     Static models never observe post-training structure; their embeddings
-    are computed once and go stale as the graph drifts.
+    are computed once, when the scorer is built, and go stale as the graph
+    drifts. Each batch gets :func:`static_edge_scores` on that embedding.
     """
     frozen = sequence.snapshot_at(sequence.split[0])
+    parts = (("classifier_graph", encode(frozen, params, spec.encoder).data),)
 
     def scorer(batch: TaskBatch) -> np.ndarray:
-        return static_edge_scores(frozen, params, spec, batch)
+        return symmetric_pair_probabilities(params, spec, parts, batch.items)[:, 1]
 
     return scorer
 

@@ -398,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--task", choices=("link_prediction", "node_classification"), default="link_prediction"
     )
-    p_gen.add_argument("--train-frac", dest="train_frac", type=float, default=0.70)
-    p_gen.add_argument("--val-frac", dest="val_frac", type=float, default=0.10)
-    p_gen.add_argument("--force", action="store_true")
     p_gen.set_defaults(func=cmd_generate)
 
     p_ing = sub.add_parser("ingest", help="bucket a timestamped edge list into snapshots")
@@ -411,10 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument(
         "--task", choices=("link_prediction", "edge_classification"), default="link_prediction"
     )
-    p_ing.add_argument("--train-frac", dest="train_frac", type=float, default=0.70)
-    p_ing.add_argument("--val-frac", dest="val_frac", type=float, default=0.10)
-    p_ing.add_argument("--force", action="store_true")
     p_ing.set_defaults(func=cmd_ingest)
+    # the options both dataset writers take, their default split among them
+    for p_data in (p_gen, p_ing):
+        p_data.add_argument("--train-frac", dest="train_frac", type=float, default=0.70)
+        p_data.add_argument("--val-frac", dest="val_frac", type=float, default=0.10)
+        p_data.add_argument("--force", action="store_true")
 
     p_train = sub.add_parser("train", help="episodic meta-training")
     p_train.add_argument("--out", required=True)

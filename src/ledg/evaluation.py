@@ -19,7 +19,7 @@ from . import meta as mt
 from .errors import NumericalError, ValidationError
 from .graphdata import DynamicGraphSequence, TaskBatch, seed_from, supervised_batch
 from .model import ModelSpec, symmetric_pair_probabilities, task_predict
-from .numerics import ParameterSet
+from .numerics import ParameterSet, _frozen
 
 __all__ = [
     "RankedQuery",
@@ -56,9 +56,7 @@ class RankedQuery:
             raise ValidationError(f"query {self.query_id}: scores must be finite")
         _check_relevance(rel)
         for name, arr in (("candidate_ids", ids), ("scores", scores), ("relevance", rel)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr.copy()))
 
 
 @dataclass(frozen=True)
@@ -147,9 +145,7 @@ def _rank(keys, candidate_ids, scores, relevance, query_ids=None) -> RankedQueri
         relevance[order],
     )
     # relevant_ranks caches what it reads, so the value owns its arrays read-only
-    for arr in arrays:
-        arr.flags.writeable = False
-    return RankedQueries(*arrays)
+    return RankedQueries(*map(_frozen, arrays))
 
 
 def _ranked(queries) -> RankedQueries:

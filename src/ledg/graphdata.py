@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetError, ParseError, ValidationError
-from .numerics import PairPlan, Tensor
+from .numerics import PairPlan, Tensor, _frozen
 
 __all__ = [
     "SnapshotGraph",
@@ -77,11 +77,6 @@ def _label_word(label: str) -> int:
     # the few tags the library uses ("episode", "negatives", "train", ...)
     # recur in every sampled batch
     return int.from_bytes(hashlib.blake2s(label.encode(), digest_size=4).digest(), "big")
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _per_edge(values, dtype, name: str, order: np.ndarray) -> np.ndarray:
@@ -765,14 +760,14 @@ def _node_labels(path: Path, task: str, num_classes: int, num_nodes: int) -> np.
     return values
 
 
-def _features(path: Path, num_nodes: int, width: int | None, identity: IdentityFeatures):
+def _features(path: Path, num_nodes: int, width: int, identity: IdentityFeatures, meta_path: Path):
     """A snapshot's feature matrix, or ``identity`` when the file holds the
-    N x N identity; ``width`` is snapshot 1's, None while reading it."""
+    N x N identity; ``width`` is the ``feature_width`` of ``meta_path``."""
     values = _finite(path, _read(path, np.load), "feature")
     if values.ndim != 2 or values.shape[0] != num_nodes:
         raise DatasetError(f"{path}: features must be a ({num_nodes}, F) matrix, got shape {values.shape}")
-    if width is not None and values.shape[1] != width:
-        raise DatasetError(f"{path}: feature width {values.shape[1]} != {width} of snapshot 1")
+    if values.shape[1] != width:
+        raise DatasetError(f"{path}: feature width {values.shape[1]} != feature_width {width} in {meta_path}")
     square = values.shape[1] == num_nodes
     if square and np.count_nonzero(values) == num_nodes and (values.diagonal() == 1).all():
         return identity
@@ -782,24 +777,25 @@ def _features(path: Path, num_nodes: int, width: int | None, identity: IdentityF
 def load_dataset(directory) -> DynamicGraphSequence:
     """Load a dataset directory written by :func:`save_dataset`.
 
-    A missing or unreadable file, a meta value that is not an integer, a
-    non-finite edge weight or feature, an edge out of range, a self-loop or a
-    repeated edge, a feature file that is not an (N, F) matrix of snapshot
-    1's width, a node-label file without one entry per node and a node label
-    that is not a nonnegative integer (below ``num_classes`` for node
-    classification) are each a DatasetError naming the file; the checks run
-    here, on data read from disk, and not in :class:`SnapshotGraph`. Feature
+    A missing or unreadable file, a missing meta key, a meta value that is
+    not an integer, a ``num_nodes`` or ``num_snapshots`` below 1, a
+    ``num_classes`` below 2, an unknown task, an unordered split, a
+    ``nodes.map`` without one line per node, a non-finite edge weight or
+    feature, an edge out of range, a self-loop or a repeated edge, a feature
+    file that is not an (N, F) matrix of the meta's ``feature_width``, a
+    node-label file without one entry per node and a node label that is not
+    a nonnegative integer (below ``num_classes`` for node classification)
+    are each a DatasetError naming the file; the checks run here, on data
+    read from disk, and not in :class:`SnapshotGraph` or the sequence. Feature
     files that hold the N x N identity load as one :class:`IdentityFeatures`
     mark.
     """
     directory = Path(directory)
     meta_path = directory / "meta"
-    if not meta_path.exists():
-        raise DatasetError(f"{directory} has no meta file")
     meta = {}
     for line in _read(meta_path, Path.read_text).splitlines():
         if "=" not in line:
-            raise DatasetError(f"malformed meta line {line!r}")
+            raise DatasetError(f"{meta_path}: malformed line {line!r}")
         key, _, value = line.partition("=")
         meta[key.strip()] = value.strip()
     if meta.get("format") != DATASET_FORMAT:
@@ -808,20 +804,31 @@ def load_dataset(directory) -> DynamicGraphSequence:
         )
     try:
         num_nodes = int(meta["num_nodes"])
+        width = int(meta["feature_width"])
         num_snapshots = int(meta["num_snapshots"])
         task = meta["task"]
         num_classes = int(meta["num_classes"])
         split = (int(meta["train_end"]), int(meta["val_end"]), int(meta["test_end"]))
     except KeyError as exc:
-        raise DatasetError(f"meta file is missing key {exc}") from None
+        raise DatasetError(f"{meta_path}: missing key {exc}") from None
     except ValueError as exc:
         raise DatasetError(f"{meta_path}: {exc}") from None
-    if num_nodes < 1:
-        raise DatasetError(f"{meta_path}: num_nodes must be at least 1, got {num_nodes}")
+    problems = [problem for bad, problem in (
+        (num_nodes < 1, f"num_nodes must be at least 1, got {num_nodes}"),
+        (num_snapshots < 1, f"num_snapshots must be at least 1, got {num_snapshots}"),
+        (task not in TASKS, f"unknown task {task!r}, expected one of {TASKS}"),
+        (num_classes < 2, f"num_classes must be at least 2, got {num_classes}"),
+        (not 1 <= split[0] <= split[1] <= split[2] <= num_snapshots,
+         f"split {split} must be ordered within [1, {num_snapshots}]"),
+    ) if bad]
+    if problems:
+        raise DatasetError(f"{meta_path}: {'; '.join(problems)}")
 
-    names = _read(directory / "nodes.map", Path.read_text).splitlines()
+    names_path = directory / "nodes.map"
+    names = _read(names_path, Path.read_text).splitlines()
+    if len(names) != num_nodes:
+        raise DatasetError(f"{names_path}: {len(names)} lines for {num_nodes} nodes, need one per node")
     identity = IdentityFeatures(num_nodes)
-    width = None
     snapshots = []
     for t in range(1, num_snapshots + 1):
         stem = f"snapshot_{t:03d}"
@@ -840,8 +847,7 @@ def load_dataset(directory) -> DynamicGraphSequence:
         except ValueError as exc:
             raise DatasetError(f"{edges_path}: {exc}") from None
         _finite(edges_path, weights, "edge weight")
-        features = _features(directory / f"{stem}.npy", num_nodes, width, identity)
-        width = features.shape[1]
+        features = _features(directory / f"{stem}.npy", num_nodes, width, identity, meta_path)
         labels_path = directory / f"labels_{t:03d}.npy"
         labels = None
         if labels_path.exists():

@@ -123,21 +123,27 @@ class TrainingConfig:
 class EpisodeWindow:
     """The w snapshots adapted over for one target time.
 
-    ``snapshots[i-1]`` carries relative index i (i = 1..w).
-    ``target_regression_index`` is the target snapshot's relative index
-    under the same re-indexing: w when the window ends at the target, w+1
-    when it ends one step earlier. ``structure_snapshot`` provides the
-    adjacency and features used to encode the target batch.
+    ``snapshots[i-1]`` carries relative index i (i = 1..w). The last one is
+    the structure snapshot in both structure modes (see :func:`build_window`).
     """
 
     target_time: int
     snapshots: tuple[SnapshotGraph, ...]
-    structure_snapshot: SnapshotGraph
-    target_regression_index: int
 
     @property
     def size(self) -> int:
         return len(self.snapshots)
+
+    @property
+    def structure_snapshot(self) -> SnapshotGraph:
+        """The snapshot whose adjacency and features encode the target batch."""
+        return self.snapshots[-1]
+
+    @property
+    def target_regression_index(self) -> int:
+        """The target's relative index under the window's re-indexing: w when
+        the window ends at the target, w+1 when it ends one step earlier."""
+        return self.size + self.target_time - self.snapshots[-1].time_index
 
 
 def earliest_target_time(config: TrainingConfig) -> int:
@@ -161,9 +167,9 @@ def training_targets(config: TrainingConfig, train_end: int) -> range:
 def build_window(sequence: DynamicGraphSequence, t: int, config: TrainingConfig) -> EpisodeWindow:
     """Assemble the episode window for target time t.
 
-    In same_snapshot mode the window covers times t-w+1 .. t and the target
-    is encoded on its own snapshot. In previous_snapshot mode it covers
-    t-w .. t-1 and the target is encoded on snapshot t-1.
+    In same_snapshot mode the window covers times t-w+1 .. t, in
+    previous_snapshot mode t-w .. t-1; in both, the window's last snapshot
+    is the structure snapshot that encodes the target batch.
     """
     w = config.window_size
     first = earliest_target_time(config)
@@ -174,20 +180,9 @@ def build_window(sequence: DynamicGraphSequence, t: int, config: TrainingConfig)
         )
     if t > len(sequence):
         raise ValidationError(f"target time {t} beyond last snapshot {len(sequence)}")
-    if config.target_structure_mode == "same_snapshot":
-        times = range(t - w + 1, t + 1)
-        structure = sequence.snapshot_at(t)
-        regression_index = w
-    else:
-        times = range(t - w, t)
-        structure = sequence.snapshot_at(t - 1)
-        regression_index = w + 1
-    return EpisodeWindow(
-        target_time=t,
-        snapshots=tuple(sequence.snapshot_at(i) for i in times),
-        structure_snapshot=structure,
-        target_regression_index=regression_index,
-    )
+    # the window starts at time 1 for the earliest target and moves with t
+    start = t - first + 1
+    return EpisodeWindow(t, tuple(sequence.snapshot_at(i) for i in range(start, start + w)))
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ def inner_adapt(
     shared = None
     with tape:
         for i, snap in enumerate(window.snapshots, start=1):
-            shares = i == window.size >= 2 and snap is window.structure_snapshot
+            shares = i == window.size >= 2
             step_tape = tape if exact or shares else Tape()
             with step_tape:
                 bundle = embed(snap, current, spec)

@@ -10,6 +10,7 @@ and record onto whatever tape is active.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import zipfile
@@ -389,13 +390,7 @@ def save_checkpoint(params: ParameterSet, spec: ModelSpec, path, extra_meta: dic
     meta = {
         "format": CHECKPOINT_FORMAT,
         "groups": {g: list(params.group_names(g)) for g in params.groups},
-        "encoder": {
-            "base_model": spec.encoder.base_model,
-            "num_layers": spec.encoder.num_layers,
-            "input_dim": spec.encoder.input_dim,
-            "hidden_dim": spec.encoder.hidden_dim,
-            "activation": spec.encoder.activation,
-        },
+        "encoder": dataclasses.asdict(spec.encoder),
         "task": spec.task,
         "num_classes": spec.num_classes,
         "extra": extra_meta or {},
@@ -428,13 +423,10 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
         raise DatasetError(f"unknown checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
     enc = _meta_field(path, meta, "encoder", dict)
     spec = ModelSpec(
-        EncoderConfig(
-            base_model=_meta_field(path, enc, "base_model", str),
-            num_layers=_meta_field(path, enc, "num_layers", int),
-            input_dim=_meta_field(path, enc, "input_dim", int),
-            hidden_dim=_meta_field(path, enc, "hidden_dim", int),
-            activation=_meta_field(path, enc, "activation", str),
-        ),
+        EncoderConfig(**{
+            f.name: _meta_field(path, enc, f.name, type(f.default))
+            for f in dataclasses.fields(EncoderConfig)
+        }),
         task=_meta_field(path, meta, "task", str),
         num_classes=_meta_field(path, meta, "num_classes", int),
     )

@@ -368,10 +368,6 @@ def _k_add(d, p):
     return d[0] + d[1]
 
 
-def _k_sub(d, p):
-    return d[0] - d[1]
-
-
 def _k_hadamard(d, p):
     return d[0] * d[1]
 
@@ -511,7 +507,6 @@ def _k_sddmm(d, p):
 _FORWARD = {
     "matmul": _k_matmul,
     "add": _k_add,
-    "sub": _k_sub,
     "hadamard": _k_hadamard,
     "mul_scalar": _k_mul_scalar,
     "sigmoid": _k_sigmoid,
@@ -559,9 +554,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    """a - b; ``b`` may be a row, column or 1x1 repeated to a's shape."""
-    _need_broadcastable(b.shape, a.shape, "sub")
-    return _emit("sub", (a, b))
+    """a - b, as ``add`` of a and ``mul_scalar(b, -1.0)``; negation is exact,
+    so the bits are the difference's. ``b`` may be a row, column or 1x1
+    repeated to a's shape."""
+    return add(a, mul_scalar(b, -1.0))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -772,16 +768,6 @@ def _b_add(node, g, need):
     return [(x, _unbroadcast(g, x.shape)) for x, wanted in zip(node.inputs, need) if wanted]
 
 
-def _b_sub(node, g, need):
-    a, b = node.inputs
-    out = []
-    if need[0]:
-        out.append((a, g))
-    if need[1]:
-        out.append((b, _unbroadcast(mul_scalar(g, -1.0), b.shape)))
-    return out
-
-
 def _b_hadamard(node, g, need):
     a, b = node.inputs
     out = []
@@ -917,7 +903,6 @@ def _b_sddmm(node, g, need):
 _BACKWARD = {
     "matmul": _b_matmul,
     "add": _b_add,
-    "sub": _b_sub,
     "hadamard": _b_hadamard,
     "mul_scalar": _b_mul_scalar,
     "sigmoid": _b_sigmoid,

@@ -681,17 +681,18 @@ def _case_pair_hidden(rng):
     )
 
 
-#: composites of one primitive and a constant operand
+#: public ops built from primitives: ``add_scalar`` and ``leaky_relu`` are one
+#: primitive with a constant operand, ``sub`` is ``add`` of a negation
 COMPOSITE_CASES = {
     "add_scalar": _case_add_scalar,
     "leaky_relu": _case_leaky_relu,
+    "sub": _broadcasting_case(nx.sub, 3, 3),
 }
 
 
 PRIMITIVE_CASES = {
     "matmul": _case_matmul,
     "add": _broadcasting_case(nx.add, 3, 3),
-    "sub": _broadcasting_case(nx.sub, 3, 3),
     "hadamard": _broadcasting_case(nx.hadamard, 2, 4),
     "mul_scalar": _case_mul_scalar,
     "sigmoid": _case_sigmoid,

@@ -501,6 +501,16 @@ def _first_edge_as(line):
 #: node-classification dataset, every other file in a link-prediction one
 _BAD_DATASET_FILES = {
     "missing nodes.map": ("nodes.map", _drop),
+    "nodes.map without one line per node": (
+        "nodes.map", lambda path: path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    ),
+    "missing meta": ("meta", _drop),
+    "missing meta key": ("meta", lambda path: path.write_text(path.read_text().replace("task=", "tusk="))),
+    "unknown task": ("meta", _replace_meta_value("task", "ranking")),
+    "num_classes below 2": ("meta", _replace_meta_value("num_classes", "1")),
+    "num_snapshots below 1": ("meta", _replace_meta_value("num_snapshots", "0")),
+    "unordered split": ("meta", _replace_meta_value("val_end", "1")),
+    "feature_width unlike the features": ("meta", _replace_meta_value("feature_width", "7")),
     "missing features": ("snapshot_002.npy", _drop),
     "unreadable features": ("snapshot_002.npy", lambda path: path.write_bytes(b"not an array")),
     "non-integer meta value": ("meta", _replace_meta_value("num_nodes", "30.5")),

@@ -248,6 +248,30 @@ def test_static_edge_scores_match_the_two_order_static_predict():
     assert np.max(np.abs(scores - 0.5 * (forward + backward))) <= 1e-12
 
 
+def test_static_scorer_encodes_once_over_a_multi_time_evaluation(monkeypatch):
+    from ledg import baselines as bl
+
+    seq, spec, _, config = _link_setup()
+    params = bl.init_static_parameters(spec, seed=1)
+    frozen = seq.snapshot_at(seq.split[0])
+    encoded = []
+    encode = md.encode
+    monkeypatch.setattr(bl, "encode", lambda snap, *args: encoded.append(snap) or encode(snap, *args))
+    scorer = bl.static_scorer(seq, params, spec)
+    scored = []
+
+    def recorded(batch):
+        scored.append((batch, scorer(batch)))
+        return scored[-1][1]
+
+    ev.evaluate_sequence(seq, params, spec, config, range(3, 7), negative_ratio=5, scorer=recorded)
+    assert encoded == [frozen]
+    assert len({batch.time_index for batch, _ in scored}) == 4
+    # the embedding made once gives the bits of encoding per batch
+    for batch, scores in scored:
+        assert np.array_equal(scores, bl.static_edge_scores(frozen, params, spec, batch))
+
+
 def test_evaluate_sequence_never_calls_task_predict(monkeypatch):
     calls = []
 

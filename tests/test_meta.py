@@ -1,6 +1,6 @@
 """Episode windows, inner adaptation, outer updates, the training loop."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -100,6 +100,20 @@ def test_build_window_previous_snapshot_indices():
     assert [s.time_index for s in window.snapshots] == [2, 3, 4]
     assert window.structure_snapshot.time_index == 4
     assert window.target_regression_index == 4
+
+
+@pytest.mark.parametrize("mode", mt.STRUCTURE_MODES)
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_window_structure_is_its_last_snapshot(mode, w):
+    seq = _small_sequence()
+    config = TrainingConfig(window_size=w, target_structure_mode=mode)
+    same = mode == "same_snapshot"
+    for t in range(mt.earliest_target_time(config), len(seq) + 1):
+        window = mt.build_window(seq, t, config)
+        assert [f.name for f in fields(window)] == ["target_time", "snapshots"]
+        assert window.structure_snapshot is window.snapshots[-1]
+        assert window.structure_snapshot is seq.snapshot_at(t if same else t - 1)
+        assert window.target_regression_index == (w if same else w + 1)
 
 
 def test_build_window_bounds():

@@ -470,19 +470,25 @@ _CONSTANT_OPERAND_COMPOSITES = {
 
 
 def _composite_second_order_error(name, rng):
-    """d/dw of (d/dx sum(f(x) * w)) . probe, recorded, against central
-    differences of the recorded first gradient."""
-    (x_np,), call = oracles.COMPOSITE_CASES[name](rng)
-    w_np = rng.uniform(-1.0, 1.0, x_np.shape)
-    probe = Tensor(rng.uniform(-1.0, 1.0, x_np.shape))
+    """d/dw of the recorded gradients of sum(f(xs) * w) over f's outputs,
+    each dotted with a probe, against central differences of those recorded
+    first gradients."""
+    arrays, call = oracles.COMPOSITE_CASES[name](rng)
+    w_np = rng.uniform(-1.0, 1.0, arrays[0].shape)
+    probes = [Tensor(rng.uniform(-1.0, 1.0, x_np.shape)) for x_np in arrays]
 
     def probed_gradient(w_values):
-        x, w = Tensor(x_np, requires_grad=True), Tensor(w_values, requires_grad=True)
+        xs = [Tensor(x_np, requires_grad=True) for x_np in arrays]
+        w = Tensor(w_values, requires_grad=True)
         tape = Tape()
         with tape:
-            loss = nx.sums(nx.hadamard(call(x), w), None)
-            (gx,) = tape.gradient(loss, [x], create_graph=True)
-            out = nx.sums(nx.hadamard(gx, probe), None)
+            outputs = call(*xs)
+            outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+            loss = functools.reduce(nx.add, [nx.sums(nx.hadamard(y, w), None) for y in outputs])
+            grads = tape.gradient(loss, xs, create_graph=True)
+            out = functools.reduce(
+                nx.add, [nx.sums(nx.hadamard(g, probe), None) for g, probe in zip(grads, probes)]
+            )
         return tape, out, w
 
     tape, out, w = probed_gradient(w_np)
@@ -505,10 +511,36 @@ def test_constant_operand_composites_record_one_primitive(name):
         assert [node.op for node in tape.nodes] == [op]
         assert not tape.nodes[0].inputs[1].requires_grad
         assert np.array_equal(y.data.view(np.int64), kernel(x_np).view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(oracles.COMPOSITE_CASES))
+def test_composites_match_central_differences_to_second_order(name):
+    """Ten seeded points per composite, as criterion 1 checks a primitive."""
+    assert name not in nx._FORWARD
     for point in range(10):
         rng = np.random.default_rng(gd.seed_from(7, name, point))
         assert max(oracles.primitive_gradient_errors(name, rng)) <= 1e-4, (name, point)
         assert _composite_second_order_error(name, rng) <= 1e-4, (name, point)
+
+
+def test_sub_is_the_add_of_a_negation_bit_for_bit():
+    values = np.array([0.0, -0.0, 1.5, -2.25, 1e300, -5e-324, np.inf, -np.inf])
+    n = values.size
+    # every (a entry, b entry) pair of values meets once in each form of b
+    a_by_row, a_by_col = np.repeat(values[:, None], n, 1), np.repeat(values[None, :], n, 0)
+    forms = [(a_by_row, a_by_col), (a_by_row, values[None, :]), (a_by_col, values[:, None])]
+    forms += [(a_by_col, np.array([[v]])) for v in values]
+    for a_np, b_np in forms:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            expected = a_np - b_np
+        for b_tracked in (False, True):
+            a, b = Tensor(a_np, requires_grad=True), Tensor(b_np, requires_grad=b_tracked)
+            tape = Tape()
+            with tape, np.errstate(invalid="ignore"):
+                y = nx.sub(a, b)
+            assert [node.op for node in tape.nodes] == ["mul_scalar", "add"][not b_tracked:]
+            assert np.array_equal(y.data.view(np.int64), expected.view(np.int64))
+    assert len(nx._FORWARD) == 21 and "sub" not in nx._FORWARD
 
 
 def test_gradients_are_constants_unless_recorded():
