@@ -31,7 +31,6 @@ from .numerics import ParameterSet, Tape, Tensor
 __all__ = [
     "init_static_parameters",
     "static_predict",
-    "static_edge_scores",
     "static_scorer",
     "train_static_gcn",
 ]
@@ -57,20 +56,13 @@ def static_predict(
     return nx.softmax_rows(head_logits(params, spec, "classifier_graph", h, batch))
 
 
-def static_edge_scores(
-    snapshot: SnapshotGraph, params: ParameterSet, spec: ModelSpec, batch: TaskBatch
-) -> np.ndarray:
-    """Positive-class probability averaged over both endpoint orders."""
-    parts = (("classifier_graph", encode(snapshot, params, spec.encoder).data),)
-    return symmetric_pair_probabilities(params, spec, parts, batch.items)[:, 1]
-
-
 def static_scorer(sequence: DynamicGraphSequence, params: ParameterSet, spec: ModelSpec):
     """Edge scorer that embeds the last training snapshot, whatever time is asked.
 
     Static models never observe post-training structure; their embeddings
     are computed once, when the scorer is built, and go stale as the graph
-    drifts. Each batch gets :func:`static_edge_scores` on that embedding.
+    drifts. Each batch gets the positive-class probability averaged over
+    both endpoint orders, on that embedding.
     """
     frozen = sequence.snapshot_at(sequence.split[0])
     parts = (("classifier_graph", encode(frozen, params, spec.encoder).data),)
@@ -85,7 +77,6 @@ def train_static_gcn(
     sequence: DynamicGraphSequence,
     spec: ModelSpec,
     config: TrainingConfig,
-    initial_params: ParameterSet | None = None,
 ) -> tuple[ParameterSet, list[float]]:
     """Accumulated-gradient training: sum the task loss over every training
     target, then take one gradient step per epoch.
@@ -96,9 +87,7 @@ def train_static_gcn(
     the trained parameters and the per-epoch summed losses.
     """
     targets = training_targets(config, sequence.split[0])
-    params = (
-        initial_params if initial_params is not None else init_static_parameters(spec, config.seed)
-    )
+    params = init_static_parameters(spec, config.seed)
     optimizer = _SgdState(config.eta_out)
     losses = []
     for epoch in range(1, config.epochs + 1):

@@ -79,9 +79,6 @@ class RunConfig:
     """Resolved flat configuration with a canonical text form."""
 
     def __init__(self, values: dict):
-        unknown = sorted(set(values) - set(CONFIG_FIELDS))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         self.values = dict(values)
 
     @classmethod
@@ -172,17 +169,8 @@ def _load_config_file(path: str | None) -> str | None:
 
 
 def _collect_overrides(args) -> dict:
-    overrides = {}
-    for key in CONFIG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-    return overrides
+    """Every config flag's value; RunConfig.resolve skips the flags not given."""
+    return {key: getattr(args, key) for key in CONFIG_FIELDS}
 
 
 def _require_empty_or_force(directory: Path, force: bool) -> None:
@@ -365,7 +353,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
             f"--{key.replace('_', '-')}", dest=key, help=f"default {text}" if text else None
         )
-    parser.add_argument("--set", action="append", help="generic key=value override")
 
 
 class _Parser(argparse.ArgumentParser):

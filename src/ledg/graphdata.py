@@ -280,6 +280,10 @@ class DynamicGraphSequence:
         node_names = tuple(str(x) for x in node_names)
         if len(node_names) != n:
             raise ValidationError("node_names must have one entry per node")
+        for i, name in enumerate(node_names):
+            # nodes.map holds one name per line, so a name must not split
+            if name != "".join(name.splitlines()):
+                raise ValidationError(f"node name {i} ({name!r}) holds a line break")
         self.node_names = node_names
 
     def __len__(self) -> int:
@@ -438,7 +442,6 @@ def ingest_edge_stream(
     source,
     bucketing,
     task: str = "link_prediction",
-    split=None,
     train_frac: float = 0.75,
     val_frac: float = 0.10,
 ) -> DynamicGraphSequence:
@@ -538,8 +541,7 @@ def ingest_edge_stream(
         )
         for t, p in enumerate(parts)
     ]
-    if split is None:
-        split = split_by_fraction(num_snapshots, train_frac, val_frac)
+    split = split_by_fraction(num_snapshots, train_frac, val_frac)
     num_classes = 2 if labels is None or labels.size == 0 else max(2, int(labels.max()) + 1)
     return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=list(ids))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -269,16 +269,7 @@ class EpisodeRecord:
     grad_norm: float
 
     def to_json(self) -> str:
-        payload = {
-            "epoch": self.epoch,
-            "target_time": self.target_time,
-            "inner_losses": list(self.inner_losses),
-            "task_loss_sum": self.task_loss_sum,
-            "time_loss_sum": self.time_loss_sum,
-            "objective": self.objective,
-            "grad_norm": self.grad_norm,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 class _SgdState:
@@ -483,7 +474,6 @@ def train(
     sequence: DynamicGraphSequence,
     spec: ModelSpec,
     config: TrainingConfig,
-    initial_params: ParameterSet | None = None,
     val_hook=None,
     log_hook=None,
 ) -> TrainResult:
@@ -500,7 +490,7 @@ def train(
     (sequence, spec, config).
     """
     targets = training_targets(config, sequence.split[0])
-    params = initial_params if initial_params is not None else init_parameters(spec, config.seed)
+    params = init_parameters(spec, config.seed)
     result = TrainResult(params=params)
     optimizer = _make_optimizer(config)
     best_score = -np.inf

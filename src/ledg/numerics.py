@@ -651,12 +651,12 @@ def broadcast(a: Tensor, shape: tuple[int, int]) -> Tensor:
     return _emit("broadcast", (a,), {"shape": shape})
 
 
-def _frozen_indices(indices, bound: int | None, op: str) -> np.ndarray:
+def _frozen_indices(indices, bound: int, op: str) -> np.ndarray:
     """A read-only 1-D index copy for the tape, checked against [0, bound)."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"{op}: indices must be 1-D")
-    if bound is not None and idx.size and (idx.min() < 0 or idx.max() >= bound):
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
         raise ShapeError(f"{op}: index out of range [0, {bound})")
     idx = idx.copy()
     idx.setflags(write=False)
@@ -1028,6 +1028,5 @@ def l2_norm(tensors) -> float:
     """Euclidean norm over the concatenation of all entries (plain float)."""
     total = 0.0
     for t in tensors:
-        d = t.data if isinstance(t, Tensor) else np.asarray(t)
-        total += float((d * d).sum())
+        total += float((t.data * t.data).sum())
     return float(np.sqrt(total))

@@ -132,9 +132,11 @@ def test_config_defaults_are_the_config_classes_defaults():
     ("epochs", "abc"), ("base_model", "foo"), ("eta_out", "nan"), ("task", "bar"),
 ])
 def test_bad_value_is_one_config_error_as_flag_or_set(dataset_dir, tmp_path, capsys, key, value):
+    config_file = tmp_path / "bad.cfg"
+    config_file.write_text(f"{key}={value}\n")
     messages = []
     for name, form in (("flag", [f"--{key.replace('_', '-')}", value]),
-                       ("set", ["--set", f"{key}={value}"])):
+                       ("file", ["--config", str(config_file)])):
         out = tmp_path / name
         rc = cli.main(["train", "--dataset", str(dataset_dir), "--out", str(out)] + form)
         assert rc == 1
@@ -176,17 +178,6 @@ def test_help_lists_every_config_key_and_exits_0(capsys):
         text = capsys.readouterr().out
         for key in cli.CONFIG_FIELDS:
             assert f"--{key.replace('_', '-')}" in text
-
-
-def test_set_flag_overrides_arbitrary_keys(dataset_dir, tmp_path):
-    out = tmp_path / "run"
-    rc = cli.main([
-        "train", "--dataset", str(dataset_dir), "--out", str(out),
-        "--hidden-dim", "4", "--window-size", "2", "--epochs", "0",
-        "--set", "lambda_time=0.3",
-    ])
-    assert rc == 0
-    assert "lambda_time=0.3" in (out / "config.resolved").read_text()
 
 
 # ----------------------------------------------------------------- generate

@@ -233,18 +233,18 @@ def test_symmetric_edge_class_probabilities_match_two_task_predicts():
     assert np.array_equal(np.argmax(probabilities, axis=1), np.argmax(reference, axis=1))
 
 
-def test_static_edge_scores_match_the_two_order_static_predict():
+def test_static_scorer_matches_the_two_order_static_predict():
     from ledg import baselines as bl
 
     seq = _link_sequence()
     spec = ModelSpec(EncoderConfig(num_layers=2, input_dim=16, hidden_dim=4))
     params = bl.init_static_parameters(spec, seed=1)
-    snap = seq.snapshot_at(4)
-    batch = gd.sample_link_prediction_batch(snap, 5, mode="eval", seed=1)
+    frozen = seq.snapshot_at(seq.split[0])
+    batch = gd.sample_link_prediction_batch(seq.snapshot_at(len(seq)), 5, mode="eval", seed=1)
     swapped = gd.TaskBatch(batch.time_index, "edge", batch.items[:, ::-1], batch.labels)
-    forward = bl.static_predict(snap, params, spec, batch).data[:, 1]
-    backward = bl.static_predict(snap, params, spec, swapped).data[:, 1]
-    scores = bl.static_edge_scores(snap, params, spec, batch)
+    forward = bl.static_predict(frozen, params, spec, batch).data[:, 1]
+    backward = bl.static_predict(frozen, params, spec, swapped).data[:, 1]
+    scores = bl.static_scorer(seq, params, spec)(batch)
     assert np.max(np.abs(scores - 0.5 * (forward + backward))) <= 1e-12
 
 
@@ -267,9 +267,9 @@ def test_static_scorer_encodes_once_over_a_multi_time_evaluation(monkeypatch):
     ev.evaluate_sequence(seq, params, spec, config, range(3, 7), negative_ratio=5, scorer=recorded)
     assert encoded == [frozen]
     assert len({batch.time_index for batch, _ in scored}) == 4
-    # the embedding made once gives the bits of encoding per batch
+    # the embedding made once gives the bits of a scorer built for each batch
     for batch, scores in scored:
-        assert np.array_equal(scores, bl.static_edge_scores(frozen, params, spec, batch))
+        assert np.array_equal(scores, bl.static_scorer(seq, params, spec)(batch))
 
 
 def test_evaluate_sequence_never_calls_task_predict(monkeypatch):

@@ -763,6 +763,22 @@ def test_dataset_roundtrip_through_ingest(tmp_path):
         assert a.edges == b.edges
 
 
+@pytest.mark.parametrize("name", ["b\u2028c", "b\nc", "b\r\nc", "b\x1cc", "b\n"])
+def test_sequence_refuses_a_node_name_that_nodes_map_would_split(name):
+    snaps = [gd.SnapshotGraph(t, 3, [(0, 1)], np.eye(3)) for t in (1, 2, 3)]
+    with pytest.raises(ValidationError, match="node name 1 "):
+        gd.DynamicGraphSequence(snaps, (1, 2, 3), "link_prediction", 2,
+                                node_names=("a", name, "d"))
+
+
+def test_dataset_roundtrip_keeps_one_line_node_names(tmp_path):
+    snaps = [gd.SnapshotGraph(t, 3, [(0, 1)], np.eye(3)) for t in (1, 2, 3)]
+    names = (" a", "b c\t", "")
+    seq = gd.DynamicGraphSequence(snaps, (1, 2, 3), "link_prediction", 2, node_names=names)
+    gd.save_dataset(seq, tmp_path / "ds")
+    assert gd.load_dataset(tmp_path / "ds").node_names == names
+
+
 def test_load_rejects_unknown_format(tmp_path):
     seq = gd.generate_drifting_sbm(6, 2, 0.8, 0.1, 0.0, 2, seed=0)
     gd.save_dataset(seq, tmp_path / "ds")
