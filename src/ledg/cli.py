@@ -49,7 +49,7 @@ CONFIG_FIELDS: dict[str, type] = {
 }
 
 #: defaults of the keys no library config class owns
-_RUN_DEFAULTS = {"dataset": "", "task": "link_prediction", "eval_negative_ratio": 100}
+_RUN_DEFAULTS = {"dataset": "", "task": "link_prediction", "eval_negative_ratio": ev.EVAL_NEGATIVE_RATIO}
 
 #: the text that stands for None: eta_in "auto" is ten times eta_out
 _NONE_TEXT = {"eta_in": "auto", "early_stop_patience": "none"}
@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.set_defaults(func=cmd_ingest)
     # the options both dataset writers take, their default split among them
     for p_data in (p_gen, p_ing):
-        p_data.add_argument("--train-frac", dest="train_frac", type=float, default=0.70)
-        p_data.add_argument("--val-frac", dest="val_frac", type=float, default=0.10)
+        p_data.add_argument("--train-frac", dest="train_frac", type=float, default=gd.TRAIN_FRAC)
+        p_data.add_argument("--val-frac", dest="val_frac", type=float, default=gd.VAL_FRAC)
         p_data.add_argument("--force", action="store_true")
 
     p_train = sub.add_parser("train", help="episodic meta-training")

@@ -9,8 +9,7 @@ symmetrized by averaging the two endpoint orders before ranking.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +32,9 @@ __all__ = [
     "evaluate_sequence",
     "reports_to_csv",
 ]
+
+#: sampled non-neighbours per true edge in an evaluation batch, by default
+EVAL_NEGATIVE_RATIO = 100
 
 
 @dataclass(frozen=True)
@@ -240,26 +242,21 @@ def _symmetrized_probabilities(bundle, params, spec, batch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """A metric value with its per-snapshot breakdown."""
+    """A metric's per-snapshot breakdown and its value, their unweighted mean."""
 
     name: str
-    value: float
     breakdown: tuple[tuple[int, float], ...]
-
-    @classmethod
-    def from_breakdown(cls, name: str, pairs) -> "MetricReport":
-        pairs = tuple((int(t), float(v)) for t, v in pairs)
-        if not pairs:
-            raise ValidationError(f"metric {name!r} has an empty breakdown")
-        value = float(np.mean([v for _, v in pairs]))
-        return cls(name=name, value=value, breakdown=pairs)
+    value: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValidationError(f"metric {self.name!r} value {self.value} outside [0, 1]")
-        agg = float(np.mean([v for _, v in self.breakdown]))
-        if not math.isclose(agg, self.value, rel_tol=0, abs_tol=1e-12):
-            raise ValidationError(f"metric {self.name!r} value is not the mean")
+        pairs = tuple((int(t), float(v)) for t, v in self.breakdown)
+        if not pairs:
+            raise ValidationError(f"metric {self.name!r} has an empty breakdown")
+        value = float(np.mean([v for _, v in pairs]))
+        if not (0.0 <= value <= 1.0):
+            raise ValidationError(f"metric {self.name!r} value {value} outside [0, 1]")
+        object.__setattr__(self, "breakdown", pairs)
+        object.__setattr__(self, "value", value)
 
 
 def evaluate_sequence(
@@ -268,7 +265,7 @@ def evaluate_sequence(
     spec: ModelSpec,
     config: mt.TrainingConfig,
     times,
-    negative_ratio: int = 100,
+    negative_ratio: int = EVAL_NEGATIVE_RATIO,
     scorer=None,
 ) -> dict[str, MetricReport]:
     """Adapt to each evaluation time, score its batch, and aggregate metrics.
@@ -314,7 +311,7 @@ def evaluate_sequence(
             per_time.setdefault("micro_f1", []).append((t, score))
     if not per_time:
         raise ValidationError("no evaluation time produced a scoreable batch")
-    return {name: MetricReport.from_breakdown(name, pairs) for name, pairs in per_time.items()}
+    return {name: MetricReport(name, pairs) for name, pairs in per_time.items()}
 
 
 def _require_finite(t: int, values: np.ndarray) -> np.ndarray:

@@ -45,6 +45,10 @@ TASKS = ("link_prediction", "edge_classification", "node_classification")
 
 DATASET_FORMAT = "TGDS1"
 
+#: the default train and validation shares of a sequence's snapshots, for the
+#: library and the CLI alike; the test part is the rest
+TRAIN_FRAC, VAL_FRAC = 0.75, 0.10
+
 #: fixed-interval bucketing refuses more snapshots than this many per data
 #: line, or than MIN_BUCKET_LIMIT when that is larger: a wide timestamp span
 #: at a fine interval would otherwise write one snapshot per empty bucket
@@ -318,7 +322,7 @@ class DynamicGraphSequence:
         raise ValidationError(f"unknown split part {part!r}")
 
 
-def split_by_fraction(num_snapshots: int, train_frac=0.75, val_frac=0.10):
+def split_by_fraction(num_snapshots: int, train_frac=TRAIN_FRAC, val_frac=VAL_FRAC):
     """Split time indices by fractions, flooring, at least one train snapshot."""
     if not (0 < train_frac < 1 and 0 <= val_frac < 1 and train_frac + val_frac <= 1):
         raise ValidationError("split fractions must lie in (0, 1) and sum to at most 1")
@@ -442,8 +446,8 @@ def ingest_edge_stream(
     source,
     bucketing,
     task: str = "link_prediction",
-    train_frac: float = 0.75,
-    val_frac: float = 0.10,
+    train_frac: float = TRAIN_FRAC,
+    val_frac: float = VAL_FRAC,
 ) -> DynamicGraphSequence:
     """Parse a timestamped edge stream into a snapshot sequence.
 
@@ -556,8 +560,8 @@ def generate_drifting_sbm(
     seed: int,
     feature_mode: str = "identity",
     task: str = "link_prediction",
-    train_frac: float = 0.75,
-    val_frac: float = 0.10,
+    train_frac: float = TRAIN_FRAC,
+    val_frac: float = VAL_FRAC,
 ) -> DynamicGraphSequence:
     """Stochastic block model whose community assignment drifts over time.
 

@@ -187,7 +187,7 @@ def build_window(sequence: DynamicGraphSequence, t: int, config: TrainingConfig)
 
 @dataclass(frozen=True)
 class Adaptation:
-    """What :func:`inner_adapt` returns; it unpacks as ``(states, losses)``.
+    """What :func:`inner_adapt` returns and :func:`outer_step` scores.
 
     ``states`` are the w adapted states and ``losses`` the w inner losses.
     ``structure_bundle`` is the last inner step's embedding of the structure
@@ -199,9 +199,6 @@ class Adaptation:
     states: list[ParameterSet]
     losses: list[float]
     structure_bundle: EmbeddingBundle | None
-
-    def __iter__(self):
-        return iter((self.states, self.losses))
 
 
 def inner_adapt(
@@ -299,11 +296,10 @@ class _AdamState:
     update, so it gets the same bits.
     """
 
-    def __init__(self, eta: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, eta: float):
         self.eta = eta
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.shapes: dict[str, tuple[int, int]] = {}
         self._slices: list[slice] = []
@@ -357,45 +353,45 @@ def _make_optimizer(config: TrainingConfig):
 
 def outer_step(
     window: EpisodeWindow,
-    adapted_states: list[ParameterSet],
+    adaptation: Adaptation,
     target_batch: TaskBatch,
     params: ParameterSet,
     spec: ModelSpec,
     config: TrainingConfig,
     tape: Tape,
     optimizer=None,
-    structure_bundle: EmbeddingBundle | None = None,
+    epoch: int = 0,
 ) -> tuple[ParameterSet, EpisodeRecord]:
     """One meta-update from the summed target losses over all adapted states.
 
     The objective is sum over i of task_loss_i + lambda * time_loss_i, with
     every term computed on the target batch using adapted state i and the
     window's structure snapshot; the time term regresses the target's
-    relative index. ``structure_bundle``, the embedding of the structure
-    snapshot under ``adapted_states[-2]`` that :func:`inner_adapt` recorded
+    relative index. The adaptation's ``structure_bundle``, the embedding of
+    the structure snapshot under state w-1 that :func:`inner_adapt` recorded
     on ``tape``, is scored for that state instead of embedding it again, so
-    an episode encodes 2w - 1 times; without it every state is embedded. The gradient is taken with respect to
-    the original (pre-adaptation) parameters on the same tape that recorded
-    the inner updates and every group is moved by one step of ``optimizer``
-    (a fresh one of the config's ``outer_optimizer`` kind when none is
-    given). Nothing differentiates this gradient again, so it is not
-    recorded.
+    an episode encodes 2w - 1 times; without it every state is embedded.
+    The gradient is taken with respect to the original (pre-adaptation)
+    parameters on the same tape that recorded the inner updates and every
+    group is moved by one step of ``optimizer`` (a fresh one of the config's
+    ``outer_optimizer`` kind when none is given). Nothing differentiates
+    this gradient again, so it is not recorded. Returns the new parameters
+    and the episode's record, under ``epoch``.
     """
-    if len(adapted_states) != window.size:
-        raise ContractError(
-            f"got {len(adapted_states)} adapted states for a window of {window.size}"
-        )
+    states = adaptation.states
+    if len(states) != window.size:
+        raise ContractError(f"got {len(states)} adapted states for a window of {window.size}")
     if target_batch is None:
         raise ContractError("outer_step needs the target snapshot's task batch")
     if optimizer is None:
         optimizer = _make_optimizer(config)
-    shared_index = window.size - 2 if structure_bundle is not None else None
+    shared_index = window.size - 2 if adaptation.structure_bundle is not None else None
     task_total = None
     time_total = None
     with tape:
-        for i, state in enumerate(adapted_states):
+        for i, state in enumerate(states):
             if i == shared_index:
-                bundle = structure_bundle
+                bundle = adaptation.structure_bundle
             else:
                 bundle = embed(window.structure_snapshot, state, spec)
             predictions = task_predict(bundle, state, spec, target_batch)
@@ -411,9 +407,9 @@ def outer_step(
     grad_map = {name: g for (name, _), g in zip(pairs, grads)}
     new_params = optimizer.apply(params, grad_map)
     record = EpisodeRecord(
-        epoch=0,
+        epoch=epoch,
         target_time=window.target_time,
-        inner_losses=(),
+        inner_losses=tuple(adaptation.losses),
         task_loss_sum=task_total.item(),
         time_loss_sum=time_total.item(),
         objective=objective.item(),
@@ -452,13 +448,10 @@ def run_episode(
         return params, None
     window = build_window(sequence, t, config)
     tape = Tape()
-    adapted = inner_adapt(window, params, spec, config, tape)
-    new_params, record = outer_step(
-        window, adapted.states, target_batch, params, spec, config, tape, optimizer,
-        adapted.structure_bundle,
+    adaptation = inner_adapt(window, params, spec, config, tape)
+    return outer_step(
+        window, adaptation, target_batch, params, spec, config, tape, optimizer, epoch
     )
-    record = replace(record, epoch=epoch, inner_losses=tuple(adapted.losses))
-    return new_params, record
 
 
 @dataclass
@@ -485,7 +478,8 @@ def train(
     (higher is better) selects the best-scoring epoch's parameters and, when
     ``early_stop_patience`` is set, stops after that many non-improving
     epochs; ``log_hook(record)`` sees every finite episode record as it is
-    made. Raises NumericalError at the first episode whose inner losses,
+    made. Raises ConfigError when no target of an epoch has a supervised
+    batch, and NumericalError at the first episode whose inner losses,
     objective or gradient norm are not finite. Deterministic given
     (sequence, spec, config).
     """
@@ -511,7 +505,9 @@ def train(
                 log_hook(record)
             epoch_total += record.objective
             count += 1
-        result.epoch_objectives.append(epoch_total / max(count, 1))
+        if count == 0:
+            raise ConfigError("no training target produced a batch")
+        result.epoch_objectives.append(epoch_total / count)
         if val_hook is not None:
             score = float(val_hook(params, epoch))
             result.val_scores.append(score)
@@ -566,6 +562,5 @@ def adapt_and_predict(
     """
     window = build_window(sequence, t, config)
     first_order = replace(config, gradient_mode="first_order")
-    states, _ = inner_adapt(window, params, spec, first_order, Tape())
-    final_state = states[-1]
+    final_state = inner_adapt(window, params, spec, first_order, Tape()).states[-1]
     return embed(window.structure_snapshot, final_state, spec), final_state

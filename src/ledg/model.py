@@ -409,7 +409,9 @@ def _meta_field(path, table: dict, key: str, kind: type):
 def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
     """Load a checkpoint. A file that is not an npz archive, a missing or
     non-JSON ``__meta__`` entry, an unknown format, a missing or mistyped meta
-    field and a missing or mis-shaped tensor are each a DatasetError."""
+    field, a spec or group its class refuses and a missing, non-numeric or
+    mis-shaped tensor are each a DatasetError whose message starts with the
+    path."""
     if not zipfile.is_zipfile(path):
         raise DatasetError(f"{path} is not a readable checkpoint: not an npz archive")
     with np.load(path) as bundle:
@@ -420,25 +422,34 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
         raise DatasetError(f"{path} is not a checkpoint: no JSON __meta__ entry") from None
     found = meta.get("format") if isinstance(meta, dict) else None
     if found != CHECKPOINT_FORMAT:
-        raise DatasetError(f"unknown checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
+        raise DatasetError(f"{path}: unknown checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
     enc = _meta_field(path, meta, "encoder", dict)
-    spec = ModelSpec(
-        EncoderConfig(**{
-            f.name: _meta_field(path, enc, f.name, type(f.default))
-            for f in dataclasses.fields(EncoderConfig)
-        }),
-        task=_meta_field(path, meta, "task", str),
-        num_classes=_meta_field(path, meta, "num_classes", int),
-    )
-    groups = {g: tuple(names) for g, names in _meta_field(path, meta, "groups", dict).items()}
-    tensors = {}
-    for name in (name for names in groups.values() for name in names):
-        if name not in arrays:
-            raise DatasetError(f"checkpoint is missing tensor {name!r}")
-        tensors[name] = Tensor(arrays[name], requires_grad=True)
-    params = ParameterSet(tensors, groups)
+    encoder = {
+        f.name: _meta_field(path, enc, f.name, type(f.default))
+        for f in dataclasses.fields(EncoderConfig)
+    }
+    groups = _meta_field(path, meta, "groups", dict)
+    if not all(isinstance(names, list) and all(isinstance(n, str) for n in names)
+               for names in groups.values()):
+        raise DatasetError(f"{path} checkpoint meta: a group is not a list of tensor names")
+    for name, array in arrays.items():
+        if array.dtype.kind not in "biuf":
+            raise DatasetError(f"{path}: checkpoint tensor {name!r} is not numeric")
+    try:
+        spec = ModelSpec(
+            EncoderConfig(**encoder),
+            task=_meta_field(path, meta, "task", str),
+            num_classes=_meta_field(path, meta, "num_classes", int),
+        )
+        params = ParameterSet(
+            {name: Tensor(arrays[name], requires_grad=True)
+             for names in groups.values() for name in names if name in arrays},
+            {group: tuple(names) for group, names in groups.items()},
+        )
+    except (ShapeError, ValidationError) as exc:
+        raise DatasetError(f"{path} checkpoint: {exc}") from None
     expected = init_parameters(spec, seed=0)
     for name in expected.names:
         if name not in params or params[name].shape != expected[name].shape:
-            raise DatasetError(f"checkpoint tensor {name!r} missing or mis-shaped for its model spec")
-    return params, spec, meta.get("extra", {})
+            raise DatasetError(f"{path}: checkpoint tensor {name!r} missing or mis-shaped for its model spec")
+    return params, spec, _meta_field(path, meta, "extra", dict)

@@ -385,10 +385,6 @@ def _k_sigmoid(d, p):
     return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
-def _k_relu(d, p):
-    return np.maximum(d[0], 0.0)
-
-
 def _k_one_minus(d, p):
     return 1.0 - d[0]
 
@@ -510,7 +506,6 @@ _FORWARD = {
     "hadamard": _k_hadamard,
     "mul_scalar": _k_mul_scalar,
     "sigmoid": _k_sigmoid,
-    "relu": _k_relu,
     "one_minus": _k_one_minus,
     "reciprocal": _k_reciprocal,
     "log": _k_log,
@@ -581,8 +576,13 @@ def sigmoid(a: Tensor) -> Tensor:
     return _emit("sigmoid", (a,))
 
 
+#: the params of every relu node, shared as ``_EMPTY`` is
+_RELU = {"value": 0.0}
+
+
 def relu(a: Tensor) -> Tensor:
-    return _emit("relu", (a,))
+    """max(a, 0), as one ``clamp_min`` node at value 0."""
+    return _emit("clamp_min", (a,), _RELU)
 
 
 def one_minus(a: Tensor) -> Tensor:
@@ -612,7 +612,7 @@ def clip_unit(a: Tensor) -> Tensor:
     return _emit("clip_unit", (a,))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor, slope: float) -> Tensor:
     """x for x > 0 else slope*x, as ``hadamard`` with a constant gate that is
     1 where x > 0 and slope elsewhere."""
     gate = (a.data > 0.0).astype(np.float64) * (1.0 - slope) + slope
@@ -728,8 +728,8 @@ def mean_pool(h: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward rules, one per primitive, each built from the public primitives
 # above so that the backward pass is itself differentiable when recorded. A
-# piecewise-constant derivative (the 0/1 masks of relu, clamp_min and
-# clip_unit) has zero derivative almost everywhere, so it enters as an
+# piecewise-constant derivative (the 0/1 masks of clamp_min, which relu is,
+# and clip_unit) has zero derivative almost everywhere, so it enters as an
 # untracked constant rather than as an op. A rule gets the node, its
 # output's adjoint and one flag per input saying whether that input is owed
 # a contribution (see Tape._walk_backward); it returns (input, contribution)
@@ -785,11 +785,6 @@ def _b_mul_scalar(node, g, need):
 def _b_sigmoid(node, g, need):
     y = node.output
     return ((node.inputs[0], hadamard(g, hadamard(y, one_minus(y)))),)
-
-
-def _b_relu(node, g, need):
-    x = node.inputs[0]
-    return ((x, hadamard(g, Tensor._raw((x.data > 0.0).astype(np.float64)))),)
 
 
 def _b_one_minus(node, g, need):
@@ -906,7 +901,6 @@ _BACKWARD = {
     "hadamard": _b_hadamard,
     "mul_scalar": _b_mul_scalar,
     "sigmoid": _b_sigmoid,
-    "relu": _b_relu,
     "one_minus": _b_one_minus,
     "reciprocal": _b_reciprocal,
     "log": _b_log,

@@ -682,10 +682,12 @@ def _case_pair_hidden(rng):
 
 
 #: public ops built from primitives: ``add_scalar`` and ``leaky_relu`` are one
-#: primitive with a constant operand, ``sub`` is ``add`` of a negation
+#: primitive with a constant operand, ``relu`` is ``clamp_min`` at 0, ``sub``
+#: is ``add`` of a negation
 COMPOSITE_CASES = {
     "add_scalar": _case_add_scalar,
     "leaky_relu": _case_leaky_relu,
+    "relu": _case_relu,
     "sub": _broadcasting_case(nx.sub, 3, 3),
 }
 
@@ -696,7 +698,6 @@ PRIMITIVE_CASES = {
     "hadamard": _broadcasting_case(nx.hadamard, 2, 4),
     "mul_scalar": _case_mul_scalar,
     "sigmoid": _case_sigmoid,
-    "relu": _case_relu,
     "one_minus": _case_one_minus,
     "reciprocal": _case_reciprocal,
     "log": _case_log,

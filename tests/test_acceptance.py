@@ -119,9 +119,8 @@ def _outer_objective(seq, spec, config, params, mode):
     window = mt.build_window(seq, 3, config)
     batch = gd.classification_batch(seq.snapshot_at(3), "node_classification")
     tape = Tape()
-    states, inner_losses = mt.inner_adapt(
-        window, params, spec, replace(config, gradient_mode=mode), tape
-    )
+    adapted = mt.inner_adapt(window, params, spec, replace(config, gradient_mode=mode), tape)
+    states, inner_losses = adapted.states, adapted.losses
     total = None
     with tape:
         for state in states:

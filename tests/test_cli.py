@@ -63,12 +63,13 @@ def trained_dir(tmp_path_factory, dataset_dir):
 
 
 def test_importing_the_library_loads_no_scipy_or_test_tools():
-    """``import ledg`` in a fresh process pulls in none of scipy, pytest or
-    hypothesis: importing scipy.sparse alone adds about 22 MB of resident
-    memory to every run."""
+    """Importing every module of the library (``ledg.cli`` and
+    ``ledg.baselines`` between them import the rest) in a fresh process
+    pulls in none of scipy, pytest or hypothesis: importing scipy.sparse
+    alone adds about 22 MB of resident memory to every run."""
     source = str(Path(ledg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, ledg; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    probe = "import sys, ledg.cli, ledg.baselines; print(sorted({m.split('.')[0] for m in sys.modules}))"
     loaded = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -190,13 +191,13 @@ def test_generate_writes_loadable_dataset(dataset_dir, capsys):
     assert seq.split == (7, 8, 10)
 
 
-def test_generate_default_snapshot_count_splits_14_2_4(tmp_path, capsys):
+def test_generate_default_snapshot_count_splits_15_2_3(tmp_path, capsys):
     out = tmp_path / "ds"
     rc = cli.main(["generate", "--out", str(out), "--num-nodes", "12",
                    "--num-snapshots", "20", "--seed", "0"])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[0])
-    assert summary["split"] == [14, 16, 20]
+    assert summary["split"] == [15, 17, 20]
     assert summary["num_snapshots"] == 20
 
 
@@ -405,6 +406,23 @@ def test_train_zero_epochs_checkpoints_the_seeded_init(dataset_dir, tmp_path):
     assert params.fingerprint() == expected.fingerprint()
 
 
+def test_train_with_no_supervised_target_exits_1_without_checkpoint(tmp_path, capsys):
+    """Training snapshots without an edge give no target a batch: the run
+    exits 1 and checkpoints nothing, while zero epochs still checkpoint the
+    seeded init."""
+    edges = [[], [], [(0, 1), (2, 3)], [(0, 2)]]
+    snaps = [gd.SnapshotGraph(t, 4, e, np.eye(4)) for t, e in enumerate(edges, start=1)]
+    dataset = tmp_path / "ds"
+    gd.save_dataset(gd.DynamicGraphSequence(snaps, (2, 3, 4), "link_prediction", 2), dataset)
+    args = ["train", "--dataset", str(dataset), "--window-size", "1", "--hidden-dim", "3"]
+    rc = cli.main(args + ["--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "error: no training target produced a batch" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.npz").exists()
+    assert cli.main(args + ["--out", str(tmp_path / "init"), "--epochs", "0"]) == 0
+    assert (tmp_path / "init" / "checkpoint.npz").exists()
+
+
 def test_train_requires_dataset(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path / "run"), "--epochs", "1"])
     assert rc == 1
@@ -602,6 +620,37 @@ def test_eval_writes_metrics_csv(trained_dir, dataset_dir, tmp_path, capsys):
         assert 0.0 <= float(value) <= 1.0
 
 
+def test_edge_classification_ingests_trains_and_evaluates(tmp_path, capsys):
+    """A labelled edge stream through ingest, train and eval: one micro_f1
+    row per test snapshot plus the aggregate, each in [0, 1], and a rerun
+    of the evaluation writes the same bytes."""
+    rng = np.random.default_rng(4)
+    lines = []
+    for bucket in range(8):
+        for k in range(15):
+            u, v = rng.choice(20, size=2, replace=False)
+            lines.append(f"n{u} n{v} {10 * bucket + 0.5 * k} {rng.integers(3)}\n")
+    stream = tmp_path / "edges.txt"
+    stream.write_text("".join(lines))
+    dataset = tmp_path / "ds"
+    assert cli.main(["ingest", "--input", str(stream), "--out", str(dataset),
+                     "--interval", "10", "--task", "edge_classification"]) == 0
+    assert cli.main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "run"),
+                     "--task", "edge_classification", "--window-size", "2",
+                     "--hidden-dim", "8", "--epochs", "2"]) == 0
+    written = []
+    for name in ("e1", "e2"):
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                         "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / "metrics_test.csv").read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
+    rows = [line.split(",") for line in written[0].decode().splitlines()[2:]]
+    test_times = [str(t) for t in gd.load_dataset(dataset).times_in("test")]
+    assert [(name, t) for name, t, _ in rows] == [("micro_f1", t) for t in test_times + ["all"]]
+    assert all(0.0 <= float(value) <= 1.0 for _, _, value in rows)
+
+
 def test_eval_uses_dataset_remembered_by_the_checkpoint(trained_dir, tmp_path):
     out = tmp_path / "eval"
     rc = cli.main([
@@ -665,6 +714,21 @@ def test_eval_unreadable_checkpoint_is_a_dataset_error(tmp_path, capsys):
     rc = cli.main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")])
     assert rc == 1
     assert f"error: {checkpoint} is not a readable checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_malformed_checkpoint_meta_exits_1_naming_the_file(trained_dir, tmp_path, capsys):
+    """A checkpoint whose ``extra`` is not an object is refused when it is
+    loaded, before ``ledg eval`` reads the config it should hold."""
+    with np.load(trained_dir / "checkpoint.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    meta = dict(json.loads(arrays["__meta__"].tobytes().decode()), extra=[1])
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    checkpoint = tmp_path / "extra_list.npz"
+    np.savez(checkpoint, **arrays)
+    rc = cli.main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert f"error: {checkpoint} checkpoint meta: 'extra'" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
 
 

@@ -449,20 +449,21 @@ def test_queries_from_batch_checks():
 
 
 def test_metric_report_aggregates_by_mean():
-    report = MetricReport.from_breakdown("map", [(5, 0.5), (6, 0.7)])
+    report = MetricReport("map", [(5, 0.5), (6, 0.7)])
     assert report.value == pytest.approx(0.6, abs=1e-15)
+    assert report.breakdown == ((5, 0.5), (6, 0.7))
     with pytest.raises(ValidationError):
-        MetricReport.from_breakdown("map", [])
+        MetricReport("map", [])
     with pytest.raises(ValidationError):
-        MetricReport.from_breakdown("map", [(5, 1.5)])
+        MetricReport("map", [(5, 1.5)])
     with pytest.raises(ValidationError):
-        MetricReport(name="map", value=0.9, breakdown=((5, 0.5), (6, 0.7)))
+        MetricReport("map", ((5, 1.5), (6, 0.7)))
 
 
 def test_reports_to_csv_roundtrip():
     reports = {
-        "map": MetricReport.from_breakdown("map", [(5, 0.5), (6, 0.25)]),
-        "mrr": MetricReport.from_breakdown("mrr", [(5, 1.0), (6, 0.5)]),
+        "map": MetricReport("map", [(5, 0.5), (6, 0.25)]),
+        "mrr": MetricReport("mrr", [(5, 1.0), (6, 0.5)]),
     }
     text = ev.reports_to_csv(reports, fingerprint="abc123")
     lines = text.strip().split("\n")

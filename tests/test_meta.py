@@ -150,7 +150,8 @@ def test_inner_adapt_zero_eta_is_the_identity():
     params = md.init_parameters(spec, seed=0)
     config = TrainingConfig(window_size=3, eta_in=0.0, eta_out=0.01)
     window = mt.build_window(seq, 4, config)
-    states, losses = mt.inner_adapt(window, params, spec, config, Tape())
+    adapted = mt.inner_adapt(window, params, spec, config, Tape())
+    states, losses = adapted.states, adapted.losses
     assert len(states) == len(losses) == 3
     for state in states:
         assert _bit_equal(state, params)
@@ -163,7 +164,7 @@ def test_inner_adapt_moves_only_encoder_and_adapter():
     params = md.init_parameters(spec, seed=1)
     config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01)
     window = mt.build_window(seq, 4, config)
-    states, _ = mt.inner_adapt(window, params, spec, config, Tape())
+    states = mt.inner_adapt(window, params, spec, config, Tape()).states
     for state in states:
         for group in ("time_predictor", "classifier_time", "classifier_graph"):
             assert state.fingerprint(group) == params.fingerprint(group)
@@ -179,7 +180,8 @@ def test_inner_adapt_two_steps_match_stepwise_recomputation():
     params = md.init_parameters(spec, seed=3)
     config = TrainingConfig(window_size=2, eta_in=0.2, eta_out=0.01)
     window = mt.build_window(seq, 4, config)
-    states, losses = mt.inner_adapt(window, params, spec, config, Tape())
+    adapted = mt.inner_adapt(window, params, spec, config, Tape())
+    states, losses = adapted.states, adapted.losses
 
     current = params
     for i, snap in enumerate(window.snapshots, start=1):
@@ -210,10 +212,10 @@ def test_inner_adapt_checks_window_size():
 
 #: the ops of one embed + time_loss of a two-layer GCN on identity features
 _IDENTITY_GCN_STEP_OPS = (
-    ["spmm", "relu", "spmm", "matmul", "relu"]  # encode: spmm(a_hat, gnn_w1), then a full layer
-    + ["matmul", "add", "relu", "matmul", "add", "sigmoid", "one_minus", "hadamard"]  # gate
+    ["spmm", "clamp_min", "spmm", "matmul", "clamp_min"]  # encode: spmm(a_hat, gnn_w1), then a full layer
+    + ["matmul", "add", "clamp_min", "matmul", "add", "sigmoid", "one_minus", "hadamard"]  # gate
     + ["sums", "mul_scalar"]  # mean_pool
-    + ["matmul", "add", "relu", "matmul", "add", "add", "smooth_l1"]  # time head and loss
+    + ["matmul", "add", "clamp_min", "matmul", "add", "add", "smooth_l1"]  # time head and loss
 )
 
 
@@ -247,8 +249,7 @@ def test_first_order_episode_tape_feeds_its_objective_from_every_node(monkeypatc
     monkeypatch.setattr(Tape, "gradient", spy)
     tape = Tape()
     adapted = mt.inner_adapt(window, params, spec, config, tape)
-    mt.outer_step(window, adapted.states, batch, params, spec, config, tape,
-                  structure_bundle=adapted.structure_bundle)
+    mt.outer_step(window, adapted, batch, params, spec, config, tape)
     # the last inner step's time loss, from its mean_pool's sums to its
     # smooth_l1, is the one part of its recorded forward pass nothing reads
     step_w_loss = targets[config.window_size - 1]
@@ -276,9 +277,10 @@ def test_first_order_episode_tape_holds_only_tracked_nodes(monkeypatch):
 
     monkeypatch.setattr(Tape, "gradient", spy)
     tape = Tape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
     monkeypatch.setattr(Tape, "gradient", gradient)
-    mt.outer_step(window, states, batch, params, spec, config, tape)
+    every_state = mt.Adaptation(adapted.states, adapted.losses, None)
+    mt.outer_step(window, every_state, batch, params, spec, config, tape)
     assert len(inner_grads) == 3 * len(params.items_in(*nx.INNER_LOOP_GROUPS))
     assert not any(g.requires_grad for g in inner_grads)
     assert all(node.output.requires_grad for node in tape.nodes)
@@ -308,8 +310,9 @@ def test_exact_inner_steps_differentiate_back_to_their_own_parameters_only(monke
 
     monkeypatch.setattr(Tape, "gradient", spy)
     tape = Tape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
-    mt.outer_step(window, states, batch, params, spec, config, tape)
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    every_state = mt.Adaptation(adapted.states, adapted.losses, None)
+    mt.outer_step(window, every_state, batch, params, spec, config, tape)
     producer = {id(node.output): k for k, node in enumerate(tape.nodes)}
     inner = calls[: config.window_size]
     for (_, _, first_update), (_, start, end) in zip(inner, inner[1:]):
@@ -334,8 +337,9 @@ def test_exact_attention_episode_records_no_dense_or_pair_row_outputs():
     config = TrainingConfig(window_size=3, eta_in=0.1, eta_out=0.01, gradient_mode="exact")
     params, window, batch = _episode_pieces(seq, spec, config)
     tape = Tape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
-    mt.outer_step(window, states, batch, params, spec, config, tape)
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    every_state = mt.Adaptation(adapted.states, adapted.losses, None)
+    mt.outer_step(window, every_state, batch, params, spec, config, tape)
     n = seq.num_nodes
     outputs = [(node.op, node.output.shape) for node in tape.nodes]
     assert not [op for op, shape in outputs if shape == (n, n)]
@@ -366,8 +370,7 @@ def test_gcn_episode_records_no_dense_input_or_output(mode, monkeypatch):
     monkeypatch.setattr(mt, "Tape", KeptTape)
     tape = KeptTape()
     adapted = mt.inner_adapt(window, params, spec, config, tape)
-    mt.outer_step(window, adapted.states, batch, params, spec, config, tape,
-                  structure_bundle=adapted.structure_bundle)
+    mt.outer_step(window, adapted, batch, params, spec, config, tape)
     assert len(tapes) == (1 if mode == "exact" else config.window_size)
     n = seq.num_nodes
     shapes = [
@@ -436,8 +439,7 @@ def test_outer_gradient_equals_the_reembedding_reference(monkeypatch, base, mode
     monkeypatch.setattr(Tape, "gradient", spy)
     tape = Tape()
     adapted = mt.inner_adapt(window, params, spec, config, tape)
-    mt.outer_step(window, adapted.states, batch, params, spec, config, tape,
-                  structure_bundle=adapted.structure_bundle)
+    mt.outer_step(window, adapted, batch, params, spec, config, tape)
     assert len(found) == len(reference)
     if mode == "first_order" and not (base == "attention" and features == "identity"):
         assert [g.data.tobytes() for g in found] == [g.data.tobytes() for g in reference]
@@ -461,11 +463,12 @@ def test_outer_step_contract_errors():
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01)
     params, window, batch = _episode_pieces(seq, spec, config)
     tape = Tape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    one_state = mt.Adaptation(adapted.states[:1], adapted.losses[:1], None)
     with pytest.raises(ContractError):
-        mt.outer_step(window, states[:1], batch, params, spec, config, tape)
+        mt.outer_step(window, one_state, batch, params, spec, config, tape)
     with pytest.raises(ContractError):
-        mt.outer_step(window, states, None, params, spec, config, tape)
+        mt.outer_step(window, adapted, None, params, spec, config, tape)
 
 
 def test_outer_step_lambda_zero_leaves_time_predictor_alone():
@@ -474,8 +477,9 @@ def test_outer_step_lambda_zero_leaves_time_predictor_alone():
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.05, lambda_time=0.0)
     params, window, batch = _episode_pieces(seq, spec, config)
     tape = Tape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
-    new_params, record = mt.outer_step(window, states, batch, params, spec, config, tape)
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    every_state = mt.Adaptation(adapted.states, adapted.losses, None)
+    new_params, record = mt.outer_step(window, every_state, batch, params, spec, config, tape)
     for name in params.group_names("time_predictor"):
         assert np.array_equal(new_params[name].data, params[name].data)
     assert new_params.fingerprint("gnn") != params.fingerprint("gnn")
@@ -491,9 +495,10 @@ def test_outer_step_without_optimizer_takes_one_step_of_the_configured_kind():
     stepped = []
     for optimizer in (None, mt._AdamState(config.eta_out), mt._SgdState(config.eta_out)):
         tape = Tape()
-        states, _ = mt.inner_adapt(window, params, spec, config, tape)
+        adapted = mt.inner_adapt(window, params, spec, config, tape)
+        every_state = mt.Adaptation(adapted.states, adapted.losses, None)
         new_params, _ = mt.outer_step(
-            window, states, batch, params, spec, config, tape, optimizer
+            window, every_state, batch, params, spec, config, tape, optimizer
         )
         stepped.append(new_params)
     assert _bit_equal(stepped[0], stepped[1])
@@ -555,8 +560,9 @@ def test_episode_objective_is_task_plus_weighted_time():
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01, lambda_time=0.3)
     params, window, batch = _episode_pieces(seq, spec, config)
     tape = Tape()
-    states, _ = mt.inner_adapt(window, params, spec, config, tape)
-    _, record = mt.outer_step(window, states, batch, params, spec, config, tape)
+    adapted = mt.inner_adapt(window, params, spec, config, tape)
+    every_state = mt.Adaptation(adapted.states, adapted.losses, None)
+    _, record = mt.outer_step(window, every_state, batch, params, spec, config, tape)
     assert record.objective == pytest.approx(
         record.task_loss_sum + 0.3 * record.time_loss_sum, abs=1e-12
     )
@@ -603,9 +609,8 @@ def _episode_objective(seq, spec, config, params, mode):
     window = mt.build_window(seq, 3, config)
     batch = gd.classification_batch(seq.snapshot_at(3), "node_classification")
     tape = Tape()
-    states, inner_losses = mt.inner_adapt(
-        window, params, spec, replace(config, gradient_mode=mode), tape
-    )
+    adapted = mt.inner_adapt(window, params, spec, replace(config, gradient_mode=mode), tape)
+    states, inner_losses = adapted.states, adapted.losses
     total = None
     with tape:
         for state in states:
@@ -806,6 +811,21 @@ def test_train_rejects_windows_wider_than_the_training_split(monkeypatch):
             mt.train(seq, spec, wide)
         with pytest.raises(ConfigError):
             bl.train_static_gcn(seq, spec, wide)
+
+
+def test_both_trainers_refuse_a_training_split_with_no_supervised_target():
+    """Edgeless training snapshots give no target a batch: neither trainer
+    returns its seeded init as if it had trained."""
+    from ledg import baselines as bl
+
+    edges = [[], [], [(0, 1), (2, 3)], [(0, 2)]]
+    snaps = [gd.SnapshotGraph(t, 4, e, np.eye(4)) for t, e in enumerate(edges, start=1)]
+    seq = gd.DynamicGraphSequence(snaps, (2, 3, 4), "link_prediction", 2)
+    spec = ModelSpec(EncoderConfig(num_layers=1, input_dim=4, hidden_dim=3))
+    config = TrainingConfig(window_size=1, eta_out=0.01, epochs=2)
+    for trainer in (mt.train, bl.train_static_gcn):
+        with pytest.raises(ConfigError, match="no training target produced a batch"):
+            trainer(seq, spec, config)
 
 
 def test_train_same_config_reproduces_logs_exactly():

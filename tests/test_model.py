@@ -629,19 +629,28 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
     with pytest.raises(DatasetError):
         md.load_checkpoint(truncated)
 
-    # malformed files name their path: unreadable, non-JSON meta, and meta
-    # fields that are missing or not integers
-    def with_meta(name, raw):
+    # malformed files name their path: unreadable, non-JSON meta, meta fields
+    # that are missing or mistyped, values the spec or the parameter set
+    # refuses, and a tensor that is not numbers
+    def with_array(name, key, value):
         with np.load(good) as bundle:
-            arrays = {key: bundle[key] for key in bundle.files}
-        arrays["__meta__"] = np.frombuffer(raw, dtype=np.uint8)
+            arrays = {member: bundle[member] for member in bundle.files}
+        arrays[key] = value
         path = tmp_path / name
         np.savez(path, **arrays)
         return path
 
+    def with_meta(name, raw):
+        return with_array(name, "__meta__", np.frombuffer(raw, dtype=np.uint8))
+
     good_meta = json.loads(arrays["__meta__"].tobytes().decode())
     no_encoder = {k: v for k, v in good_meta.items() if k != "encoder"}
     fractional = dict(good_meta, num_classes=2.5)
+
+    def changed_meta(name, **changes):
+        return with_meta(name, json.dumps(dict(good_meta, **changes)).encode())
+
+    groups = good_meta["groups"]
     text = tmp_path / "text.npz"
     text.write_text("not a checkpoint\n")
     malformed = [
@@ -651,6 +660,15 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
          "'encoder' is missing or not of type dict"),
         (with_meta("fractional.npz", json.dumps(fractional).encode()),
          "'num_classes' is missing or not of type int"),
+        (changed_meta("group_int.npz", groups=dict(groups, gnn=5)),
+         "a group is not a list of tensor names"),
+        (with_array("text_tensor.npz", "gnn_w1", np.array([["a", "b"], ["c", "d"]])),
+         "tensor 'gnn_w1' is not numeric"),
+        (changed_meta("extra_list.npz", extra=[1]), "'extra' is missing or not of type dict"),
+        (changed_meta("no_layers.npz", encoder=dict(good_meta["encoder"], num_layers=0)),
+         "num_layers must be at least 1"),
+        (changed_meta("unknown_group.npz", groups=dict(groups, bogus=[])),
+         "unknown parameter group 'bogus'"),
     ]
     for path, message in malformed:
         with pytest.raises(DatasetError) as caught:
