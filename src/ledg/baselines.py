@@ -28,13 +28,6 @@ from .model import (
 )
 from .numerics import ParameterSet, Tape, Tensor
 
-__all__ = [
-    "init_static_parameters",
-    "static_predict",
-    "static_scorer",
-    "train_static_gcn",
-]
-
 
 def init_static_parameters(spec: ModelSpec, seed: int) -> ParameterSet:
     """Encoder plus single classifier head, sharing the full model's init values."""

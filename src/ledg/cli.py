@@ -142,6 +142,12 @@ class RunConfig:
         return mt.TrainingConfig(**self._owned(mt.TrainingConfig))
 
     def model_spec(self, sequence: gd.DynamicGraphSequence) -> ModelSpec:
+        """The model this config runs on ``sequence``, whose task it must share."""
+        if self["task"] != sequence.task:
+            raise ConfigError(
+                f"config task {self['task']!r} != dataset task {sequence.task!r}; "
+                f"set task={sequence.task}"
+            )
         encoder = EncoderConfig(input_dim=sequence.feature_width, **self._owned(EncoderConfig))
         return ModelSpec(encoder, task=sequence.task, num_classes=sequence.num_classes)
 
@@ -236,7 +242,7 @@ def cmd_ingest(args) -> int:
 def _val_hook(sequence, spec, config, eval_ratio):
     times = list(sequence.times_in("val"))
     if not times:
-        return None
+        raise ConfigError("early_stop_patience needs validation snapshots; the val split is empty")
 
     def hook(params, epoch):
         reports = ev.evaluate_sequence(
@@ -253,22 +259,16 @@ def cmd_train(args) -> int:
     if not config["dataset"]:
         raise ConfigError("a dataset is required (--dataset or dataset= in the config file)")
     sequence = _load_sequence(config["dataset"])
-    if config["task"] != sequence.task:
-        raise ConfigError(
-            f"config task {config['task']!r} != dataset task {sequence.task!r}; "
-            f"set task={sequence.task}"
-        )
     spec = config.model_spec(sequence)
     training = config.training_config()
+    hook = None
+    if training.early_stop_patience is not None:
+        hook = _val_hook(sequence, spec, training, config["eval_negative_ratio"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = config.to_text()
     fingerprint = config.fingerprint()
     (out / "config.resolved").write_text(text)
-
-    hook = None
-    if training.early_stop_patience is not None:
-        hook = _val_hook(sequence, spec, training, config["eval_negative_ratio"])
     episode_lines: list[str] = []
     result = mt.train(
         sequence,
@@ -297,29 +297,34 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _spec_fields(spec: ModelSpec) -> dict[str, str]:
+    """What a checkpoint fixes of a run, as text: the task, the class count,
+    the input width its tensor 'gnn_w1' reads and the encoder's config keys."""
+    enc = spec.encoder
+    values = {"task": spec.task, "num_classes": spec.num_classes,
+              "input_dim of 'gnn_w1'": enc.input_dim,
+              **{f.name: getattr(enc, f.name) for f in fields(enc) if f.name in CONFIG_FIELDS}}
+    return {key: str(value) for key, value in values.items()}
+
+
 def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint {args.checkpoint} does not exist")
     params, spec, extra = load_checkpoint(ckpt_path)
-    base = parse_config_text(extra.get("config", ""))
+    saved = _spec_fields(spec)
+    # the checkpoint's model keys, also when it was saved without config text
+    base = {**parse_config_text(extra.get("config", "")),
+            **{key: saved[key] for key in saved if key in CONFIG_FIELDS}}
     config = RunConfig.resolve(_load_config_file(args.config), _collect_overrides(args), base=base)
     dataset = config["dataset"]
     if not dataset:
         raise ConfigError("a dataset is required (--dataset or dataset= in the config file)")
     sequence = _load_sequence(dataset)
-    if spec.task != sequence.task:
-        raise ConfigError(f"checkpoint task {spec.task!r} != dataset task {sequence.task!r}")
-    if spec.encoder.input_dim != sequence.feature_width:
-        raise ConfigError(
-            f"checkpoint tensor 'gnn_w1' expects input width {spec.encoder.input_dim}, "
-            f"dataset features have width {sequence.feature_width}"
-        )
-    if spec.num_classes != sequence.num_classes:
-        raise ConfigError(
-            f"checkpoint classifier width {spec.num_classes} != dataset classes "
-            f"{sequence.num_classes}"
-        )
+    run = _spec_fields(config.model_spec(sequence))
+    differ = [f"{key} {saved[key]} != {run[key]}" for key in saved if saved[key] != run[key]]
+    if differ:
+        raise ConfigError(f"checkpoint model != run model: {'; '.join(differ)}")
     times = list(sequence.times_in(args.split))
     if not times:
         raise ConfigError(f"dataset has no {args.split} snapshots")

@@ -20,45 +20,9 @@ from .graphdata import DynamicGraphSequence, TaskBatch, seed_from, supervised_ba
 from .model import ModelSpec, symmetric_pair_probabilities, task_predict
 from .numerics import ParameterSet, _frozen
 
-__all__ = [
-    "RankedQuery",
-    "RankedQueries",
-    "MetricReport",
-    "mean_average_precision",
-    "mean_reciprocal_rank",
-    "micro_f1",
-    "queries_from_batch",
-    "symmetrized_edge_scores",
-    "evaluate_sequence",
-    "reports_to_csv",
-]
 
 #: sampled non-neighbours per true edge in an evaluation batch, by default
 EVAL_NEGATIVE_RATIO = 100
-
-
-@dataclass(frozen=True)
-class RankedQuery:
-    """One source node's scored candidate list."""
-
-    query_id: int
-    candidate_ids: np.ndarray
-    scores: np.ndarray
-    relevance: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.candidate_ids, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        rel = np.asarray(self.relevance, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValidationError("a query needs at least one candidate")
-        if scores.shape != ids.shape or rel.shape != ids.shape:
-            raise ValidationError("candidate ids, scores and relevance must align")
-        if not np.all(np.isfinite(scores)):
-            raise ValidationError(f"query {self.query_id}: scores must be finite")
-        _check_relevance(rel)
-        for name, arr in (("candidate_ids", ids), ("scores", scores), ("relevance", rel)):
-            object.__setattr__(self, name, _frozen(arr.copy()))
 
 
 @dataclass(frozen=True)
@@ -104,11 +68,6 @@ def _run_heads(keys: np.ndarray) -> np.ndarray:
     return heads
 
 
-def _check_relevance(relevance: np.ndarray) -> None:
-    if not np.all((relevance == 0) | (relevance == 1)):
-        raise ValidationError("relevance must be 0 or 1")
-
-
 def _dense_rank(values: np.ndarray) -> np.ndarray:
     """Each value's index among the distinct values, smallest first."""
     by_value = np.argsort(values)
@@ -134,49 +93,25 @@ def _ranking_order(keys, candidate_ids, scores) -> np.ndarray:
     return order[np.argsort(tied * m + _dense_rank(candidate_ids)[order], kind="stable")]
 
 
-def _rank(keys, candidate_ids, scores, relevance, query_ids=None) -> RankedQueries:
+def _rank(keys, candidate_ids, scores, relevance) -> RankedQueries:
     """Sort items into one query per distinct key, each in ranking order."""
     order = _ranking_order(keys, candidate_ids, scores)
     keys = keys[order]
     starts = np.flatnonzero(_run_heads(keys))
-    arrays = (
-        keys[starts] if query_ids is None else query_ids,
-        starts,
-        candidate_ids[order],
-        scores[order],
-        relevance[order],
-    )
+    arrays = (keys[starts], starts, candidate_ids[order], scores[order], relevance[order])
     # relevant_ranks caches what it reads, so the value owns its arrays read-only
     return RankedQueries(*map(_frozen, arrays))
 
 
-def _ranked(queries) -> RankedQueries:
-    """A ranked batch as it is, or a list of queries ranked as one batch."""
-    if isinstance(queries, RankedQueries):
-        return queries
-    queries = list(queries)
-    if not queries:
-        raise ValidationError("no queries to evaluate")
-    sizes = [q.candidate_ids.size for q in queries]
-    return _rank(
-        np.repeat(np.arange(len(queries)), sizes),
-        np.concatenate([q.candidate_ids for q in queries]),
-        np.concatenate([q.scores for q in queries]),
-        np.concatenate([q.relevance for q in queries]),
-        query_ids=np.array([q.query_id for q in queries], dtype=np.int64),
-    )
-
-
-def mean_average_precision(queries) -> float:
+def mean_average_precision(queries: RankedQueries) -> float:
     """Mean over queries of average precision.
 
     AP is the mean, over a query's relevant candidates, of the precision at
     each relevant candidate's rank, summed in rank order. Queries without
-    any relevant candidate are excluded from the mean; an empty or
-    all-excluded list is an error. ``queries`` is a ``RankedQueries`` or an
-    iterable of ``RankedQuery``.
+    any relevant candidate are excluded from the mean; an all-excluded batch
+    is an error.
     """
-    query, hits, rank = _ranked(queries).relevant_ranks
+    query, hits, rank = queries.relevant_ranks
     counts = np.bincount(query)
     # one column per query, zero-padded below its last relevant candidate; a
     # running sum down the columns adds each query's precisions in rank order
@@ -186,9 +121,9 @@ def mean_average_precision(queries) -> float:
     return float(np.mean(np.cumsum(precisions, axis=0)[-1] / counts))
 
 
-def mean_reciprocal_rank(queries) -> float:
+def mean_reciprocal_rank(queries: RankedQueries) -> float:
     """Mean over queries of 1 / rank of the best-ranked relevant candidate."""
-    _, hits, rank = _ranked(queries).relevant_ranks
+    _, hits, rank = queries.relevant_ranks
     return float(np.mean(1.0 / rank[hits == 1]))
 
 
@@ -223,7 +158,8 @@ def queries_from_batch(batch: TaskBatch, scores) -> RankedQueries:
     finite = np.isfinite(scores)
     if not finite.all():
         raise ValidationError(f"query {int(sources[~finite].min())}: scores must be finite")
-    _check_relevance(batch.labels)
+    if not np.all((batch.labels == 0) | (batch.labels == 1)):
+        raise ValidationError("relevance must be 0 or 1")
     return _rank(sources, batch.items[:, 1], scores, batch.labels)
 
 

@@ -20,26 +20,6 @@ import numpy as np
 from .errors import ConfigError, DatasetError, ParseError, ValidationError
 from .numerics import PairPlan, Tensor, _frozen
 
-__all__ = [
-    "SnapshotGraph",
-    "DynamicGraphSequence",
-    "TaskBatch",
-    "FixedIntervalBucketing",
-    "EqualEdgeCountBucketing",
-    "TASKS",
-    "normalize_adjacency",
-    "degree_bucket_features",
-    "IdentityFeatures",
-    "ingest_edge_stream",
-    "generate_drifting_sbm",
-    "sample_link_prediction_batch",
-    "classification_batch",
-    "supervised_batch",
-    "split_by_fraction",
-    "seed_from",
-    "save_dataset",
-    "load_dataset",
-]
 
 TASKS = ("link_prediction", "edge_classification", "node_classification")
 
@@ -667,15 +647,16 @@ def sample_link_prediction_batch(
     return TaskBatch(snapshot.time_index, "edge", items.reshape(-1, 2), labels.ravel())
 
 
-def classification_batch(snapshot: SnapshotGraph, task: str) -> TaskBatch:
-    """All labeled edges (or all nodes) of a snapshot as a supervised batch."""
+def classification_batch(snapshot: SnapshotGraph, task: str) -> TaskBatch | None:
+    """All labeled edges (or all nodes) of a snapshot as a supervised batch,
+    or None when the snapshot has no labeled edges (or no node labels)."""
     if task == "edge_classification":
         if snapshot.edge_labels is None or snapshot.num_edges == 0:
-            raise ValidationError(f"snapshot {snapshot.time_index} has no labeled edges")
+            return None
         return TaskBatch(snapshot.time_index, "edge", snapshot.pairs, snapshot.edge_labels)
     if task == "node_classification":
         if snapshot.node_labels is None:
-            raise ValidationError(f"snapshot {snapshot.time_index} has no node labels")
+            return None
         items = np.arange(snapshot.num_nodes)
         return TaskBatch(snapshot.time_index, "node", items, snapshot.node_labels)
     raise ValidationError(f"no classification batch for task {task!r}")
@@ -695,10 +676,6 @@ def supervised_batch(
         if snapshot.num_edges == 0:
             return None
         return sample_link_prediction_batch(snapshot, negative_ratio, mode, seed)
-    if task == "edge_classification" and (snapshot.edge_labels is None or snapshot.num_edges == 0):
-        return None
-    if task == "node_classification" and snapshot.node_labels is None:
-        return None
     return classification_batch(snapshot, task)
 
 

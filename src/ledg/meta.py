@@ -39,23 +39,11 @@ from .model import (
     task_predict,
     time_loss,
 )
-from .numerics import INNER_LOOP_GROUPS, ParameterSet, Tape, Tensor, l2_norm
+from .numerics import ParameterSet, Tape, Tensor, l2_norm
 
-__all__ = [
-    "TrainingConfig",
-    "EpisodeWindow",
-    "EpisodeRecord",
-    "Adaptation",
-    "TrainResult",
-    "build_window",
-    "earliest_target_time",
-    "training_targets",
-    "inner_adapt",
-    "outer_step",
-    "run_episode",
-    "train",
-    "adapt_and_predict",
-]
+
+#: the only parameter groups the inner adaptation loop modifies
+INNER_LOOP_GROUPS = ("gnn", "adapter")
 
 GRADIENT_MODES = ("first_order", "exact")
 STRUCTURE_MODES = ("same_snapshot", "previous_snapshot")
@@ -478,11 +466,14 @@ def train(
     (higher is better) selects the best-scoring epoch's parameters and, when
     ``early_stop_patience`` is set, stops after that many non-improving
     epochs; ``log_hook(record)`` sees every finite episode record as it is
-    made. Raises ConfigError when no target of an epoch has a supervised
-    batch, and NumericalError at the first episode whose inner losses,
-    objective or gradient norm are not finite. Deterministic given
-    (sequence, spec, config).
+    made. Raises ConfigError when ``early_stop_patience`` is set without a
+    ``val_hook`` or no target of an epoch has a supervised batch, and
+    NumericalError at the first episode whose inner losses, objective or
+    gradient norm are not finite. Deterministic given (sequence, spec,
+    config).
     """
+    if config.early_stop_patience is not None and val_hook is None:
+        raise ConfigError("early_stop_patience needs a val_hook to score each epoch")
     targets = training_targets(config, sequence.split[0])
     params = init_parameters(spec, config.seed)
     result = TrainResult(params=params)

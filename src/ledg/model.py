@@ -2,10 +2,11 @@
 time-varying and a graph-intrinsic part, a time-regression head, and dual
 classification heads whose logits are summed before one softmax.
 
-Parameters live in a :class:`~ledg.numerics.ParameterSet` under five groups:
-``gnn`` (encoder), ``adapter`` (the gate MLP), ``time_predictor``, and the
-two classifier heads. All forward functions are pure in (parameters, input)
-and record onto whatever tape is active.
+Parameters live in a :class:`~ledg.numerics.ParameterSet` under five groups
+named here: ``gnn`` (encoder) and one per ``HEAD_ROLES`` entry, ``adapter``
+(the gate MLP), ``time_predictor`` and the two classifier heads. All forward
+functions are pure in (parameters, input) and record onto whatever tape is
+active.
 """
 
 from __future__ import annotations
@@ -23,24 +24,6 @@ from .errors import ContractError, DatasetError, ShapeError, ValidationError
 from .graphdata import TASKS, IdentityFeatures, SnapshotGraph, TaskBatch, seed_from
 from .numerics import ParameterSet, Tensor
 
-__all__ = [
-    "EncoderConfig",
-    "ModelSpec",
-    "EmbeddingBundle",
-    "MlpHead",
-    "HEAD_ROLES",
-    "init_parameters",
-    "encode",
-    "disentangle",
-    "embed",
-    "head_logits",
-    "time_loss",
-    "task_predict",
-    "symmetric_pair_probabilities",
-    "task_loss",
-    "save_checkpoint",
-    "load_checkpoint",
-]
 
 BASE_MODELS = ("gcn", "attention")
 ACTIVATIONS = ("relu", "linear")
@@ -407,15 +390,19 @@ def _meta_field(path, table: dict, key: str, kind: type):
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
-    """Load a checkpoint. A file that is not an npz archive, a missing or
-    non-JSON ``__meta__`` entry, an unknown format, a missing or mistyped meta
-    field, a spec or group its class refuses and a missing, non-numeric or
+    """Load a checkpoint. A file that is not an npz archive, a member that
+    fails its checksum or holds objects, a missing or non-JSON ``__meta__``
+    entry, an unknown format, a missing or mistyped meta field, a spec its
+    class refuses, a group the spec has not and a missing, non-numeric or
     mis-shaped tensor are each a DatasetError whose message starts with the
     path."""
     if not zipfile.is_zipfile(path):
         raise DatasetError(f"{path} is not a readable checkpoint: not an npz archive")
-    with np.load(path) as bundle:
-        arrays = {name: bundle[name] for name in bundle.files}
+    try:
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise DatasetError(f"{path} is not a readable checkpoint: {exc}") from None
     try:
         meta = json.loads(arrays.pop("__meta__").tobytes().decode())
     except (KeyError, ValueError):
@@ -441,6 +428,10 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
             task=_meta_field(path, meta, "task", str),
             num_classes=_meta_field(path, meta, "num_classes", int),
         )
+        expected = init_parameters(spec, seed=0)
+        for group in groups:
+            if group not in expected.groups:
+                raise ValidationError(f"unknown parameter group {group!r}")
         params = ParameterSet(
             {name: Tensor(arrays[name], requires_grad=True)
              for names in groups.values() for name in names if name in arrays},
@@ -448,7 +439,6 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
         )
     except (ShapeError, ValidationError) as exc:
         raise DatasetError(f"{path} checkpoint: {exc}") from None
-    expected = init_parameters(spec, seed=0)
     for name in expected.names:
         if name not in params or params[name].shape != expected[name].shape:
             raise DatasetError(f"{path}: checkpoint tensor {name!r} missing or mis-shaped for its model spec")

@@ -30,42 +30,6 @@ import numpy as np
 
 from .errors import ContractError, ShapeError, ValidationError
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "TapeNode",
-    "PairPlan",
-    "ParameterSet",
-    "PARAMETER_GROUPS",
-    "INNER_LOOP_GROUPS",
-    "matmul",
-    "add",
-    "sub",
-    "hadamard",
-    "add_scalar",
-    "mul_scalar",
-    "sigmoid",
-    "relu",
-    "leaky_relu",
-    "one_minus",
-    "reciprocal",
-    "log",
-    "clamp_min",
-    "smooth_l1",
-    "clip_unit",
-    "softmax_rows",
-    "segment_softmax",
-    "sums",
-    "broadcast",
-    "gather_rows",
-    "scatter_rows",
-    "pair_hidden",
-    "pair_hidden_rows",
-    "spmm",
-    "sddmm",
-    "mean_pool",
-    "l2_norm",
-]
 
 #: the tape that records new operations is on top; None on top pauses it, so
 #: that every new result is a constant
@@ -924,32 +888,19 @@ assert set(_FORWARD) == set(_BACKWARD)
 # ---------------------------------------------------------------------------
 # parameter collections
 
-PARAMETER_GROUPS = (
-    "gnn",
-    "adapter",
-    "time_predictor",
-    "classifier_time",
-    "classifier_graph",
-)
-
-#: the only groups the inner adaptation loop is allowed to modify
-INNER_LOOP_GROUPS = ("gnn", "adapter")
-
-
 class ParameterSet:
-    """Named trainable tensors partitioned into fixed groups.
+    """Named trainable tensors partitioned into named groups.
 
-    Group membership is frozen at construction. ``with_updates`` returns a
-    new set sharing untouched tensors, so parameter updates are functional
-    and earlier states stay valid (needed when several adapted states of the
-    same parameters are alive at once).
+    Each tensor belongs to exactly one group, and group membership is frozen
+    at construction; the model that builds a set names its groups.
+    ``with_updates`` returns a new set sharing untouched tensors, so parameter
+    updates are functional and earlier states stay valid (needed when several
+    adapted states of the same parameters are alive at once).
     """
 
     def __init__(self, tensors: dict[str, Tensor], groups: dict[str, tuple[str, ...]]):
         seen: dict[str, str] = {}
         for group, names in groups.items():
-            if group not in PARAMETER_GROUPS:
-                raise ValidationError(f"unknown parameter group {group!r}")
             for name in names:
                 if name in seen:
                     raise ValidationError(f"parameter {name!r} assigned to two groups")

@@ -6,9 +6,12 @@ code paths) so that agreement is evidence rather than tautology.
 """
 
 import functools
+from collections import namedtuple
 
 import numpy as np
 
+from ledg import evaluation as ev
+from ledg import meta as mt
 from ledg import numerics as nx
 
 
@@ -130,7 +133,7 @@ def reembedding_outer_gradients(window, params, spec, config, batch):
             with step_tape:
                 bundle = md.embed(snap, current, spec)
                 loss = md.time_loss(bundle.time_part, current, spec, float(i))
-                names, tensors = zip(*current.items_in(*nx.INNER_LOOP_GROUPS))
+                names, tensors = zip(*current.items_in(*mt.INNER_LOOP_GROUPS))
                 grads = step_tape.gradient(loss, list(tensors), create_graph=exact)
             current = current.with_updates({
                 name: nx.add(t, nx.mul_scalar(g, -config.eta_in))
@@ -179,6 +182,20 @@ def recorded_ancestors(tape, *targets):
 
 # ---------------------------------------------------------------------------
 # ranking metrics, straight from the definitions
+
+#: one source node's scored candidate list, as arrays of equal length
+Query = namedtuple("Query", "query_id candidate_ids scores relevance")
+
+
+def ranked_queries(queries):
+    """A list of queries as the library's ``RankedQueries``, one query per
+    list position, for its MAP and MRR to read. An input adapter, not a
+    reference: it ranks through the library's own ``_rank``."""
+    keys = np.array([k for k, q in enumerate(queries) for _ in q.candidate_ids], dtype=np.int64)
+    flat = (np.array([x for q in queries for x in getattr(q, field)], dtype=dtype)
+            for field, dtype in zip(Query._fields[1:], (np.int64, np.float64, np.int64)))
+    return ev._rank(keys, *flat)
+
 
 def _ranked(query):
     # descending score, ties by ascending candidate id, via explicit sort keys

@@ -20,7 +20,6 @@ from ledg import graphdata as gd
 from ledg import meta as mt
 from ledg import model as md
 from ledg import numerics as nx
-from ledg.evaluation import RankedQuery
 from ledg.meta import TrainingConfig
 from ledg.model import EncoderConfig, ModelSpec
 from ledg.numerics import Tape, Tensor
@@ -294,7 +293,7 @@ def _random_queries(rng, num_queries):
         rel = (rng.random(n) < 0.3).astype(int)
         if qid == 0 and rel.sum() == 0:
             rel[rng.integers(0, n)] = 1
-        queries.append(RankedQuery(qid, ids, scores.astype(float), rel))
+        queries.append(oracles.Query(qid, ids, scores.astype(float), rel))
     return queries
 
 
@@ -302,9 +301,10 @@ def test_criterion_6_metric_oracles():
     for instance in range(50):
         rng = np.random.default_rng([600, instance])
         queries = _random_queries(rng, int(rng.integers(1, 7)))
-        assert abs(ev.mean_average_precision(queries)
+        ranked = oracles.ranked_queries(queries)
+        assert abs(ev.mean_average_precision(ranked)
                    - oracles.brute_force_map(queries)) <= 1e-12
-        assert abs(ev.mean_reciprocal_rank(queries)
+        assert abs(ev.mean_reciprocal_rank(ranked)
                    - oracles.brute_force_mrr(queries)) <= 1e-12
 
     for case in range(50):

@@ -1,8 +1,11 @@
 """Command-line workflows: config resolution, exit codes, artifacts."""
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -75,6 +78,30 @@ def test_importing_the_library_loads_no_scipy_or_test_tools():
     ).stdout
     for name in ("scipy", "pytest", "hypothesis"):
         assert f"'{name}'" not in loaded, name
+
+
+def test_readme_code_references_resolve():
+    """Every `module.name` and `Class.attribute` README cites exists in ledg;
+    other dotted names (``np.lexsort``, file names) are not ledg's."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {
+        info.name: importlib.import_module(f"ledg.{info.name}")
+        for info in pkgutil.iter_modules(ledg.__path__)
+    }
+    classes = {
+        name: value for module in modules.values()
+        for name, value in vars(module).items() if isinstance(value, type)
+    }
+    cited = set()
+    for owner, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)", readme):
+        scope = modules.get(owner, classes.get(owner))
+        if scope is None:
+            assert not owner[0].isupper(), f"README cites {owner}, no class of ledg"
+            continue
+        assert hasattr(scope, name), f"README cites {owner}.{name}, which ledg lacks"
+        cited.add(f"{owner}.{name}")
+    assert {"graphdata.TRAIN_FRAC", "evaluation.EVAL_NEGATIVE_RATIO",
+            "SnapshotGraph.neighbourhood", "TaskBatch.pair_plan"} <= cited
 
 
 # ------------------------------------------------------------- configuration
@@ -591,6 +618,18 @@ def test_train_early_stopping_engages_validation(dataset_dir, tmp_path, capsys):
         assert line.split(",")[2] != ""
 
 
+def test_train_early_stopping_without_validation_snapshots_exits_1(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["generate", "--out", str(data), "--num-nodes", "12",
+                     "--num-snapshots", "8", "--val-frac", "0", "--seed", "1"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["train", "--dataset", str(data), "--out", str(out), "--hidden-dim", "4",
+                   "--window-size", "2", "--epochs", "3", "--early-stop-patience", "1"])
+    assert rc == 1
+    assert "early_stop_patience needs validation snapshots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -730,6 +769,54 @@ def test_eval_malformed_checkpoint_meta_exits_1_naming_the_file(trained_dir, tmp
     assert rc == 1
     assert f"error: {checkpoint} checkpoint meta: 'extra'" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
+
+
+def test_eval_corrupt_checkpoint_member_exits_1_naming_the_file(trained_dir, tmp_path, capsys):
+    """A checkpoint whose tensor bytes fail their CRC exits 1 like any bad input."""
+    params, _, _ = md.load_checkpoint(trained_dir / "checkpoint.npz")
+    data = params["classifier_time_w1"].data.tobytes()
+    raw = bytearray((trained_dir / "checkpoint.npz").read_bytes())
+    raw[bytes(raw).index(data) + len(data) // 2] ^= 0xFF
+    checkpoint = tmp_path / "flipped.npz"
+    checkpoint.write_bytes(bytes(raw))
+    rc = cli.main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert f"error: {checkpoint} is not a readable checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("key, value", [("hidden_dim", "64"), ("base_model", "attention")])
+def test_eval_refuses_model_keys_the_checkpoint_contradicts(
+    trained_dir, tmp_path, capsys, key, value
+):
+    out = tmp_path / "eval"
+    rc = cli.main(["eval", "--checkpoint", str(trained_dir / "checkpoint.npz"),
+                   "--out", str(out), f"--{key.replace('_', '-')}", value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "checkpoint model != run model" in err and f"{key} " in err and value in err
+    assert not out.exists()
+
+
+def test_eval_reads_model_keys_from_a_checkpoint_saved_without_config(
+    trained_dir, dataset_dir, tmp_path
+):
+    """A library checkpoint carries no config text: its encoder keys come
+    from the checkpoint itself, so given the training run's other keys it
+    evaluates to the bytes the CLI checkpoint does."""
+    params, spec, _ = md.load_checkpoint(trained_dir / "checkpoint.npz")
+    library = tmp_path / "library.npz"
+    md.save_checkpoint(params, spec, library)
+    written = []
+    for name, checkpoint in (("cli", trained_dir / "checkpoint.npz"), ("library", library)):
+        out = tmp_path / name
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--out", str(out),
+                         "--dataset", str(dataset_dir), "--window-size", "2",
+                         "--eta-out", "0.01", "--seed", "3", "--epochs", "2",
+                         "--eval-negative-ratio", "5"]) == 0
+        written.append([(out / f).read_bytes() for f in ("config.resolved", "metrics_test.csv")])
+    assert written[0] == written[1]
+    assert b"hidden_dim=8\n" in written[1][0]
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

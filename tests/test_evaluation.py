@@ -9,14 +9,14 @@ from ledg import graphdata as gd
 from ledg import meta as mt
 from ledg import model as md
 from ledg.errors import NumericalError, ValidationError
-from ledg.evaluation import MetricReport, RankedQuery
+from ledg.evaluation import MetricReport
 from ledg.meta import TrainingConfig
 from ledg.model import EncoderConfig, ModelSpec
 from ledg.numerics import Tensor
 
 
 def _query(ids, scores, relevance, query_id=0):
-    return RankedQuery(query_id, np.array(ids), np.array(scores, dtype=float),
+    return oracles.Query(query_id, np.array(ids), np.array(scores, dtype=float),
                        np.array(relevance))
 
 
@@ -44,38 +44,39 @@ def _random_queries(rng, num_queries, allow_empty=True, single_relevant=False):
 def test_map_and_mrr_hand_worked_example():
     q = _query([10, 20, 30], [3.0, 2.0, 1.0], [1, 0, 1])
     # relevant at ranks 1 and 3: AP = (1/1 + 2/3) / 2
-    assert ev.mean_average_precision([q]) == pytest.approx(5.0 / 6.0, abs=1e-15)
-    assert ev.mean_reciprocal_rank([q]) == 1.0
+    ranked = oracles.ranked_queries([q])
+    assert ev.mean_average_precision(ranked) == pytest.approx(5.0 / 6.0, abs=1e-15)
+    assert ev.mean_reciprocal_rank(ranked) == 1.0
     q2 = _query([10, 20, 30], [3.0, 2.0, 1.0], [0, 1, 0])
-    assert ev.mean_average_precision([q2]) == 0.5
-    assert ev.mean_reciprocal_rank([q2]) == 0.5
+    assert ev.mean_average_precision(oracles.ranked_queries([q2])) == 0.5
+    assert ev.mean_reciprocal_rank(oracles.ranked_queries([q2])) == 0.5
 
 
 def test_perfect_and_inverted_rankings():
     ids = list(range(5))
     perfect = _query(ids, [5.0, 4.0, 3.0, 2.0, 1.0], [1, 1, 0, 0, 0])
-    assert ev.mean_average_precision([perfect]) == 1.0
-    assert ev.mean_reciprocal_rank([perfect]) == 1.0
+    assert ev.mean_average_precision(oracles.ranked_queries([perfect])) == 1.0
+    assert ev.mean_reciprocal_rank(oracles.ranked_queries([perfect])) == 1.0
     worst = _query(ids, [5.0, 4.0, 3.0, 2.0, 1.0], [0, 0, 0, 0, 1])
-    assert ev.mean_reciprocal_rank([worst]) == pytest.approx(0.2)
+    assert ev.mean_reciprocal_rank(oracles.ranked_queries([worst])) == pytest.approx(0.2)
 
 
 def test_ties_break_by_ascending_candidate_id():
     q = _query([9, 2, 5], [1.0, 1.0, 1.0], [0, 0, 1])
     # all tied: order is 2, 5, 9, so candidate 5 sits at rank 2
-    assert ev.mean_reciprocal_rank([q]) == 0.5
+    assert ev.mean_reciprocal_rank(oracles.ranked_queries([q])) == 0.5
     q2 = _query([9, 2, 5], [1.0, 1.0, 1.0], [0, 1, 0])
-    assert ev.mean_reciprocal_rank([q2]) == 1.0
+    assert ev.mean_reciprocal_rank(oracles.ranked_queries([q2])) == 1.0
 
 
 def test_queries_without_relevant_candidates_are_excluded():
     with_rel = _query([1, 2], [2.0, 1.0], [1, 0], query_id=0)
     without = _query([3, 4], [2.0, 1.0], [0, 0], query_id=1)
-    assert ev.mean_average_precision([with_rel, without]) == 1.0
+    assert ev.mean_average_precision(oracles.ranked_queries([with_rel, without])) == 1.0
     with pytest.raises(ValidationError):
-        ev.mean_average_precision([without])
+        ev.mean_average_precision(oracles.ranked_queries([without]))
     with pytest.raises(ValidationError):
-        ev.mean_average_precision([])
+        ev.mean_average_precision(oracles.ranked_queries([]))
 
 
 def test_metrics_match_brute_force_on_random_instances():
@@ -84,41 +85,31 @@ def test_metrics_match_brute_force_on_random_instances():
         queries = _random_queries(rng, int(rng.integers(1, 7)), allow_empty=instance % 3 == 0)
         if all(q.relevance.sum() == 0 for q in queries):
             continue
-        assert abs(ev.mean_average_precision(queries)
+        assert abs(ev.mean_average_precision(oracles.ranked_queries(queries))
                    - oracles.brute_force_map(queries)) <= 1e-12
-        assert abs(ev.mean_reciprocal_rank(queries)
+        assert abs(ev.mean_reciprocal_rank(oracles.ranked_queries(queries))
                    - oracles.brute_force_mrr(queries)) <= 1e-12
 
 
 def test_metrics_invariant_under_monotone_score_transforms():
     rng = np.random.default_rng(42)
     queries = _random_queries(rng, 5, allow_empty=False)
-    base_map = ev.mean_average_precision(queries)
-    base_mrr = ev.mean_reciprocal_rank(queries)
+    base_map = ev.mean_average_precision(oracles.ranked_queries(queries))
+    base_mrr = ev.mean_reciprocal_rank(oracles.ranked_queries(queries))
     for transform in (lambda s: 3.0 * s + 7.0, np.exp):
         moved = [
-            RankedQuery(q.query_id, q.candidate_ids, transform(q.scores), q.relevance)
+            oracles.Query(q.query_id, q.candidate_ids, transform(q.scores), q.relevance)
             for q in queries
         ]
-        assert ev.mean_average_precision(moved) == base_map
-        assert ev.mean_reciprocal_rank(moved) == base_mrr
+        assert ev.mean_average_precision(oracles.ranked_queries(moved)) == base_map
+        assert ev.mean_reciprocal_rank(oracles.ranked_queries(moved)) == base_mrr
 
 
 def test_mrr_equals_map_with_a_single_relevant_candidate():
     rng = np.random.default_rng(3)
     queries = _random_queries(rng, 20, single_relevant=True)
-    assert ev.mean_reciprocal_rank(queries) == ev.mean_average_precision(queries)
-
-
-def test_ranked_query_validation():
-    with pytest.raises(ValidationError):
-        _query([], [], [])
-    with pytest.raises(ValidationError):
-        _query([1, 2], [np.inf, 0.0], [1, 0])
-    with pytest.raises(ValidationError):
-        _query([1, 2], [1.0, 0.0], [1, 2])
-    with pytest.raises(ValidationError):
-        _query([1, 2], [1.0], [1, 0])
+    ranked = oracles.ranked_queries(queries)
+    assert ev.mean_reciprocal_rank(ranked) == ev.mean_average_precision(ranked)
 
 
 # ------------------------------------------------------------------- micro F1
@@ -309,7 +300,7 @@ def test_queries_from_batch_matches_per_source_masks():
 
 def _per_source_queries(batch, scores):
     sources = batch.items[:, 0]
-    return [RankedQuery(int(s), batch.items[sources == s, 1], scores[sources == s],
+    return [oracles.Query(int(s), batch.items[sources == s, 1], scores[sources == s],
                         batch.labels[sources == s]) for s in np.unique(sources)]
 
 
@@ -358,7 +349,8 @@ def test_batched_metrics_repeat_per_query_bits_below_eight_relevant():
         got = (ev.mean_average_precision(queries), ev.mean_reciprocal_rank(queries))
         assert got == oracles.per_query_map_mrr(per_source)
         # a list of single-query records goes through the same code
-        listed = (ev.mean_average_precision(per_source), ev.mean_reciprocal_rank(per_source))
+        ranked = oracles.ranked_queries(per_source)
+        listed = (ev.mean_average_precision(ranked), ev.mean_reciprocal_rank(ranked))
         assert listed == got
 
 
@@ -370,8 +362,8 @@ def test_map_adds_many_precisions_in_rank_order():
     relevance[rng.choice(60, size=20, replace=False)] = 1
     q = _query(np.arange(60), rng.random(60), relevance)
     expected = oracles.brute_force_map([q])
-    assert ev.mean_average_precision([q]) == expected
-    assert ev.mean_average_precision([q, q]) == expected
+    assert ev.mean_average_precision(oracles.ranked_queries([q])) == expected
+    assert ev.mean_average_precision(oracles.ranked_queries([q, q])) == expected
 
 
 def test_map_and_mrr_rank_each_query_once(monkeypatch):
@@ -441,8 +433,6 @@ def test_queries_from_batch_checks():
     for metric in (ev.mean_average_precision, ev.mean_reciprocal_rank):
         with pytest.raises(ValidationError, match="every query lacks a relevant candidate"):
             metric(queries)
-        with pytest.raises(ValidationError, match="no queries to evaluate"):
-            metric([])
 
 
 # -------------------------------------------------------------------- reports
@@ -579,6 +569,6 @@ def test_uniform_scorer_mrr_concentrates_at_the_moment_oracle():
         rel = np.zeros(101, dtype=int)
         rel[rng.integers(0, 101)] = 1
         queries.append(_query(np.arange(101), scores, rel, query_id=qid))
-    observed = ev.mean_reciprocal_rank(queries)
+    observed = ev.mean_reciprocal_rank(oracles.ranked_queries(queries))
     mean, var = oracles.uniform_rank_mrr_moments(101)
     assert abs(observed - mean) <= 3.0 * np.sqrt(var / 1000)

@@ -229,7 +229,7 @@ def test_first_order_inner_adapt_records_only_the_updates():
     window = mt.build_window(seq, 4, config)
     tape = Tape()
     mt.inner_adapt(window, params, spec, config, tape)
-    per_step = len(params.items_in(*nx.INNER_LOOP_GROUPS))
+    per_step = len(params.items_in(*mt.INNER_LOOP_GROUPS))
     expected = ["add"] * (2 * per_step) + _IDENTITY_GCN_STEP_OPS + ["add"] * per_step
     assert [node.op for node in tape.nodes] == expected
 
@@ -281,7 +281,7 @@ def test_first_order_episode_tape_holds_only_tracked_nodes(monkeypatch):
     monkeypatch.setattr(Tape, "gradient", gradient)
     every_state = mt.Adaptation(adapted.states, adapted.losses, None)
     mt.outer_step(window, every_state, batch, params, spec, config, tape)
-    assert len(inner_grads) == 3 * len(params.items_in(*nx.INNER_LOOP_GROUPS))
+    assert len(inner_grads) == 3 * len(params.items_in(*mt.INNER_LOOP_GROUPS))
     assert not any(g.requires_grad for g in inner_grads)
     assert all(node.output.requires_grad for node in tape.nodes)
     grad_ids = {id(g) for g in inner_grads}
@@ -870,6 +870,17 @@ def test_train_keeps_best_epoch_by_validation_score():
     assert result.stopped_early
     assert result.val_scores == [0.5, 0.9, 0.1, 0.1]
     assert result.params.fingerprint() == seen[2]
+
+
+def test_train_refuses_early_stop_patience_without_a_val_hook():
+    """Patience counts epochs a validation score did not improve; with no
+    hook to score them it would never stop, so train refuses it up front."""
+    config = TrainingConfig(window_size=2, eta_out=0.02, epochs=3, seed=2,
+                            early_stop_patience=1)
+    logged = []
+    with pytest.raises(ConfigError, match="early_stop_patience needs a val_hook"):
+        mt.train(_small_sequence(), _small_spec(), config, log_hook=logged.append)
+    assert logged == []
 
 
 def test_train_raises_at_the_first_non_finite_inner_loss():

@@ -507,7 +507,7 @@ def test_init_parameters_deterministic_and_grouped():
     c = md.init_parameters(spec, seed=4)
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
-    assert set(a.groups) == set(nx.PARAMETER_GROUPS)
+    assert set(a.groups) == {"gnn", *md.HEAD_ROLES}
     assert np.array_equal(a["adapter_b1"].data, np.zeros((1, 3)))
 
 
@@ -653,7 +653,16 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
     groups = good_meta["groups"]
     text = tmp_path / "text.npz"
     text.write_text("not a checkpoint\n")
+    # one flipped byte inside a tensor's stored bytes fails its member's CRC
+    raw = bytearray(good.read_bytes())
+    at = bytes(raw).index(params["classifier_time_w1"].data.tobytes())
+    raw[at + params["classifier_time_w1"].data.nbytes // 2] ^= 0xFF
+    flipped = tmp_path / "flipped.npz"
+    flipped.write_bytes(bytes(raw))
     malformed = [
+        (flipped, "Bad CRC-32"),
+        (with_array("object_tensor.npz", "gnn_w1", np.array([[1.0, None]], dtype=object)),
+         "Object arrays cannot be loaded"),
         (text, "is not a readable checkpoint"),
         (with_meta("not_json.npz", b"{format: LEDGCKPT1"), "no JSON __meta__ entry"),
         (with_meta("no_encoder.npz", json.dumps(no_encoder).encode()),

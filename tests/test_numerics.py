@@ -962,7 +962,8 @@ def _toy_parameter_set():
 
 
 def test_parameter_groups_cover_inner_loop():
-    assert set(nx.INNER_LOOP_GROUPS) < set(nx.PARAMETER_GROUPS)
+    spec = md.ModelSpec(md.EncoderConfig(input_dim=3, hidden_dim=4))
+    assert set(mt.INNER_LOOP_GROUPS) < set(md.init_parameters(spec, seed=0).groups)
 
 
 def test_parameter_set_group_membership_checks():
