@@ -16,8 +16,8 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ConfigError
-from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch, supervised_batch
-from .meta import TrainingConfig, _episode_seed, _SgdState, build_window, training_targets
+from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch
+from .meta import SgdStep, TrainingConfig, build_window, training_batch, training_targets
 from .model import (
     ModelSpec,
     encode,
@@ -58,7 +58,7 @@ def static_scorer(sequence: DynamicGraphSequence, params: ParameterSet, spec: Mo
     both endpoint orders, on that embedding.
     """
     frozen = sequence.snapshot_at(sequence.split[0])
-    parts = (("classifier_graph", encode(frozen, params, spec.encoder).data),)
+    parts = (("classifier_graph", encode(frozen, params, spec.encoder)),)
 
     def scorer(batch: TaskBatch) -> np.ndarray:
         return symmetric_pair_probabilities(params, spec, parts, batch.items)[:, 1]
@@ -81,20 +81,14 @@ def train_static_gcn(
     """
     targets = training_targets(config, sequence.split[0])
     params = init_static_parameters(spec, config.seed)
-    optimizer = _SgdState(config.eta_out)
+    optimizer = SgdStep(config.eta_out)
     losses = []
     for epoch in range(1, config.epochs + 1):
         tape = Tape()
         total = None
         with tape:
             for t in targets:
-                batch = supervised_batch(
-                    sequence.snapshot_at(t),
-                    sequence.task,
-                    config.train_negative_ratio,
-                    "train",
-                    _episode_seed(config, epoch),
-                )
+                batch = training_batch(sequence, t, config, epoch)
                 if batch is None:
                     continue
                 structure = build_window(sequence, t, config).structure_snapshot

@@ -18,7 +18,7 @@ from . import meta as mt
 from .errors import NumericalError, ValidationError
 from .graphdata import DynamicGraphSequence, TaskBatch, seed_from, supervised_batch
 from .model import ModelSpec, symmetric_pair_probabilities, task_predict
-from .numerics import ParameterSet, _frozen
+from .numerics import ParameterSet, frozen
 
 
 #: sampled non-neighbours per true edge in an evaluation batch, by default
@@ -100,7 +100,7 @@ def _rank(keys, candidate_ids, scores, relevance) -> RankedQueries:
     starts = np.flatnonzero(_run_heads(keys))
     arrays = (keys[starts], starts, candidate_ids[order], scores[order], relevance[order])
     # relevant_ranks caches what it reads, so the value owns its arrays read-only
-    return RankedQueries(*map(_frozen, arrays))
+    return RankedQueries(*map(frozen, arrays))
 
 
 def mean_average_precision(queries: RankedQueries) -> float:
@@ -165,15 +165,7 @@ def queries_from_batch(batch: TaskBatch, scores) -> RankedQueries:
 
 def symmetrized_edge_scores(bundle, params: ParameterSet, spec: ModelSpec, batch: TaskBatch) -> np.ndarray:
     """Positive-class probability averaged over both endpoint orders."""
-    return _symmetrized_probabilities(bundle, params, spec, batch)[:, 1]
-
-
-def _symmetrized_probabilities(bundle, params, spec, batch) -> np.ndarray:
-    parts = (
-        ("classifier_time", bundle.time_part.data),
-        ("classifier_graph", bundle.graph_part.data),
-    )
-    return symmetric_pair_probabilities(params, spec, parts, batch.items)
+    return symmetric_pair_probabilities(params, spec, bundle.head_parts, batch.items)[:, 1]
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,7 @@ def evaluate_sequence(
                 if batch.kind == "node":
                     probabilities = task_predict(bundle, state, spec, batch).data
                 else:
-                    probabilities = _symmetrized_probabilities(bundle, state, spec, batch)
+                    probabilities = symmetric_pair_probabilities(state, spec, bundle.head_parts, batch.items)
                 predicted = np.argmax(_require_finite(t, probabilities), axis=1)
             score = micro_f1(predicted, batch.labels, sequence.num_classes)
             per_time.setdefault("micro_f1", []).append((t, score))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetError, ParseError, ValidationError
-from .numerics import PairPlan, Tensor, _frozen
+from .numerics import PairPlan, Tensor, frozen
 
 
 TASKS = ("link_prediction", "edge_classification", "node_classification")
@@ -68,7 +68,7 @@ def _per_edge(values, dtype, name: str, order: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=dtype)
     if values.shape != order.shape:
         raise ValidationError(f"{name} must have one entry per edge, got shape {values.shape}")
-    return _frozen(values[order])
+    return frozen(values[order])
 
 
 class IdentityFeatures:
@@ -146,7 +146,7 @@ class SnapshotGraph:
         order = np.argsort(keys, kind="stable")  # sorts the given rows into canonical order
         if np.any(np.diff(keys[order]) == 0):
             raise ValidationError("duplicate undirected edges in snapshot")
-        self.pairs = _frozen(np.stack((lo[order], hi[order]), axis=1))
+        self.pairs = frozen(np.stack((lo[order], hi[order]), axis=1))
         if weights is None:
             weights = np.ones(order.size)
         self.weights = _per_edge(weights, np.float64, "weights", order)
@@ -162,7 +162,7 @@ class SnapshotGraph:
             node_labels = np.asarray(node_labels, dtype=np.int64)
             if node_labels.shape != (n,):
                 raise ValidationError("node_labels must have one entry per node")
-            node_labels = _frozen(node_labels.copy())
+            node_labels = frozen(node_labels.copy())
         self.node_labels = node_labels
         self._adjacency = None
         self._neighbourhood = None
@@ -201,8 +201,7 @@ class SnapshotGraph:
         ``starts[i]``, and none is empty. Row i lists exactly the columns
         that are not negatives for source i, so both encoders and the
         link-prediction sampler read this one plan, and the arrays it derives
-        (flat keys, segment starts, the sampler's ``below`` keys) are built
-        once per snapshot.
+        (flat keys, segment starts) are built once per snapshot.
         """
         if self._neighbourhood is None:
             n = self.num_nodes
@@ -341,8 +340,8 @@ class TaskBatch:
             raise ValidationError("labels must align with items")
         if items.shape[0] == 0:
             raise ValidationError("empty task batch")
-        object.__setattr__(self, "items", _frozen(items.copy()))
-        object.__setattr__(self, "labels", _frozen(labels.copy()))
+        object.__setattr__(self, "items", frozen(items.copy()))
+        object.__setattr__(self, "labels", frozen(labels.copy()))
 
     @property
     def size(self) -> int:
@@ -613,10 +612,10 @@ def sample_link_prediction_batch(
     v' != u; a source connected to every other node raises.
 
     Each negative of source u is one draw r below u's count of non-neighbours,
-    mapped to u's r-th smallest non-neighbour by a search of the cached
-    :meth:`SnapshotGraph.neighbourhood`, whose row u holds exactly the columns
-    u excludes. No draw is rejected, and one ``rng.integers`` call makes every
-    draw, positive-major like the items.
+    mapped to u's r-th smallest non-neighbour by a search of keys derived,
+    per call, from the cached :meth:`SnapshotGraph.neighbourhood`, whose row
+    u holds exactly the columns u excludes. No draw is rejected, and one
+    ``rng.integers`` call makes every draw, positive-major like the items.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be 'train' or 'eval', not {mode!r}")
@@ -639,7 +638,8 @@ def sample_link_prediction_batch(
     plan = snapshot.neighbourhood()
     # entry k of row u, column c, has c - k free columns below it, and keys
     # u * n + c - k sort; row u's r-th free column is r + its keys <= u * n + r
-    found = np.searchsorted(plan.below, sources[:, None] * n + draws, "right")
+    below = plan.keys - (np.arange(plan.size) - plan.starts[plan.rows])
+    found = np.searchsorted(below, sources[:, None] * n + draws, "right")
     items = np.repeat(snapshot.pairs, ratio + 1, axis=0).reshape(len(sources), ratio + 1, 2)
     items[:, 1:, 1] = draws + found - plan.starts[sources][:, None]  # the negatives' targets
     labels = np.zeros((len(sources), ratio + 1), dtype=np.int64)
@@ -762,16 +762,17 @@ def load_dataset(directory) -> DynamicGraphSequence:
 
     A missing or unreadable file, a missing meta key, a meta value that is
     not an integer, a ``num_nodes`` or ``num_snapshots`` below 1, a
-    ``num_classes`` below 2, an unknown task, an unordered split, a
-    ``nodes.map`` without one line per node, a non-finite edge weight or
-    feature, an edge out of range, a self-loop or a repeated edge, a feature
-    file that is not an (N, F) matrix of the meta's ``feature_width``, a
-    node-label file without one entry per node and a node label that is not
-    a nonnegative integer (below ``num_classes`` for node classification)
-    are each a DatasetError naming the file; the checks run here, on data
-    read from disk, and not in :class:`SnapshotGraph` or the sequence. Feature
-    files that hold the N x N identity load as one :class:`IdentityFeatures`
-    mark.
+    ``num_classes`` below 2 (or other than 2 for link prediction), an
+    unknown task, an unordered split, a ``nodes.map`` without one line per
+    node, a non-finite edge weight or feature, an edge label outside
+    [0, ``num_classes``) for edge classification, an edge out of range, a
+    self-loop or a repeated edge, a feature file that is not an (N, F)
+    matrix of the meta's ``feature_width``, a node-label file without one
+    entry per node and a node label that is not a nonnegative integer
+    (below ``num_classes`` for node classification) are each a DatasetError
+    naming the file; the checks run here, on data read from disk, and not
+    in :class:`SnapshotGraph` or the sequence. Feature files that hold the
+    N x N identity load as one :class:`IdentityFeatures` mark.
     """
     directory = Path(directory)
     meta_path = directory / "meta"
@@ -801,6 +802,8 @@ def load_dataset(directory) -> DynamicGraphSequence:
         (num_snapshots < 1, f"num_snapshots must be at least 1, got {num_snapshots}"),
         (task not in TASKS, f"unknown task {task!r}, expected one of {TASKS}"),
         (num_classes < 2, f"num_classes must be at least 2, got {num_classes}"),
+        (task == "link_prediction" and num_classes != 2,
+         f"link_prediction is binary: num_classes must be 2, got {num_classes}"),
         (not 1 <= split[0] <= split[1] <= split[2] <= num_snapshots,
          f"split {split} must be ordered within [1, {num_snapshots}]"),
     ) if bad]
@@ -830,6 +833,13 @@ def load_dataset(directory) -> DynamicGraphSequence:
         except ValueError as exc:
             raise DatasetError(f"{edges_path}: {exc}") from None
         _finite(edges_path, weights, "edge weight")
+        if task == "edge_classification" and edge_labels is not None:
+            outside = np.flatnonzero((edge_labels < 0) | (edge_labels >= num_classes))
+            if outside.size:
+                raise DatasetError(
+                    f"{edges_path} line {outside[0] + 1}: edge label {edge_labels[outside[0]]}"
+                    f" outside class range [0, {num_classes})"
+                )
         features = _features(directory / f"{stem}.npy", num_nodes, width, identity, meta_path)
         labels_path = directory / f"labels_{t:03d}.npy"
         labels = None

@@ -222,7 +222,7 @@ def inner_adapt(
     losses: list[float] = []
     current = params
     exact = config.gradient_mode == "exact"
-    sgd = _SgdState(config.eta_in)
+    sgd = SgdStep(config.eta_in)
     shared = None
     with tape:
         for i, snap in enumerate(window.snapshots, start=1):
@@ -257,7 +257,7 @@ class EpisodeRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-class _SgdState:
+class SgdStep:
     """One plain gradient step, p - eta * g, for the inner and outer loops.
 
     The step is built from tape primitives, so the active tape records it;
@@ -336,7 +336,7 @@ class _AdamState:
 def _make_optimizer(config: TrainingConfig):
     if config.outer_optimizer == "adam":
         return _AdamState(config.eta_out)
-    return _SgdState(config.eta_out)
+    return SgdStep(config.eta_out)
 
 
 def outer_step(
@@ -406,9 +406,16 @@ def outer_step(
     return new_params, record
 
 
-def _episode_seed(config: TrainingConfig, epoch: int) -> int:
-    """Negative-sampling seed of every training batch in an epoch."""
-    return int(seed_from(config.seed, "episode", epoch).generate_state(1)[0])
+def training_batch(
+    sequence: DynamicGraphSequence, t: int, config: TrainingConfig, epoch: int
+) -> TaskBatch | None:
+    """The supervised batch a trainer fits at target time t in an epoch, or
+    None when the snapshot offers no supervised items; every batch of an
+    epoch samples its ``train_negative_ratio`` negatives from one seed."""
+    seed = int(seed_from(config.seed, "episode", epoch).generate_state(1)[0])
+    return supervised_batch(
+        sequence.snapshot_at(t), sequence.task, config.train_negative_ratio, "train", seed
+    )
 
 
 def run_episode(
@@ -425,13 +432,7 @@ def run_episode(
     Returns the parameters unchanged (and no record) when the target
     snapshot offers no supervised items.
     """
-    target_batch = supervised_batch(
-        sequence.snapshot_at(t),
-        sequence.task,
-        config.train_negative_ratio,
-        "train",
-        _episode_seed(config, epoch),
-    )
+    target_batch = training_batch(sequence, t, config, epoch)
     if target_batch is None:
         return params, None
     window = build_window(sequence, t, config)

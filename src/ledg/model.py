@@ -26,7 +26,6 @@ from .numerics import ParameterSet, Tensor
 
 
 BASE_MODELS = ("gcn", "attention")
-ACTIVATIONS = ("relu", "linear")
 HEAD_ROLES = ("adapter", "time_predictor", "classifier_time", "classifier_graph")
 
 #: attention scores pass through a leaky ReLU with this negative slope
@@ -45,7 +44,6 @@ class EncoderConfig:
     num_layers: int = 2
     input_dim: int = 1
     hidden_dim: int = 128
-    activation: str = "relu"
 
     def __post_init__(self):
         problems = []
@@ -57,8 +55,6 @@ class EncoderConfig:
             problems.append("input_dim must be positive")
         if self.hidden_dim < 1:
             problems.append("hidden_dim must be positive")
-        if self.activation not in ACTIVATIONS:
-            problems.append(f"activation must be one of {ACTIVATIONS}")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -76,6 +72,8 @@ class ModelSpec:
             raise ValidationError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.num_classes < 2:
             raise ValidationError("num_classes must be at least 2")
+        if self.task == "link_prediction" and self.num_classes != 2:
+            raise ValidationError("link_prediction is binary: num_classes must be 2")
 
     @property
     def batch_kind(self) -> str:
@@ -117,6 +115,12 @@ class EmbeddingBundle:
         """gate * combined, formed on first read on whatever tape is active
         then: inner steps read only the time part, so they never form it."""
         return nx.hadamard(self.gate, self.combined)
+
+    @property
+    def head_parts(self) -> tuple[tuple[str, Tensor], ...]:
+        """Which classifier head reads which part: (role, part) in the order
+        their logits are summed."""
+        return (("classifier_time", self.time_part), ("classifier_graph", self.graph_part))
 
 
 @dataclass(frozen=True)
@@ -220,21 +224,17 @@ def init_parameters(spec: ModelSpec, seed: int) -> ParameterSet:
     return ParameterSet(tensors, groups)
 
 
-def _activate(x: Tensor, activation: str) -> Tensor:
-    return nx.relu(x) if activation == "relu" else x
-
-
 def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig) -> Tensor:
     """Run the message-passing encoder over one snapshot.
 
     Both bases propagate with ``spmm`` over the 2E + N self-looped neighbour
     pairs, the snapshot's checked plan (:meth:`SnapshotGraph.neighbourhood`);
     they differ in the pair weights. The gcn base stacks
-    ``h <- act(A_hat h W)`` layers with the normalized adjacency's values
+    ``h <- relu(A_hat h W)`` layers with the normalized adjacency's values
     (:attr:`SnapshotGraph.normalized_adjacency`).
     The attention base scores each (target, source) pair additively,
     leaky-ReLUs the score, softmax-normalizes over the target's
-    neighbourhood and aggregates ``spmm(alpha, wh)`` before the activation;
+    neighbourhood and aggregates ``spmm(alpha, wh)`` before the ReLU;
     single head. On :class:`IdentityFeatures` the first layer's ``X @ W1``
     is ``gnn_w1`` itself: GCN's first layer is ``spmm(a_hat, gnn_w1)``, the
     same BLAS product on the same operands as ``(A_hat I) W1``, and
@@ -254,7 +254,7 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         for layer in range(1, config.num_layers + 1):
             w = params[f"gnn_w{layer}"]
             h = nx.spmm(a_hat, w, plan) if h is None else nx.matmul(nx.spmm(a_hat, h, plan), w)
-            h = _activate(h, config.activation)
+            h = nx.relu(h)
         return h
 
     for layer in range(1, config.num_layers + 1):
@@ -264,7 +264,7 @@ def encode(snapshot: SnapshotGraph, params: ParameterSet, config: EncoderConfig)
         right = nx.matmul(wh, params[f"gnn_ar{layer}"])
         scores = nx.add(nx.gather_rows(left, plan.rows), nx.gather_rows(right, plan.cols))
         alpha = nx.segment_softmax(nx.leaky_relu(scores, ATTENTION_SLOPE), plan)
-        h = _activate(nx.spmm(alpha, wh, plan), config.activation)
+        h = nx.relu(nx.spmm(alpha, wh, plan))
     return h
 
 
@@ -316,31 +316,29 @@ def time_loss(time_part: Tensor, params: ParameterSet, spec: ModelSpec, target_t
 
 
 def task_predict(bundle: EmbeddingBundle, params: ParameterSet, spec: ModelSpec, batch: TaskBatch) -> Tensor:
-    """Class probabilities for a batch: softmax of the two heads' summed logits.
-
-    One head reads the time-varying embedding part, the other the
-    graph-intrinsic part (:func:`head_logits`).
+    """Class probabilities for a batch: softmax of the two heads' summed
+    logits, each head reading its part of :attr:`EmbeddingBundle.head_parts`
+    (:func:`head_logits`).
     """
-    logits_time = head_logits(params, spec, "classifier_time", bundle.time_part, batch)
-    logits_graph = head_logits(params, spec, "classifier_graph", bundle.graph_part, batch)
-    return nx.softmax_rows(nx.add(logits_time, logits_graph))
+    logits = [head_logits(params, spec, role, h, batch) for role, h in bundle.head_parts]
+    return nx.softmax_rows(nx.add(*logits))
 
 
 def symmetric_pair_probabilities(params: ParameterSet, spec: ModelSpec, parts, items) -> np.ndarray:
     """Class probabilities of (u, v) pairs averaged over both endpoint orders,
     computed untaped.
 
-    ``parts`` lists (classifier head role, node embedding array) pairs; per
-    order the heads' logits are summed, in the listed order, before one
-    softmax, as in :func:`task_predict` (whose two heads read the time and
-    graph parts of a bundle). Each head projects node rows once
+    ``parts`` lists (classifier head role, node embedding Tensor) pairs, such
+    as :attr:`EmbeddingBundle.head_parts`; per order the heads' logits are
+    summed, in the listed order, before one softmax, as in
+    :func:`task_predict`. Each head projects node rows once
     (:meth:`MlpHead.pair_logits`), so the cost grows with nodes plus pairs.
     """
     if spec.batch_kind != "edge":
         raise ContractError(f"task {spec.task!r} has no edge pairs to score")
     forward = backward = 0.0
     for role, h in parts:
-        f, b = spec.heads[role].pair_logits(params, h, items)
+        f, b = spec.heads[role].pair_logits(params, h.data, items)
         forward, backward = forward + f, backward + b
     forward, backward = (nx.softmax_rows(Tensor(x)).data for x in (forward, backward))
     return 0.5 * (forward + backward)
@@ -369,10 +367,10 @@ def task_loss(predictions: Tensor, labels) -> Tensor:
 # checkpoints
 
 def save_checkpoint(params: ParameterSet, spec: ModelSpec, path, extra_meta: dict | None = None) -> None:
-    """Write parameters plus their shapes and model spec to an npz file."""
+    """Write the parameters' tensors and their model spec, which decides
+    their names, groups and shapes, to an npz file."""
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "groups": {g: list(params.group_names(g)) for g in params.groups},
         "encoder": dataclasses.asdict(spec.encoder),
         "task": spec.task,
         "num_classes": spec.num_classes,
@@ -390,12 +388,14 @@ def _meta_field(path, table: dict, key: str, kind: type):
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
-    """Load a checkpoint. A file that is not an npz archive, a member that
-    fails its checksum or holds objects, a missing or non-JSON ``__meta__``
-    entry, an unknown format, a missing or mistyped meta field, a spec its
-    class refuses, a group the spec has not and a missing, non-numeric or
-    mis-shaped tensor are each a DatasetError whose message starts with the
-    path."""
+    """Load a checkpoint: its spec's :func:`init_parameters` names, groups
+    and shapes the tensors, and meta entries the spec does not read (such as
+    the ``groups`` older files carry) are ignored. A file that is not an npz
+    archive, a member that fails its checksum or holds objects, a missing or
+    non-JSON ``__meta__`` entry, an unknown format, a missing or mistyped
+    meta field, an encoder activation other than ReLU, a spec its class
+    refuses and a missing, non-numeric or mis-shaped tensor are each a
+    DatasetError whose message starts with the path."""
     if not zipfile.is_zipfile(path):
         raise DatasetError(f"{path} is not a readable checkpoint: not an npz archive")
     try:
@@ -411,35 +411,28 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelSpec, dict]:
     if found != CHECKPOINT_FORMAT:
         raise DatasetError(f"{path}: unknown checkpoint format {found!r}, expected {CHECKPOINT_FORMAT}")
     enc = _meta_field(path, meta, "encoder", dict)
+    # older files name the encoder's activation; every layer here is ReLU
+    if enc.get("activation", "relu") != "relu":
+        raise DatasetError(f"{path} checkpoint meta: encoder activation {enc['activation']!r} is not 'relu'")
     encoder = {
         f.name: _meta_field(path, enc, f.name, type(f.default))
         for f in dataclasses.fields(EncoderConfig)
     }
-    groups = _meta_field(path, meta, "groups", dict)
-    if not all(isinstance(names, list) and all(isinstance(n, str) for n in names)
-               for names in groups.values()):
-        raise DatasetError(f"{path} checkpoint meta: a group is not a list of tensor names")
-    for name, array in arrays.items():
-        if array.dtype.kind not in "biuf":
-            raise DatasetError(f"{path}: checkpoint tensor {name!r} is not numeric")
     try:
         spec = ModelSpec(
             EncoderConfig(**encoder),
             task=_meta_field(path, meta, "task", str),
             num_classes=_meta_field(path, meta, "num_classes", int),
         )
-        expected = init_parameters(spec, seed=0)
-        for group in groups:
-            if group not in expected.groups:
-                raise ValidationError(f"unknown parameter group {group!r}")
-        params = ParameterSet(
-            {name: Tensor(arrays[name], requires_grad=True)
-             for names in groups.values() for name in names if name in arrays},
-            {group: tuple(names) for group, names in groups.items()},
-        )
-    except (ShapeError, ValidationError) as exc:
+    except ValidationError as exc:
         raise DatasetError(f"{path} checkpoint: {exc}") from None
+    expected = init_parameters(spec, seed=0)
+    tensors = {}
     for name in expected.names:
-        if name not in params or params[name].shape != expected[name].shape:
+        array = arrays.get(name)
+        if array is not None and array.dtype.kind not in "biuf":
+            raise DatasetError(f"{path}: checkpoint tensor {name!r} is not numeric")
+        if array is None or np.atleast_2d(array).shape != expected[name].shape:
             raise DatasetError(f"{path}: checkpoint tensor {name!r} missing or mis-shaped for its model spec")
-    return params, spec, _meta_field(path, meta, "extra", dict)
+        tensors[name] = Tensor(array, requires_grad=True)
+    return expected.with_updates(tensors), spec, _meta_field(path, meta, "extra", dict)

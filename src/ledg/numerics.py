@@ -220,7 +220,7 @@ def _emit(op: str, inputs: tuple, params: dict = _EMPTY) -> Tensor:
     return result
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
+def frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
@@ -232,14 +232,14 @@ class PairPlan:
     Built once from index arrays, which it checks (1-D, of one length, every
     index in [0, n)) and keeps as read-only copies. The arrays the kernels
     derive from the pairs are built on first use and kept: the flat keys
-    ``rows * n + cols``, the starts of sorted rows' segments, the sampler's
-    ``below`` keys and the bincount slots of row scatters, per width. An op
-    that takes a plan checks only O(1) facts, such as ``n`` against its
-    operand's row count. A plan is kept only by what its pairs belong to (a
-    snapshot's neighbourhood, an edge batch), so it goes when they go.
+    ``rows * n + cols``, the starts of sorted rows' segments and the bincount
+    slots of row scatters, per width. An op that takes a plan checks only
+    O(1) facts, such as ``n`` against its operand's row count. A plan is
+    kept only by what its pairs belong to (a snapshot's neighbourhood, an
+    edge batch), so it goes when they go.
     """
 
-    __slots__ = ("rows", "cols", "n", "_keys", "_starts", "_below", "_slots")
+    __slots__ = ("rows", "cols", "n", "_keys", "_starts", "_slots")
 
     def __init__(self, rows, cols, n: int):
         self.n = n = int(n)
@@ -249,7 +249,7 @@ class PairPlan:
             raise ShapeError(
                 f"PairPlan: {self.rows.size} row indices but {self.cols.size} column indices"
             )
-        self._keys = self._starts = self._below = None
+        self._keys = self._starts = None
         self._slots = {}
 
     @classmethod
@@ -270,7 +270,7 @@ class PairPlan:
     def keys(self) -> np.ndarray:
         """The flat index rows[k] * n + cols[k] of every pair."""
         if self._keys is None:
-            self._keys = _frozen(self.rows * self.n + self.cols)
+            self._keys = frozen(self.rows * self.n + self.cols)
         return self._keys
 
     @property
@@ -285,18 +285,8 @@ class PairPlan:
                 raise ShapeError(
                     "PairPlan: segments need pairs sorted by row that leave no row empty"
                 )
-            self._starts = _frozen(np.searchsorted(rows, np.arange(n)))
+            self._starts = frozen(np.searchsorted(rows, np.arange(n)))
         return self._starts
-
-    @property
-    def below(self) -> np.ndarray:
-        """keys[k] less k's position within its row, for sorted rows (see
-        ``starts``); for a snapshot's neighbourhood, row u's r-th column
-        that holds no pair is r plus the count of these keys <= u * n + r."""
-        if self._below is None:
-            position = np.arange(self.size) - self.starts[self.rows]
-            self._below = _frozen(self.keys - position)
-        return self._below
 
     def slots(self, side: int, width: int) -> np.ndarray:
         """The bincount slots index * width + column that scatter (P, width)
@@ -305,7 +295,7 @@ class PairPlan:
         slots = self._slots.get(key)
         if slots is None:
             index = self.cols if side else self.rows
-            slots = self._slots[key] = _frozen((index[:, None] * width + np.arange(width)).ravel())
+            slots = self._slots[key] = frozen((index[:, None] * width + np.arange(width)).ravel())
         return slots
 
 

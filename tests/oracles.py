@@ -468,15 +468,13 @@ def dense_normalized_adjacency(snapshot):
 
 
 def dense_gcn_encode(snapshot, params, config):
-    """The GCN encoder as dense products ``act(A_hat @ h @ W)`` with the
+    """The GCN encoder as dense products ``relu(A_hat @ h @ W)`` with the
     N x N :func:`dense_normalized_adjacency`, recorded with the library's
     primitives."""
     a_hat = nx.Tensor(dense_normalized_adjacency(snapshot))
     h = snapshot.features
     for layer in range(1, config.num_layers + 1):
-        h = nx.matmul(nx.matmul(a_hat, h), params[f"gnn_w{layer}"])
-        if config.activation == "relu":
-            h = nx.relu(h)
+        h = nx.relu(nx.matmul(nx.matmul(a_hat, h), params[f"gnn_w{layer}"]))
     return h
 
 
@@ -500,9 +498,7 @@ def dense_attention_encode(snapshot, params, config):
         scores = nx.add(nx.broadcast(left, (n, n)), nx.broadcast(right_row, (n, n)))
         scores = nx.leaky_relu(scores, 0.2)
         scores = nx.add(nx.hadamard(scores, mask), offset)
-        h = nx.matmul(nx.softmax_rows(scores), wh)
-        if config.activation == "relu":
-            h = nx.relu(h)
+        h = nx.relu(nx.matmul(nx.softmax_rows(scores), wh))
     return h
 
 

@@ -1,5 +1,6 @@
 """Command-line workflows: config resolution, exit codes, artifacts."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -102,6 +103,19 @@ def test_readme_code_references_resolve():
         cited.add(f"{owner}.{name}")
     assert {"graphdata.TRAIN_FRAC", "evaluation.EVAL_NEGATIVE_RATIO",
             "SnapshotGraph.neighbourhood", "TaskBatch.pair_plan"} <= cited
+    primitives = re.findall(r"The tape has (\d+) primitives", readme)
+    assert primitives == [str(len(modules["numerics"]._FORWARD))]
+
+
+def test_modules_import_no_private_name_of_each_other():
+    """README's rule that a name starting with ``_`` is private holds between
+    ledg's modules: no relative import brings one in."""
+    imported = []
+    for path in sorted(Path(ledg.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                imported += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert imported == []
 
 
 # ------------------------------------------------------------- configuration
@@ -383,6 +397,24 @@ def test_ingest_class_label_past_the_bound_exits_1_and_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", [7, -1])
+def test_train_on_an_edge_label_outside_the_classes_exits_1_naming_the_file(
+    label, tmp_path, capsys
+):
+    src, data = tmp_path / "edges.txt", tmp_path / "ds"
+    src.write_text("a b 0 0\nb c 1 1\nc d 2 2\nd a 3 0\n")
+    assert cli.main(["ingest", "--input", str(src), "--out", str(data), "--interval", "1",
+                     "--task", "edge_classification"]) == 0
+    edges = data / "snapshot_001.edges"
+    first, *rest = edges.read_text().splitlines()
+    edges.write_text("\n".join([" ".join([*first.split()[:3], str(label)]), *rest]) + "\n")
+    rc = cli.main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+                   "--task", "edge_classification", "--hidden-dim", "4",
+                   "--window-size", "1", "--epochs", "1"])
+    assert rc == 1
+    assert f"{edges} line 1: edge label {label} outside class range [0, 3)" in capsys.readouterr().err
+
+
 def test_out_of_memory_exits_2_and_says_so(monkeypatch, tmp_path, capsys):
     def exhausted(args):
         raise MemoryError()
@@ -544,6 +576,7 @@ _BAD_DATASET_FILES = {
     "missing meta key": ("meta", lambda path: path.write_text(path.read_text().replace("task=", "tusk="))),
     "unknown task": ("meta", _replace_meta_value("task", "ranking")),
     "num_classes below 2": ("meta", _replace_meta_value("num_classes", "1")),
+    "link prediction with 5 classes": ("meta", _replace_meta_value("num_classes", "5")),
     "num_snapshots below 1": ("meta", _replace_meta_value("num_snapshots", "0")),
     "unordered split": ("meta", _replace_meta_value("val_end", "1")),
     "feature_width unlike the features": ("meta", _replace_meta_value("feature_width", "7")),

@@ -217,9 +217,7 @@ def test_symmetric_edge_class_probabilities_match_two_task_predicts():
     items = rng.integers(0, 9, size=(40, 2))
     batch = gd.TaskBatch(1, "edge", items, rng.integers(0, 4, size=40))
     reference = _two_order_probabilities(bundle, params, spec, batch)
-    parts = (("classifier_time", bundle.time_part.data),
-             ("classifier_graph", bundle.graph_part.data))
-    probabilities = md.symmetric_pair_probabilities(params, spec, parts, batch.items)
+    probabilities = md.symmetric_pair_probabilities(params, spec, bundle.head_parts, batch.items)
     assert np.max(np.abs(probabilities - reference)) <= 1e-12
     assert np.array_equal(np.argmax(probabilities, axis=1), np.argmax(reference, axis=1))
 

@@ -42,15 +42,15 @@ def _edge_spec(hidden=3, input_dim=4, layers=1, base="gcn"):
 
 def test_encode_isolated_node_with_identity_weights_is_identity():
     spec = ModelSpec(
-        EncoderConfig(num_layers=1, input_dim=2, hidden_dim=2, activation="linear"),
+        EncoderConfig(num_layers=1, input_dim=2, hidden_dim=2),
         task="link_prediction",
     )
     params = md.init_parameters(spec, seed=0).with_updates(
         {"gnn_w1": Tensor(np.eye(2), requires_grad=True)}
     )
-    snap = gd.SnapshotGraph(1, 1, [], np.array([[1.5, -2.0]]))
+    snap = gd.SnapshotGraph(1, 1, [], np.array([[1.5, 2.0]]))
     h = md.encode(snap, params, spec.encoder)
-    assert np.array_equal(h.data, [[1.5, -2.0]])
+    assert np.array_equal(h.data, [[1.5, 2.0]])
 
 
 def test_encode_gives_equal_rows_for_symmetric_nodes():
@@ -79,15 +79,14 @@ def test_encode_permutation_equivariance():
         assert np.allclose(perm_h[perm[np.argsort(perm)]], base_h[np.argsort(perm)], atol=1e-10)
 
 
-@pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("activation", ["relu", "linear"])
-def test_attention_encode_matches_the_dense_masked_reference(layers, activation):
+# every encoder layer ends in a ReLU, which the ids name
+@pytest.mark.parametrize("layers", [1, 2, 3], ids=lambda layers: f"relu-{layers}")
+def test_attention_encode_matches_the_dense_masked_reference(layers):
     """Pair-list scores and the segment softmax give the dense masked
     encoder's embeddings: its non-neighbour weights are exactly 0."""
-    config = EncoderConfig(base_model="attention", num_layers=layers, input_dim=3,
-                           hidden_dim=5, activation=activation)
+    config = EncoderConfig(base_model="attention", num_layers=layers, input_dim=3, hidden_dim=5)
     params = md.init_parameters(ModelSpec(config), seed=layers)
-    rng = np.random.default_rng([layers, len(activation)])
+    rng = np.random.default_rng([layers, 4])
     for edge_p in (0.0, 0.1, 0.3, 0.8):
         snap = oracles.random_snapshot(rng, 1, 14, edge_p, rng.normal(size=(14, 3)))
         got = md.encode(snap, params, config).data
@@ -135,14 +134,14 @@ def test_attention_gradients_match_the_dense_masked_reference(create_graph):
         assert oracles.norm_rel_err(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("activation", ["relu", "linear"])
-def test_gcn_encode_matches_the_dense_reference_bit_for_bit(layers, activation):
+# every encoder layer ends in a ReLU, which the ids name
+@pytest.mark.parametrize("layers", [1, 2, 3], ids=lambda layers: f"relu-{layers}")
+def test_gcn_encode_matches_the_dense_reference_bit_for_bit(layers):
     """``spmm`` on the normalized adjacency's pair values builds the dense
     A_hat and makes the same BLAS product with it, so no bit moves."""
-    config = EncoderConfig(num_layers=layers, input_dim=3, hidden_dim=5, activation=activation)
+    config = EncoderConfig(num_layers=layers, input_dim=3, hidden_dim=5)
     params = md.init_parameters(ModelSpec(config), seed=layers)
-    rng = np.random.default_rng([layers, len(activation)])
+    rng = np.random.default_rng([layers, 4])
     for edge_p in (0.0, 0.1, 0.3, 0.8):
         snap = oracles.random_snapshot(rng, 1, 14, edge_p, rng.normal(size=(14, 3)))
         got = md.encode(snap, params, config).data
@@ -401,7 +400,7 @@ def _random_pair_head(rng, hidden, num_nodes=5, classes=3):
     """A classifier head with random weights and biases, and tracked random
     node rows of width ``hidden``."""
     spec = ModelSpec(EncoderConfig(num_layers=1, input_dim=2, hidden_dim=hidden),
-                     num_classes=classes)
+                     task="edge_classification", num_classes=classes)
     head = md.MlpHead("classifier_graph", 2 * hidden, hidden, classes)
     params = md.init_parameters(spec, seed=0)
     params = params.with_updates({
@@ -534,11 +533,11 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         EncoderConfig(num_layers=0)
     with pytest.raises(ValidationError):
-        EncoderConfig(activation="gelu")
-    with pytest.raises(ValidationError):
         ModelSpec(EncoderConfig(), task="regression")
     with pytest.raises(ValidationError):
         ModelSpec(EncoderConfig(), num_classes=1)
+    with pytest.raises(ValidationError, match="link_prediction is binary"):
+        ModelSpec(EncoderConfig(), task="link_prediction", num_classes=3)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -566,10 +565,10 @@ def _specs_and_values(draw):
         num_layers=draw(st.integers(1, 3)),
         input_dim=draw(st.integers(1, 6)),
         hidden_dim=draw(st.integers(1, 5)),
-        activation=draw(st.sampled_from(md.ACTIVATIONS)),
     )
-    spec = ModelSpec(encoder, task=draw(st.sampled_from(gd.TASKS)),
-                     num_classes=draw(st.integers(2, 6)))
+    task = draw(st.sampled_from(gd.TASKS))
+    classes = 2 if task == "link_prediction" else draw(st.integers(2, 6))
+    spec = ModelSpec(encoder, task=task, num_classes=classes)
     values = st.floats(width=64) | st.sampled_from(_EDGE_VALUES)
     params = md.init_parameters(spec, seed=0)
     updates = {
@@ -596,6 +595,36 @@ def test_checkpoint_roundtrip_is_bit_exact_on_random_specs_and_values(case):
     for name in params.names:
         assert loaded[name].shape == params[name].shape
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["as_written", "head_weight_in_gnn"])
+def test_checkpoint_groups_and_relu_activation_entries_are_ignored(tmp_path, moved):
+    """Older checkpoints carry ``groups`` and ``"activation": "relu"``. They
+    load with the spec's groups and the same tensors, also when their groups
+    move the time head's weight into ``gnn``, which the inner loop adapts."""
+    import json
+
+    spec = _edge_spec(hidden=3, input_dim=4)
+    params = md.init_parameters(spec, seed=11)
+    path = tmp_path / "older.npz"
+    md.save_checkpoint(params, spec, path)
+    with np.load(path) as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode())
+    groups = {g: list(params.group_names(g)) for g in params.groups}
+    if moved:
+        groups["time_predictor"].remove("time_predictor_w1")
+        groups["gnn"].append("time_predictor_w1")
+    meta["groups"] = groups
+    meta["encoder"]["activation"] = "relu"
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    loaded, loaded_spec, _ = md.load_checkpoint(path)
+    assert loaded_spec == spec
+    assert loaded.fingerprint() == params.fingerprint()
+    assert {g: loaded.group_names(g) for g in loaded.groups} == {
+        g: params.group_names(g) for g in params.groups
+    }
 
 
 def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
@@ -650,7 +679,15 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
     def changed_meta(name, **changes):
         return with_meta(name, json.dumps(dict(good_meta, **changes)).encode())
 
-    groups = good_meta["groups"]
+    # a five-way edge-classification checkpoint relabelled as link prediction
+    five_way = ModelSpec(spec.encoder, task="edge_classification", num_classes=5)
+    links = tmp_path / "five_way_links.npz"
+    md.save_checkpoint(md.init_parameters(five_way, seed=0), five_way, links)
+    with np.load(links) as bundle:
+        arrays = {member: bundle[member] for member in bundle.files}
+    relabelled = dict(json.loads(arrays["__meta__"].tobytes().decode()), task="link_prediction")
+    arrays["__meta__"] = np.frombuffer(json.dumps(relabelled).encode(), dtype=np.uint8)
+    np.savez(links, **arrays)
     text = tmp_path / "text.npz"
     text.write_text("not a checkpoint\n")
     # one flipped byte inside a tensor's stored bytes fails its member's CRC
@@ -669,15 +706,14 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
          "'encoder' is missing or not of type dict"),
         (with_meta("fractional.npz", json.dumps(fractional).encode()),
          "'num_classes' is missing or not of type int"),
-        (changed_meta("group_int.npz", groups=dict(groups, gnn=5)),
-         "a group is not a list of tensor names"),
         (with_array("text_tensor.npz", "gnn_w1", np.array([["a", "b"], ["c", "d"]])),
          "tensor 'gnn_w1' is not numeric"),
         (changed_meta("extra_list.npz", extra=[1]), "'extra' is missing or not of type dict"),
         (changed_meta("no_layers.npz", encoder=dict(good_meta["encoder"], num_layers=0)),
          "num_layers must be at least 1"),
-        (changed_meta("unknown_group.npz", groups=dict(groups, bogus=[])),
-         "unknown parameter group 'bogus'"),
+        (links, "link_prediction is binary: num_classes must be 2"),
+        (changed_meta("linear.npz", encoder=dict(good_meta["encoder"], activation="linear")),
+         "encoder activation 'linear' is not 'relu'"),
     ]
     for path, message in malformed:
         with pytest.raises(DatasetError) as caught:

@@ -282,12 +282,11 @@ def test_pair_plan_keeps_checked_read_only_copies_and_derives_fresh_arrays():
     fresh = {
         "keys": rows * n + cols,
         "starts": starts,
-        "below": rows * n + cols - (np.arange(rows.size) - starts[rows]),
         "slots 0": (rows[:, None] * 3 + np.arange(3)).ravel(),
         "slots 1": (cols[:, None] * 3 + np.arange(3)).ravel(),
     }
     derived = {
-        "keys": plan.keys, "starts": plan.starts, "below": plan.below,
+        "keys": plan.keys, "starts": plan.starts,
         "slots 0": plan.slots(0, 3), "slots 1": plan.slots(1, 3),
     }
     for name, array in derived.items():
@@ -296,7 +295,7 @@ def test_pair_plan_keeps_checked_read_only_copies_and_derives_fresh_arrays():
     for array in (rows, cols):
         assert not array.flags.writeable
     # each derived array is built once and kept
-    assert plan.keys is plan.keys and plan.starts is plan.starts and plan.below is plan.below
+    assert plan.keys is plan.keys and plan.starts is plan.starts
     assert plan.slots(1, 3) is plan.slots(1, 3)
 
 
