@@ -32,13 +32,8 @@ from .numerics import ParameterSet, Tape, Tensor
 def init_static_parameters(spec: ModelSpec, seed: int) -> ParameterSet:
     """Encoder plus single classifier head, sharing the full model's init values."""
     full = init_parameters(spec, seed)
-    tensors = {}
-    groups = {}
-    for group in ("gnn", "classifier_graph"):
-        names = full.group_names(group)
-        groups[group] = names
-        tensors.update({name: full[name] for name in names})
-    return ParameterSet(tensors, groups)
+    groups = {group: full.group_names(group) for group in ("gnn", "classifier_graph")}
+    return ParameterSet({name: full[name] for names in groups.values() for name in names}, groups)
 
 
 def static_predict(

@@ -270,25 +270,16 @@ def cmd_train(args) -> int:
     fingerprint = config.fingerprint()
     (out / "config.resolved").write_text(text)
     episode_lines: list[str] = []
-    result = mt.train(
-        sequence,
-        spec,
-        training,
-        val_hook=hook,
-        log_hook=lambda record: episode_lines.append(record.to_json()),
-    )
+    result = mt.train(sequence, spec, training, val_hook=hook,
+                      log_hook=lambda record: episode_lines.append(record.to_json()))
     (out / "episodes.jsonl").write_text("".join(line + "\n" for line in episode_lines))
     log_lines = [f"# config_sha256={fingerprint}", "epoch,mean_objective,val_score"]
     for i, objective in enumerate(result.epoch_objectives):
         val = f"{result.val_scores[i]:.12g}" if i < len(result.val_scores) else ""
         log_lines.append(f"{i + 1},{objective:.12g},{val}")
     (out / "train_log.csv").write_text("\n".join(log_lines) + "\n")
-    save_checkpoint(
-        result.params,
-        spec,
-        out / "checkpoint.npz",
-        extra_meta={"config": text, "config_sha256": fingerprint},
-    )
+    save_checkpoint(result.params, spec, out / "checkpoint.npz",
+                    extra_meta={"config": text, "config_sha256": fingerprint})
     print(f"config_sha256={fingerprint}")
     print(f"epochs_run={len(result.epoch_objectives)} stopped_early={result.stopped_early}")
     if result.epoch_objectives:
@@ -333,14 +324,8 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fingerprint = config.fingerprint()
     (out / "config.resolved").write_text(config.to_text())
-    reports = ev.evaluate_sequence(
-        sequence,
-        params,
-        spec,
-        training,
-        times,
-        negative_ratio=config["eval_negative_ratio"],
-    )
+    reports = ev.evaluate_sequence(sequence, params, spec, training, times,
+                                   negative_ratio=config["eval_negative_ratio"])
     csv_text = ev.reports_to_csv(reports, fingerprint=fingerprint)
     csv_path = out / f"metrics_{args.split}.csv"
     csv_path.write_text(csv_text)

@@ -23,7 +23,7 @@ from .numerics import PairPlan, Tensor, frozen
 
 TASKS = ("link_prediction", "edge_classification", "node_classification")
 
-DATASET_FORMAT = "TGDS1"
+DATASET_FORMAT = "TGDS2"
 
 #: the default train and validation shares of a sequence's snapshots, for the
 #: library and the CLI alike; the test part is the rest
@@ -38,6 +38,10 @@ MIN_BUCKET_LIMIT = 1000
 #: edge-class labels must lie below the data line count or MIN_CLASS_LIMIT,
 #: whichever is larger: a classifier head has one output column per class
 MIN_CLASS_LIMIT = 1000
+
+#: the SBM generator draws a snapshot's N x N uniforms this many rows at a
+#: time from one stream, so its pairs, in their order, are those of one draw
+SBM_BLOCK_ROWS = 256
 
 
 def seed_from(base: int, *labels) -> np.random.SeedSequence:
@@ -76,9 +80,9 @@ class IdentityFeatures:
     held as this mark instead of an array.
 
     The encoder reads a first-layer product ``I @ W`` as ``W`` itself, so
-    training never forms the identity. ``data`` builds a fresh read-only one
-    on each read, for whatever needs the values (``save_dataset``, dense
-    references). One mark can serve every snapshot of a sequence.
+    nothing forms the identity: a dataset directory stores the mark as
+    ``features=identity`` in its ``meta``. One mark can serve every snapshot
+    of a sequence.
     """
 
     __slots__ = ("num_nodes",)
@@ -90,12 +94,6 @@ class IdentityFeatures:
     def shape(self) -> tuple[int, int]:
         return (self.num_nodes, self.num_nodes)
 
-    @property
-    def data(self) -> np.ndarray:
-        eye = np.eye(self.num_nodes)
-        eye.setflags(write=False)
-        return eye
-
 
 class SnapshotGraph:
     """One undirected graph snapshot over the global node universe.
@@ -105,9 +103,10 @@ class SnapshotGraph:
     not given) and ``edge_labels`` (E,) int64 or None. There are no
     self-loops and no duplicates. ``features`` is an (N, F) Tensor, or for
     one-hot node ids an :class:`IdentityFeatures` mark of width N, which
-    holds no array. The neighbour pairs' checked :class:`PairPlan` and the
-    normalized adjacency's values at those pairs are computed on first use
-    and cached.
+    holds no array (the generator's ``identity`` mode and a dataset's
+    ``features=identity`` make one). The neighbour pairs' checked
+    :class:`PairPlan` and the normalized adjacency's values at those pairs
+    are computed on first use and cached.
     """
 
     __slots__ = (
@@ -228,7 +227,7 @@ class DynamicGraphSequence:
 
     ``split`` is (train_end, val_end, test_end) in 1-based snapshot times:
     training covers 1..train_end, validation train_end+1..val_end, test
-    val_end+1..test_end.
+    val_end+1..test_end. All snapshots or none carry :class:`IdentityFeatures`.
     """
 
     def __init__(self, snapshots, split, task, num_classes, node_names=None):
@@ -240,11 +239,14 @@ class DynamicGraphSequence:
             raise ValidationError(f"snapshot times must be 1..T, got {times}")
         n = snapshots[0].num_nodes
         f = snapshots[0].feature_width
+        self.identity_features = isinstance(snapshots[0].features, IdentityFeatures)
         for s in snapshots:
             if s.num_nodes != n:
                 raise ValidationError("snapshots disagree on node-universe size")
             if s.feature_width != f:
                 raise ValidationError("snapshots disagree on feature width")
+            if isinstance(s.features, IdentityFeatures) != self.identity_features:
+                raise ValidationError("snapshots mix identity features with feature arrays")
         train_end, val_end, test_end = (int(x) for x in split)
         if not (1 <= train_end <= val_end <= test_end <= len(snapshots)):
             raise ValidationError(
@@ -580,10 +582,13 @@ def generate_drifting_sbm(
             hops = rng.integers(0, num_communities - 1, size=num_drift)
             members = members.copy()
             members[moved] = (members[moved] + 1 + hops) % num_communities
-        same = members[:, None] == members[None, :]
-        prob = np.where(same, intra_p, inter_p)
-        draw = rng.random((num_nodes, num_nodes))
-        pair_lists.append(np.argwhere(np.triu(draw < prob, k=1)))
+        blocks = []  # the rows of one N x N draw, SBM_BLOCK_ROWS at a time
+        for lo in range(0, num_nodes, SBM_BLOCK_ROWS):
+            rows = members[lo:lo + SBM_BLOCK_ROWS]
+            prob = np.where(rows[:, None] == members[None, :], intra_p, inter_p)
+            hit = rng.random((rows.size, num_nodes)) < prob
+            blocks.append(np.argwhere(np.triu(hit, k=1 + lo)) + (lo, 0))
+        pair_lists.append(np.concatenate(blocks))
         label_rows.append(members.copy())
 
     if feature_mode == "identity":
@@ -683,11 +688,12 @@ def supervised_batch(
 # dataset directory serialization
 
 def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
-    """Write a sequence as a dataset directory (format tag TGDS1).
+    """Write a sequence as a dataset directory (format tag TGDS2).
 
     Layout: a ``meta`` key=value file, ``nodes.map`` with one original node
-    id per line, and per snapshot ``snapshot_NNN.edges`` (text) plus
-    ``snapshot_NNN.npy`` features and optional ``labels_NNN.npy``.
+    id per line, and per snapshot ``snapshot_NNN.edges`` (text), optional
+    ``labels_NNN.npy`` and, under ``features=files``, ``snapshot_NNN.npy``
+    features; ``features=identity`` stands for identity marks and writes none.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -696,6 +702,7 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
         f"format={DATASET_FORMAT}",
         f"num_nodes={sequence.num_nodes}",
         f"feature_width={sequence.feature_width}",
+        f"features={'identity' if sequence.identity_features else 'files'}",
         f"num_snapshots={len(sequence)}",
         f"task={sequence.task}",
         f"num_classes={sequence.num_classes}",
@@ -711,7 +718,8 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
         if snap.edge_labels is not None:
             columns, fmt = columns + [snap.edge_labels], fmt + " %d"
         np.savetxt(directory / f"{stem}.edges", np.column_stack(columns), fmt=fmt)
-        np.save(directory / f"{stem}.npy", snap.features.data)
+        if not sequence.identity_features:
+            np.save(directory / f"{stem}.npy", snap.features.data)
         if snap.node_labels is not None:
             np.save(directory / f"labels_{snap.time_index:03d}.npy", snap.node_labels)
 
@@ -743,17 +751,13 @@ def _node_labels(path: Path, task: str, num_classes: int, num_nodes: int) -> np.
     return values
 
 
-def _features(path: Path, num_nodes: int, width: int, identity: IdentityFeatures, meta_path: Path):
-    """A snapshot's feature matrix, or ``identity`` when the file holds the
-    N x N identity; ``width`` is the ``feature_width`` of ``meta_path``."""
+def _features(path: Path, num_nodes: int, width: int, meta_path: Path) -> np.ndarray:
+    """A snapshot's feature matrix; ``width`` is ``meta_path``'s ``feature_width``."""
     values = _finite(path, _read(path, np.load), "feature")
     if values.ndim != 2 or values.shape[0] != num_nodes:
         raise DatasetError(f"{path}: features must be a ({num_nodes}, F) matrix, got shape {values.shape}")
     if values.shape[1] != width:
         raise DatasetError(f"{path}: feature width {values.shape[1]} != feature_width {width} in {meta_path}")
-    square = values.shape[1] == num_nodes
-    if square and np.count_nonzero(values) == num_nodes and (values.diagonal() == 1).all():
-        return identity
     return values
 
 
@@ -771,8 +775,11 @@ def load_dataset(directory) -> DynamicGraphSequence:
     entry per node and a node label that is not a nonnegative integer
     (below ``num_classes`` for node classification) are each a DatasetError
     naming the file; the checks run here, on data read from disk, and not
-    in :class:`SnapshotGraph` or the sequence. Feature files that hold the
-    N x N identity load as one :class:`IdentityFeatures` mark.
+    in :class:`SnapshotGraph` or the sequence. So are, naming ``meta``, a
+    format other than TGDS2 (TGDS1 must be regenerated), ``features`` other
+    than ``identity`` or ``files`` and identity features of a width other
+    than ``num_nodes``. ``features=identity`` loads as one shared
+    :class:`IdentityFeatures` mark; only ``features=files`` reads features.
     """
     directory = Path(directory)
     meta_path = directory / "meta"
@@ -782,13 +789,16 @@ def load_dataset(directory) -> DynamicGraphSequence:
             raise DatasetError(f"{meta_path}: malformed line {line!r}")
         key, _, value = line.partition("=")
         meta[key.strip()] = value.strip()
-    if meta.get("format") != DATASET_FORMAT:
-        raise DatasetError(
-            f"unknown dataset format {meta.get('format')!r}, expected {DATASET_FORMAT}"
-        )
+    tag = meta.get("format")
+    if tag != DATASET_FORMAT:
+        raise DatasetError(f"{meta_path}: " + (
+            "format TGDS1 is no longer read; regenerate the directory with `ledg generate` or `ledg ingest`"
+            if tag == "TGDS1" else f"unknown dataset format {tag!r}, expected {DATASET_FORMAT}"
+        ))
     try:
         num_nodes = int(meta["num_nodes"])
         width = int(meta["feature_width"])
+        features = meta["features"]
         num_snapshots = int(meta["num_snapshots"])
         task = meta["task"]
         num_classes = int(meta["num_classes"])
@@ -806,6 +816,10 @@ def load_dataset(directory) -> DynamicGraphSequence:
          f"link_prediction is binary: num_classes must be 2, got {num_classes}"),
         (not 1 <= split[0] <= split[1] <= split[2] <= num_snapshots,
          f"split {split} must be ordered within [1, {num_snapshots}]"),
+        (features not in ("identity", "files"),
+         f"unknown features {features!r}, expected 'identity' or 'files'"),
+        (features == "identity" and width != num_nodes,
+         f"identity features need feature_width {num_nodes}, got {width}"),
     ) if bad]
     if problems:
         raise DatasetError(f"{meta_path}: {'; '.join(problems)}")
@@ -814,7 +828,7 @@ def load_dataset(directory) -> DynamicGraphSequence:
     names = _read(names_path, Path.read_text).splitlines()
     if len(names) != num_nodes:
         raise DatasetError(f"{names_path}: {len(names)} lines for {num_nodes} nodes, need one per node")
-    identity = IdentityFeatures(num_nodes)
+    identity = IdentityFeatures(num_nodes) if features == "identity" else None
     snapshots = []
     for t in range(1, num_snapshots + 1):
         stem = f"snapshot_{t:03d}"
@@ -840,14 +854,14 @@ def load_dataset(directory) -> DynamicGraphSequence:
                     f"{edges_path} line {outside[0] + 1}: edge label {edge_labels[outside[0]]}"
                     f" outside class range [0, {num_classes})"
                 )
-        features = _features(directory / f"{stem}.npy", num_nodes, width, identity, meta_path)
+        values = identity or _features(directory / f"{stem}.npy", num_nodes, width, meta_path)
         labels_path = directory / f"labels_{t:03d}.npy"
         labels = None
         if labels_path.exists():
             labels = _node_labels(labels_path, task, num_classes, num_nodes)
         try:
             snapshots.append(SnapshotGraph(
-                t, num_nodes, pairs, features, node_labels=labels,
+                t, num_nodes, pairs, values, node_labels=labels,
                 weights=weights, edge_labels=edge_labels,
             ))
         except ValidationError as exc:

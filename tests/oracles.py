@@ -285,6 +285,42 @@ def has_edge(snapshot, u, v):
 
 
 # ---------------------------------------------------------------------------
+# features and the drifting SBM
+
+def feature_values(features):
+    """A snapshot's features as an array: the N x N identity for an
+    ``IdentityFeatures`` mark, which holds no array, else the Tensor's data."""
+    from ledg.graphdata import IdentityFeatures
+
+    if isinstance(features, IdentityFeatures):
+        return np.eye(features.num_nodes)
+    return features.data
+
+
+def one_shot_sbm(num_nodes, num_communities, intra_p, inter_p, drift_rate, num_snapshots, seed):
+    """The drifting SBM's (pairs, community labels) per snapshot, each
+    snapshot's pairs taken from one N x N uniform draw: the row-major
+    ``argwhere`` of the strict upper triangle of ``draw < prob``. The drift
+    and the draws share one stream, in the generator's order."""
+    from ledg.graphdata import seed_from
+
+    rng = np.random.default_rng(seed_from(seed, "sbm"))
+    members = (np.arange(num_nodes) * num_communities) // num_nodes
+    num_drift = int(np.floor(drift_rate * num_nodes))
+    snapshots = []
+    for t in range(num_snapshots):
+        if t > 0 and num_drift > 0:
+            moved = rng.choice(num_nodes, size=num_drift, replace=False)
+            hops = rng.integers(0, num_communities - 1, size=num_drift)
+            members = members.copy()
+            members[moved] = (members[moved] + 1 + hops) % num_communities
+        prob = np.where(members[:, None] == members[None, :], intra_p, inter_p)
+        draw = rng.random((num_nodes, num_nodes))
+        snapshots.append((np.argwhere(np.triu(draw < prob, k=1)), members.copy()))
+    return snapshots
+
+
+# ---------------------------------------------------------------------------
 # edge-stream ingestion, one dict merge per bucket
 
 def reference_ingest(lines, bucketing, task="link_prediction"):

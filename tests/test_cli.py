@@ -40,6 +40,20 @@ def dataset_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def file_dataset_dir(tmp_path_factory):
+    """A link-prediction dataset whose degree-bucket features are stored in
+    snapshot_NNN.npy files (identity features write none)."""
+    out = tmp_path_factory.mktemp("data") / "sbm_degrees"
+    rc = cli.main([
+        "generate", "--out", str(out), "--num-nodes", "30", "--intra-p", "0.3",
+        "--inter-p", "0.05", "--num-snapshots", "10", "--seed", "5",
+        "--feature-mode", "degree_buckets",
+    ])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def node_dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "sbm_nodes"
     rc = cli.main([
@@ -566,7 +580,8 @@ def _first_edge_as(line):
 
 
 #: case -> (file corrupted, how); a labels file is corrupted in a
-#: node-classification dataset, every other file in a link-prediction one
+#: node-classification dataset, a feature file in a link-prediction one with
+#: degree-bucket features, and every other file in one with identity features
 _BAD_DATASET_FILES = {
     "missing nodes.map": ("nodes.map", _drop),
     "nodes.map without one line per node": (
@@ -580,6 +595,8 @@ _BAD_DATASET_FILES = {
     "num_snapshots below 1": ("meta", _replace_meta_value("num_snapshots", "0")),
     "unordered split": ("meta", _replace_meta_value("val_end", "1")),
     "feature_width unlike the features": ("meta", _replace_meta_value("feature_width", "7")),
+    "previous format TGDS1": ("meta", _replace_meta_value("format", "TGDS1")),
+    "unknown features value": ("meta", _replace_meta_value("features", "onehot")),
     "missing features": ("snapshot_002.npy", _drop),
     "unreadable features": ("snapshot_002.npy", lambda path: path.write_bytes(b"not an array")),
     "non-integer meta value": ("meta", _replace_meta_value("num_nodes", "30.5")),
@@ -602,12 +619,17 @@ _BAD_DATASET_FILES = {
 
 @pytest.mark.parametrize("case", sorted(_BAD_DATASET_FILES))
 def test_train_on_a_bad_dataset_file_exits_1_naming_it(
-    case, dataset_dir, node_dataset_dir, tmp_path, capsys
+    case, dataset_dir, file_dataset_dir, node_dataset_dir, tmp_path, capsys
 ):
     name, corrupt = _BAD_DATASET_FILES[case]
     task = "node_classification" if name.startswith("labels_") else "link_prediction"
+    source = dataset_dir
+    if task == "node_classification":
+        source = node_dataset_dir
+    elif name.endswith(".npy"):
+        source = file_dataset_dir
     broken = tmp_path / "broken"
-    shutil.copytree(node_dataset_dir if task == "node_classification" else dataset_dir, broken)
+    shutil.copytree(source, broken)
     corrupt(broken / name)
     rc = cli.main([
         "train", "--dataset", str(broken), "--out", str(tmp_path / "run"), "--task", task,

@@ -151,25 +151,48 @@ def _stored_arrays(snapshot):
 
 
 def test_identity_feature_snapshots_hold_no_square_array(tmp_path):
-    """Identity features are a mark of width N whose data is the eye; neither
-    a generated nor a loaded snapshot stores an N x N array, and saving
-    writes the eye's bytes."""
-    assert np.array_equal(gd.IdentityFeatures(3).data, np.eye(3))
+    """Identity features are a mark of width N; neither a generated nor a
+    loaded snapshot stores an N x N array, and saving writes no feature file,
+    only ``features=identity`` in ``meta``."""
     n = 15
     seq = gd.generate_drifting_sbm(n, 3, 0.5, 0.05, 0.1, 5, seed=9)
     gd.save_dataset(seq, tmp_path / "ds")
-    assert np.load(tmp_path / "ds" / "snapshot_001.npy").tobytes() == np.eye(n).tobytes()
+    assert not [path.name for path in (tmp_path / "ds").glob("snapshot_*.npy")]
+    assert "features=identity" in (tmp_path / "ds" / "meta").read_text().splitlines()
     loaded = gd.load_dataset(tmp_path / "ds")
+    assert all(snap.features is loaded.snapshot_at(1).features for snap in loaded)
     for snap in (*seq, *loaded):
         assert snap.normalized_adjacency.shape == (2 * snap.num_edges + n, 1)
         assert isinstance(snap.features, gd.IdentityFeatures)
         assert snap.feature_width == n
         shapes = [a.shape for a in _stored_arrays(snap)]
         assert shapes and (n, n) not in shapes
-    # a square feature matrix that is not the eye stays an array
-    (tmp_path / "ds" / "snapshot_002.npy").unlink()
-    np.save(tmp_path / "ds" / "snapshot_002.npy", 2.0 * np.eye(n))
-    assert isinstance(gd.load_dataset(tmp_path / "ds").snapshot_at(2).features, Tensor)
+
+
+def test_sequence_refuses_identity_marks_mixed_with_feature_arrays(tmp_path):
+    """A sequence's features are all identity marks or all arrays, so saving
+    decides once whether it writes feature files; an eye array stays an
+    array and is written as one."""
+    marked = gd.SnapshotGraph(1, 3, [(0, 1)], gd.IdentityFeatures(3))
+    eye = gd.SnapshotGraph(2, 3, [(1, 2)], np.eye(3))
+    with pytest.raises(ValidationError, match="mix identity features"):
+        gd.DynamicGraphSequence([marked, eye], (1, 1, 2), "link_prediction", 2)
+    first = gd.SnapshotGraph(1, 3, [(0, 1)], np.eye(3))
+    seq = gd.DynamicGraphSequence([first, eye], (1, 1, 2), "link_prediction", 2)
+    gd.save_dataset(seq, tmp_path / "ds")
+    assert "features=files" in (tmp_path / "ds" / "meta").read_text().splitlines()
+    loaded = gd.load_dataset(tmp_path / "ds")
+    assert all(isinstance(snap.features, Tensor) for snap in loaded)
+    assert np.array_equal(loaded.snapshot_at(2).features.data, np.eye(3))
+
+
+def test_identity_dataset_size_grows_with_edges_not_nodes_squared(tmp_path):
+    """An N=1000 identity dataset of two snapshots stays under 1 MB; with an
+    N x N float64 feature file per snapshot it took 16 MB."""
+    seq = gd.generate_drifting_sbm(1000, 4, 0.03, 0.003, 0.05, 2, seed=3)
+    gd.save_dataset(seq, tmp_path / "ds")
+    assert sum(path.stat().st_size for path in (tmp_path / "ds").iterdir()) < 1_000_000
+    assert sum(snap.num_edges for snap in seq) > 5000
 
 
 def test_degree_bucket_features_star_graph():
@@ -456,8 +479,33 @@ def test_sbm_is_deterministic_in_the_seed():
 def test_sbm_snapshots_share_one_identity_feature_tensor():
     seq = gd.generate_drifting_sbm(15, 3, 0.5, 0.05, 0.1, 5, seed=9)
     first = seq.snapshot_at(1).features
-    assert np.array_equal(first.data, np.eye(15))
+    assert isinstance(first, gd.IdentityFeatures) and first.shape == (15, 15)
     assert all(snap.features is first for snap in seq)
+
+
+@pytest.mark.parametrize("num_nodes", [7, 150, 1001])
+@pytest.mark.parametrize("block", [1, 64, 100, 257, None])
+def test_sbm_row_blocks_draw_the_one_shot_pairs_bit_for_bit(monkeypatch, num_nodes, block):
+    """Drawing each snapshot SBM_BLOCK_ROWS rows at a time hands the
+    snapshots the pairs, in their order, and the community labels of one
+    N x N draw per snapshot, also when the block does not divide N (None is
+    a block of N rows). The drift of each snapshot after the first reads the
+    stream past the draws, so equal labels show the stream ends in place."""
+    monkeypatch.setattr(gd, "SBM_BLOCK_ROWS", block or num_nodes)
+    given, real = [], gd.SnapshotGraph
+
+    def snapshot(time_index, n, pairs, *args, **kwargs):
+        given.append(pairs)
+        return real(time_index, n, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(gd, "SnapshotGraph", snapshot)
+    args = (num_nodes, 3, 0.3, 0.05, 0.1, 4, 11)
+    seq = gd.generate_drifting_sbm(*args)
+    expected = oracles.one_shot_sbm(*args)
+    assert len(seq) == len(given) == len(expected)
+    for snap, pairs, (want_pairs, labels) in zip(seq, given, expected):
+        assert pairs.dtype == want_pairs.dtype and pairs.tobytes() == want_pairs.tobytes()
+        assert snap.node_labels.tobytes() == labels.tobytes()
 
 
 def test_sbm_zero_drift_keeps_membership_fixed():
@@ -780,9 +828,14 @@ def test_dataset_roundtrip_keeps_one_line_node_names(tmp_path):
 def test_load_rejects_unknown_format(tmp_path):
     seq = gd.generate_drifting_sbm(6, 2, 0.8, 0.1, 0.0, 2, seed=0)
     gd.save_dataset(seq, tmp_path / "ds")
-    meta = (tmp_path / "ds" / "meta").read_text()
-    (tmp_path / "ds" / "meta").write_text(meta.replace("format=", "format=BOGUS_"))
-    with pytest.raises(DatasetError):
+    meta_path = tmp_path / "ds" / "meta"
+    meta = meta_path.read_text()
+    meta_path.write_text(meta.replace("format=", "format=BOGUS_"))
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(meta_path))}: unknown dataset format"):
+        gd.load_dataset(tmp_path / "ds")
+    # the previous format stored identity features as N x N arrays
+    meta_path.write_text(meta.replace(f"format={gd.DATASET_FORMAT}", "format=TGDS1"))
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(meta_path))}: .*TGDS1.*regenerate"):
         gd.load_dataset(tmp_path / "ds")
     with pytest.raises(DatasetError):
         gd.load_dataset(tmp_path / "nowhere")

@@ -171,7 +171,7 @@ def test_identity_features_encode_like_the_dense_eye(base, create_graph):
     config = EncoderConfig(base_model=base, num_layers=2, input_dim=n, hidden_dim=4)
     rng = np.random.default_rng(22)
     marked = oracles.random_snapshot(rng, 1, n, 0.3, gd.IdentityFeatures(n))
-    dense = gd.SnapshotGraph(1, n, marked.pairs, np.eye(n))
+    dense = gd.SnapshotGraph(1, n, marked.pairs, oracles.feature_values(marked.features))
     params = md.init_parameters(ModelSpec(config), seed=5)
     tracked = [t for _, t in params.items_in("gnn")]
     upstream = Tensor(rng.normal(size=(n, 4)))
