@@ -23,7 +23,7 @@ from .numerics import PairPlan, Tensor, frozen
 
 TASKS = ("link_prediction", "edge_classification", "node_classification")
 
-DATASET_FORMAT = "TGDS2"
+DATASET_FORMAT = "TGDS3"
 
 #: the default train and validation shares of a sequence's snapshots, for the
 #: library and the CLI alike; the test part is the rest
@@ -67,14 +67,6 @@ def _label_word(label: str) -> int:
     return int.from_bytes(hashlib.blake2s(label.encode(), digest_size=4).digest(), "big")
 
 
-def _per_edge(values, dtype, name: str, order: np.ndarray) -> np.ndarray:
-    """Values given one per input pair, read-only in canonical edge order."""
-    values = np.asarray(values, dtype=dtype)
-    if values.shape != order.shape:
-        raise ValidationError(f"{name} must have one entry per edge, got shape {values.shape}")
-    return frozen(values[order])
-
-
 class IdentityFeatures:
     """One-hot node-id features of ``num_nodes`` nodes, the N x N identity,
     held as this mark instead of an array.
@@ -99,21 +91,21 @@ class SnapshotGraph:
     """One undirected graph snapshot over the global node universe.
 
     The edges are stored once, as read-only arrays: ``pairs`` (E, 2) int64
-    with ``u < v`` sorted by ``u * n + v``, ``weights`` (E,) float64 (1 when
-    not given) and ``edge_labels`` (E,) int64 or None. There are no
-    self-loops and no duplicates. ``features`` is an (N, F) Tensor, or for
-    one-hot node ids an :class:`IdentityFeatures` mark of width N, which
-    holds no array (the generator's ``identity`` mode and a dataset's
-    ``features=identity`` make one). The neighbour pairs' checked
-    :class:`PairPlan` and the normalized adjacency's values at those pairs
-    are computed on first use and cached.
+    with ``u < v`` sorted by ``u * n + v`` and ``edge_labels`` (E,) int64 or
+    None. There are no self-loops and no duplicates, and an edge carries no
+    weight: both encoders read only which pairs a snapshot holds.
+    ``features`` is an (N, F) Tensor, or for one-hot node ids an
+    :class:`IdentityFeatures` mark of width N, which holds no array (the
+    generator's ``identity`` mode and a dataset's ``features=identity``
+    make one). The neighbour pairs' checked :class:`PairPlan` and the
+    normalized adjacency's values at those pairs are computed on first use
+    and cached.
     """
 
     __slots__ = (
         "time_index",
         "num_nodes",
         "pairs",
-        "weights",
         "edge_labels",
         "features",
         "node_labels",
@@ -122,7 +114,7 @@ class SnapshotGraph:
     )
 
     def __init__(self, time_index, num_nodes, pairs, features, node_labels=None,
-                 weights=None, edge_labels=None):
+                 edge_labels=None):
         self.time_index = int(time_index)
         self.num_nodes = n = int(num_nodes)
         if n < 1:
@@ -146,12 +138,14 @@ class SnapshotGraph:
         if np.any(np.diff(keys[order]) == 0):
             raise ValidationError("duplicate undirected edges in snapshot")
         self.pairs = frozen(np.stack((lo[order], hi[order]), axis=1))
-        if weights is None:
-            weights = np.ones(order.size)
-        self.weights = _per_edge(weights, np.float64, "weights", order)
-        self.edge_labels = (
-            None if edge_labels is None else _per_edge(edge_labels, np.int64, "edge_labels", order)
-        )
+        if edge_labels is not None:
+            edge_labels = np.asarray(edge_labels, dtype=np.int64)
+            if edge_labels.shape != order.shape:
+                raise ValidationError(
+                    f"edge_labels must have one entry per edge, got shape {edge_labels.shape}"
+                )
+            edge_labels = frozen(edge_labels[order])  # in canonical edge order
+        self.edge_labels = edge_labels
         if not isinstance(features, (Tensor, IdentityFeatures)):
             features = Tensor(features)
         if features.shape[0] != n:
@@ -176,10 +170,10 @@ class SnapshotGraph:
 
     @property
     def edges(self) -> tuple:
-        """The edges as (u, v, weight, label) tuples of Python numbers, label
-        None when the snapshot has no edge labels; built on every call."""
+        """The edges as (u, v, label) tuples of Python ints, label None when
+        the snapshot has no edge labels; built on every call."""
         labels = [None] * self.num_edges if self.edge_labels is None else self.edge_labels.tolist()
-        return tuple(zip(*self.pairs.T.tolist(), self.weights.tolist(), labels))
+        return tuple(zip(*self.pairs.T.tolist(), labels))
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.num_nodes)
@@ -436,18 +430,17 @@ def ingest_edge_stream(
     whitespace-separated ``src dst timestamp [value]``; ``#`` starts a
     comment line. Node ids may be arbitrary tokens and are compacted to a
     dense 0-based universe in order of first appearance (the original ids
-    survive as ``node_names``). The optional value column is a float weight
-    for link prediction and an integer class label for edge classification.
-    Duplicate undirected edges inside one bucket merge with summed weight
-    (last label wins); self-loops are dropped. A non-finite timestamp or
-    value, or a class label that is not a non-negative integer below the
-    larger of the data line count and MIN_CLASS_LIMIT, is a ``ParseError``
-    naming its line.
+    survive as ``node_names``). The optional value column is an integer
+    class label for edge classification; for link prediction it is parsed,
+    checked and dropped, as edges carry no weight. Duplicate undirected
+    edges inside one bucket merge into one (the last label in timestamp
+    order wins); self-loops are dropped. A non-finite timestamp or value,
+    or a class label that is not a non-negative integer below the larger of
+    the data line count and MIN_CLASS_LIMIT, is a ``ParseError`` naming its
+    line.
     """
     if task not in ("link_prediction", "edge_classification"):
         raise ValidationError(f"edge streams support edge tasks, not {task!r}")
-    # a missing value column means weight 1 or class 0
-    default = 0.0 if task == "edge_classification" else 1.0
     tokens, times, values, linenos = [], [], [], []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -458,7 +451,7 @@ def ingest_edge_stream(
             raise ParseError(f"line {lineno}: expected 'src dst timestamp [value]', got {line!r}")
         try:
             ts = float(parts[2])
-            val = float(parts[3]) if len(parts) == 4 else default
+            val = float(parts[3]) if len(parts) == 4 else 0.0  # a missing label is class 0
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         tokens += parts[:2]
@@ -497,31 +490,23 @@ def ingest_edge_stream(
     ends = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens)).reshape(-1, 2)
     u, v = ends.min(axis=1), ends.max(axis=1)
 
-    # lines that are not self-loops in stable timestamp order, grouped by
-    # (bucket, u, v) with a stable sort: each group lists its lines in merge order
-    lines = np.argsort(timestamps, kind="stable")
+    # lines that are not self-loops in one stable sort by (bucket, u, v,
+    # timestamp): each group lists its lines in stable timestamp order
+    lines = np.lexsort((timestamps, v, u, buckets))
     lines = lines[u[lines] != v[lines]]
-    lines = lines[np.lexsort((v[lines], u[lines], buckets[lines]))]
-    b, u, v, values = buckets[lines], u[lines], v[lines], values[lines]
+    b, u, v = buckets[lines], u[lines], v[lines]
     head = np.ones(lines.size, dtype=bool)
     head[1:] = (np.diff(b) != 0) | (np.diff(u) != 0) | (np.diff(v) != 0)
-    group = np.cumsum(head) - 1
     labels = None
     if task == "edge_classification":
-        weights = np.bincount(group).astype(np.float64)
-        labels = values[np.roll(head, -1)].astype(np.int64)  # each group's last line
-    else:
-        # bincount sums in line order from +0.0, a merge from the first weight:
-        # they differ only on groups of -0.0 weights alone, which merge to -0.0
-        weights = np.bincount(group, weights=values)
-        weights[np.bincount(group, weights=(values != 0) | ~np.signbit(values)) == 0] = -0.0
+        labels = values[lines[np.roll(head, -1)]].astype(np.int64)  # each group's last line
     pairs = np.stack((u[head], v[head]), axis=1)
     cuts = np.searchsorted(b[head], np.arange(num_snapshots + 1))
     parts = [slice(cuts[t], cuts[t + 1]) for t in range(num_snapshots)]
     feats = degree_bucket_features([pairs[p] for p in parts], len(ids))
     snapshots = [
         SnapshotGraph(
-            t + 1, len(ids), pairs[p], feats[t], weights=weights[p],
+            t + 1, len(ids), pairs[p], feats[t],
             edge_labels=None if labels is None else labels[p],
         )
         for t, p in enumerate(parts)
@@ -688,13 +673,21 @@ def supervised_batch(
 # dataset directory serialization
 
 def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
-    """Write a sequence as a dataset directory (format tag TGDS2).
+    """Write a sequence as a dataset directory (format tag TGDS3).
 
     Layout: a ``meta`` key=value file, ``nodes.map`` with one original node
-    id per line, and per snapshot ``snapshot_NNN.edges`` (text), optional
-    ``labels_NNN.npy`` and, under ``features=files``, ``snapshot_NNN.npy``
-    features; ``features=identity`` stands for identity marks and writes none.
+    id per line, and per snapshot ``snapshot_NNN.edges``, one ``u v`` line
+    per edge (``u v label`` under edge classification), ``labels_NNN.npy``
+    node labels only under node classification and, under
+    ``features=files``, ``snapshot_NNN.npy`` features; ``features=identity``
+    stands for identity marks and writes none. A snapshot without the labels
+    its classification task reads is a ValidationError, before any write.
     """
+    task = sequence.task
+    for snap in sequence:
+        if (task == "edge_classification" and snap.edge_labels is None
+                or task == "node_classification" and snap.node_labels is None):
+            raise ValidationError(f"snapshot {snap.time_index} has no labels for {task}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     t0, t1, t2 = sequence.split
@@ -714,13 +707,13 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
     (directory / "nodes.map").write_text("\n".join(sequence.node_names) + "\n")
     for snap in sequence:
         stem = f"snapshot_{snap.time_index:03d}"
-        columns, fmt = [snap.pairs, snap.weights], "%d %d %.12g"
-        if snap.edge_labels is not None:
-            columns, fmt = columns + [snap.edge_labels], fmt + " %d"
-        np.savetxt(directory / f"{stem}.edges", np.column_stack(columns), fmt=fmt)
+        edges = snap.pairs
+        if task == "edge_classification":
+            edges = np.column_stack((edges, snap.edge_labels))
+        np.savetxt(directory / f"{stem}.edges", edges, fmt="%d")
         if not sequence.identity_features:
             np.save(directory / f"{stem}.npy", snap.features.data)
-        if snap.node_labels is not None:
+        if task == "node_classification":
             np.save(directory / f"labels_{snap.time_index:03d}.npy", snap.node_labels)
 
 
@@ -739,15 +732,13 @@ def _finite(path: Path, values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _node_labels(path: Path, task: str, num_classes: int, num_nodes: int) -> np.ndarray:
-    # checked before SnapshotGraph's int64 cast, which would make 0.5 class 0;
-    # only node classification reads the labels as classes
+def _node_labels(path: Path, num_classes: int, num_nodes: int) -> np.ndarray:
+    # checked before SnapshotGraph's int64 cast, which would make 0.5 class 0
     values = _finite(path, _read(path, np.load), "node label")
     if values.shape != (num_nodes,):
         raise DatasetError(f"{path}: need one node label per node ({num_nodes},), got shape {values.shape}")
-    top = num_classes if task == "node_classification" else np.inf
-    if np.any((values != np.floor(values)) | (values < 0) | (values >= top)):
-        raise DatasetError(f"{path}: every node label must be an integer in [0, {top})")
+    if np.any((values != np.floor(values)) | (values < 0) | (values >= num_classes)):
+        raise DatasetError(f"{path}: every node label must be an integer in [0, {num_classes})")
     return values
 
 
@@ -768,18 +759,21 @@ def load_dataset(directory) -> DynamicGraphSequence:
     not an integer, a ``num_nodes`` or ``num_snapshots`` below 1, a
     ``num_classes`` below 2 (or other than 2 for link prediction), an
     unknown task, an unordered split, a ``nodes.map`` without one line per
-    node, a non-finite edge weight or feature, an edge label outside
-    [0, ``num_classes``) for edge classification, an edge out of range, a
-    self-loop or a repeated edge, a feature file that is not an (N, F)
-    matrix of the meta's ``feature_width``, a node-label file without one
-    entry per node and a node label that is not a nonnegative integer
-    (below ``num_classes`` for node classification) are each a DatasetError
-    naming the file; the checks run here, on data read from disk, and not
-    in :class:`SnapshotGraph` or the sequence. So are, naming ``meta``, a
-    format other than TGDS2 (TGDS1 must be regenerated), ``features`` other
-    than ``identity`` or ``files`` and identity features of a width other
-    than ``num_nodes``. ``features=identity`` loads as one shared
-    :class:`IdentityFeatures` mark; only ``features=files`` reads features.
+    node, an edge line without the task's fields (``u v``, or ``u v label``
+    for edge classification), a non-finite feature, an edge label outside
+    [0, ``num_classes``), an edge out of range, a self-loop or a repeated
+    edge, a feature file that is not an (N, F) matrix of the meta's
+    ``feature_width``, a node-label file without one entry per node and a
+    node label that is not an integer in [0, ``num_classes``) are each a
+    DatasetError naming the file; the checks run here, on data read from
+    disk, and not in :class:`SnapshotGraph` or the sequence. So are, naming
+    ``meta``, a format other than TGDS3 (TGDS1 and TGDS2 must be
+    regenerated), ``features`` other than ``identity`` or ``files`` and
+    identity features of a width other than ``num_nodes``.
+    ``features=identity`` loads as one shared :class:`IdentityFeatures`
+    mark; only ``features=files`` reads features, and only node
+    classification reads ``labels_NNN.npy``, which it needs for every
+    snapshot.
     """
     directory = Path(directory)
     meta_path = directory / "meta"
@@ -792,8 +786,8 @@ def load_dataset(directory) -> DynamicGraphSequence:
     tag = meta.get("format")
     if tag != DATASET_FORMAT:
         raise DatasetError(f"{meta_path}: " + (
-            "format TGDS1 is no longer read; regenerate the directory with `ledg generate` or `ledg ingest`"
-            if tag == "TGDS1" else f"unknown dataset format {tag!r}, expected {DATASET_FORMAT}"
+            f"format {tag} is no longer read; regenerate the directory with `ledg generate` or `ledg ingest`"
+            if tag in ("TGDS1", "TGDS2") else f"unknown dataset format {tag!r}, expected {DATASET_FORMAT}"
         ))
     try:
         num_nodes = int(meta["num_nodes"])
@@ -829,25 +823,23 @@ def load_dataset(directory) -> DynamicGraphSequence:
     if len(names) != num_nodes:
         raise DatasetError(f"{names_path}: {len(names)} lines for {num_nodes} nodes, need one per node")
     identity = IdentityFeatures(num_nodes) if features == "identity" else None
+    columns = 3 if task == "edge_classification" else 2  # u v [label]
     snapshots = []
     for t in range(1, num_snapshots + 1):
         stem = f"snapshot_{t:03d}"
         edges_path = directory / f"{stem}.edges"
         lines = _read(edges_path, Path.read_text).splitlines()
         fields = [line.split() for line in lines]
-        columns = len(fields[0]) if fields else 3
         for lineno, (line, parts) in enumerate(zip(lines, fields), 1):
-            if len(parts) != columns or columns not in (3, 4):
-                raise DatasetError(f"{stem}.edges line {lineno}: malformed edge {line!r}")
-        table = np.array(fields, dtype=str).reshape(len(fields), columns)
+            if len(parts) != columns:
+                raise DatasetError(f"{edges_path} line {lineno}: malformed edge {line!r}")
         try:
-            pairs = table[:, :2].astype(np.int64)
-            weights = table[:, 2].astype(np.float64)
-            edge_labels = table[:, 3].astype(np.int64) if columns == 4 else None
+            table = np.array(fields, dtype=str).reshape(len(fields), columns).astype(np.int64)
         except ValueError as exc:
             raise DatasetError(f"{edges_path}: {exc}") from None
-        _finite(edges_path, weights, "edge weight")
-        if task == "edge_classification" and edge_labels is not None:
+        edge_labels = None
+        if task == "edge_classification":
+            edge_labels = table[:, 2]
             outside = np.flatnonzero((edge_labels < 0) | (edge_labels >= num_classes))
             if outside.size:
                 raise DatasetError(
@@ -855,14 +847,12 @@ def load_dataset(directory) -> DynamicGraphSequence:
                     f" outside class range [0, {num_classes})"
                 )
         values = identity or _features(directory / f"{stem}.npy", num_nodes, width, meta_path)
-        labels_path = directory / f"labels_{t:03d}.npy"
         labels = None
-        if labels_path.exists():
-            labels = _node_labels(labels_path, task, num_classes, num_nodes)
+        if task == "node_classification":
+            labels = _node_labels(directory / f"labels_{t:03d}.npy", num_classes, num_nodes)
         try:
             snapshots.append(SnapshotGraph(
-                t, num_nodes, pairs, values, node_labels=labels,
-                weights=weights, edge_labels=edge_labels,
+                t, num_nodes, table[:, :2], values, node_labels=labels, edge_labels=edge_labels,
             ))
         except ValidationError as exc:
             # the node count, features and labels are checked above, so what

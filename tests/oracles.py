@@ -276,7 +276,7 @@ def uniform_rank_mrr_moments(num_candidates):
 
 def edge_set(snapshot):
     """The snapshot's undirected edges as a set of (min, max) node pairs."""
-    return {(u, v) for u, v, _, _ in snapshot.edges}
+    return {(u, v) for u, v, _ in snapshot.edges}
 
 
 def has_edge(snapshot, u, v):
@@ -326,17 +326,16 @@ def one_shot_sbm(num_nodes, num_communities, intra_p, inter_p, drift_rate, num_s
 def reference_ingest(lines, bucketing, task="link_prediction"):
     """Edge-stream ingestion of valid lines as a dict merge: node ids in order
     of first appearance, lines visited in stable timestamp order, and each
-    bucket's undirected pairs merged in a dict (weights summed in visiting
-    order, last label kept, self-loops dropped). Returns the node names, the
-    class count and one tuple of sorted (u, v, weight, label) edges per
-    snapshot, the form ``SnapshotGraph.edges`` takes."""
-    default = 0.0 if task == "edge_classification" else 1.0
+    bucket's undirected pairs merged in a dict (the last label kept,
+    self-loops dropped; a link-prediction value is dropped). Returns the
+    node names, the class count and one tuple of sorted (u, v, label) edges
+    per snapshot, the form ``SnapshotGraph.edges`` takes."""
     rows = []
     for raw in lines:
         line = raw.strip()
         if line and not line.startswith("#"):
             parts = line.split()
-            value = float(parts[3]) if len(parts) == 4 else default
+            value = float(parts[3]) if len(parts) == 4 else 0.0
             rows.append((parts[0], parts[1], float(parts[2]), value))
     timestamps = np.array([r[2] for r in rows])
     buckets = bucketing.assign(timestamps)
@@ -351,16 +350,9 @@ def reference_ingest(lines, bucketing, task="link_prediction"):
         u, v = sorted((ids[src], ids[dst]))
         if u == v:
             continue
-        if task == "edge_classification":
-            w, lab = 1.0, int(value)
-        else:
-            w, lab = value, None
-        bucket = merged[int(buckets[idx])]
-        if (u, v) in bucket:
-            w = bucket[(u, v)][0] + w
-        bucket[(u, v)] = (w, lab)
-    edges = [tuple((u, v, w, lab) for (u, v), (w, lab) in sorted(b.items())) for b in merged]
-    labels = [e[3] for snap in edges for e in snap if e[3] is not None]
+        merged[int(buckets[idx])][(u, v)] = int(value) if task == "edge_classification" else None
+    edges = [tuple((u, v, lab) for (u, v), lab in sorted(b.items())) for b in merged]
+    labels = [lab for snap in edges for _, _, lab in snap if lab is not None]
     num_classes = max(2, max(labels) + 1) if labels else 2
     return tuple(ids), num_classes, edges
 
@@ -385,13 +377,13 @@ def scalar_link_prediction_batch(snapshot, negative_ratio, mode="train", seed=0)
 
     n = snapshot.num_nodes
     neighbours = [{u} for u in range(n)]
-    for u, v, _, _ in snapshot.edges:
+    for u, v, _ in snapshot.edges:
         neighbours[u].add(v)
         neighbours[v].add(u)
     rng = np.random.default_rng(seed_from(seed, "negatives", snapshot.time_index, mode))
     items = []
     labels = []
-    for u, v, _, _ in snapshot.edges:
+    for u, v, _ in snapshot.edges:
         items.append((u, v))
         labels.append(1)
         free = [c for c in range(n) if c not in neighbours[u]]

@@ -261,14 +261,14 @@ def test_generate_frozen_parameters_repeat_the_same_snapshot(tmp_path):
     rc = cli.main([
         "generate", "--out", str(out), "--num-nodes", "12", "--intra-p", "1.0",
         "--inter-p", "0.0", "--drift-rate", "0.0", "--num-snapshots", "4",
-        "--seed", "1",
+        "--seed", "1", "--task", "node_classification",
     ])
     assert rc == 0
     seq = gd.load_dataset(out)
     first = seq.snapshot_at(1)
     for snap in seq:
         assert snap.edges == first.edges
-        for u, v, _, _ in snap.edges:
+        for u, v, _ in snap.edges:
             assert snap.node_labels[u] == snap.node_labels[v]
 
 
@@ -421,7 +421,7 @@ def test_train_on_an_edge_label_outside_the_classes_exits_1_naming_the_file(
                      "--task", "edge_classification"]) == 0
     edges = data / "snapshot_001.edges"
     first, *rest = edges.read_text().splitlines()
-    edges.write_text("\n".join([" ".join([*first.split()[:3], str(label)]), *rest]) + "\n")
+    edges.write_text("\n".join([" ".join([*first.split()[:2], str(label)]), *rest]) + "\n")
     rc = cli.main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
                    "--task", "edge_classification", "--hidden-dim", "4",
                    "--window-size", "1", "--epochs", "1"])
@@ -545,12 +545,6 @@ def _replace_meta_value(key, value):
     return corrupt
 
 
-def _nan_first_weight(edges):
-    first, *rest = edges.read_text().splitlines()
-    u, v, _ = first.split()
-    edges.write_text("\n".join([f"{u} {v} nan"] + rest) + "\n")
-
-
 def _nan_first_feature(features):
     values = np.load(features)
     values[0, 0] = np.nan
@@ -574,8 +568,8 @@ def _resaved(change):
 def _first_edge_as(line):
     def corrupt(edges):
         first, *rest = edges.read_text().splitlines()
-        u, v, weight = first.split()
-        edges.write_text("\n".join([line.format(u=u, v=v, w=weight)] + rest) + "\n")
+        u, v = first.split()
+        edges.write_text("\n".join([line.format(u=u, v=v)] + rest) + "\n")
     return corrupt
 
 
@@ -596,12 +590,13 @@ _BAD_DATASET_FILES = {
     "unordered split": ("meta", _replace_meta_value("val_end", "1")),
     "feature_width unlike the features": ("meta", _replace_meta_value("feature_width", "7")),
     "previous format TGDS1": ("meta", _replace_meta_value("format", "TGDS1")),
+    "previous format TGDS2": ("meta", _replace_meta_value("format", "TGDS2")),
     "unknown features value": ("meta", _replace_meta_value("features", "onehot")),
     "missing features": ("snapshot_002.npy", _drop),
     "unreadable features": ("snapshot_002.npy", lambda path: path.write_bytes(b"not an array")),
     "non-integer meta value": ("meta", _replace_meta_value("num_nodes", "30.5")),
-    "non-finite edge weight": ("snapshot_003.edges", _nan_first_weight),
     "non-finite feature": ("snapshot_001.npy", _nan_first_feature),
+    "missing node labels": ("labels_002.npy", _drop),
     "non-numeric node label": ("labels_002.npy", _first_label("a")),
     "non-finite node label": ("labels_002.npy", _first_label(np.nan)),
     "non-integral node label": ("labels_002.npy", _first_label(0.5)),
@@ -611,9 +606,10 @@ _BAD_DATASET_FILES = {
     "features that are not 2-D": ("snapshot_002.npy", _resaved(lambda x: x[0])),
     "feature rows other than num_nodes": ("snapshot_002.npy", _resaved(lambda x: x[:-1])),
     "feature width unlike snapshot 1": ("snapshot_002.npy", _resaved(lambda x: x[:, :-1])),
-    "edge out of range": ("snapshot_003.edges", _first_edge_as("{u} 999 {w}")),
-    "self-loop edge": ("snapshot_003.edges", _first_edge_as("{u} {u} {w}")),
-    "repeated edge": ("snapshot_003.edges", _first_edge_as("{u} {v} {w}\n{v} {u} {w}")),
+    "edge out of range": ("snapshot_003.edges", _first_edge_as("{u} 999")),
+    "self-loop edge": ("snapshot_003.edges", _first_edge_as("{u} {u}")),
+    "repeated edge": ("snapshot_003.edges", _first_edge_as("{u} {v}\n{v} {u}")),
+    "link-prediction edge line with a third field": ("snapshot_003.edges", _first_edge_as("{u} {v} 1")),
 }
 
 

@@ -3,10 +3,11 @@
 ``dataset_sha256.json`` holds the sha256 of every file ``save_dataset``
 writes for the README recipe's ``ledg generate`` call and for one small
 ingested stream per edge task. The streams repeat and reverse pairs, carry
-self-loops, empty buckets, out-of-order timestamps and weights whose sums
-round, so the weight format (``{w:.12g}``), the label column and the line
-order cannot drift unseen. To record new hashes after a deliberate format
-change, run ``python3 tests/test_dataset_bytes.py > tests/dataset_sha256.json``
+self-loops, empty buckets, out-of-order timestamps and link-prediction
+values, which are parsed, checked, dropped, so the ``u v [label]`` lines,
+the kept label of a repeated pair and the line order cannot drift unseen.
+To record new hashes after a deliberate format change, run
+``python3 tests/test_dataset_bytes.py > tests/dataset_sha256.json``
 with ``src`` on the path.
 """
 
@@ -28,7 +29,7 @@ RECIPE = [
 ]
 
 LINK_STREAM = """\
-# weights sum in timestamp order; buckets 1 and 3 stay empty
+# values are parsed, checked, dropped; buckets 1 and 3 stay empty
 alice bob 2 0.3
 bob alice 1 0.2
 alice bob 0 0.1
