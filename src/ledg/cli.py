@@ -179,9 +179,15 @@ def _collect_overrides(args) -> dict:
     return {key: getattr(args, key) for key in CONFIG_FIELDS}
 
 
-def _require_empty_or_force(directory: Path, force: bool) -> None:
-    if directory.exists() and any(directory.iterdir()) and not force:
-        raise ConfigError(f"{directory} is not empty; pass --force to overwrite")
+def _out_directory(path: str, force: bool = True) -> Path:
+    """A command's ``--out``, checked before anything is read or written: only
+    a directory may be there, and without ``force`` only an empty one."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
+    if out.exists() and any(out.iterdir()) and not force:
+        raise ConfigError(f"{out} is not empty; pass --force to overwrite")
+    return out
 
 
 def _load_sequence(path: str) -> gd.DynamicGraphSequence:
@@ -192,8 +198,7 @@ def _load_sequence(path: str) -> gd.DynamicGraphSequence:
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    _require_empty_or_force(out, args.force)
+    out = _out_directory(args.out, args.force)
     sequence = gd.generate_drifting_sbm(
         num_nodes=args.num_nodes,
         num_communities=args.num_communities,
@@ -214,11 +219,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    out = _out_directory(args.out, args.force)
     src = Path(args.input)
     if not src.exists():
         raise ConfigError(f"input file {args.input} does not exist")
-    out = Path(args.out)
-    _require_empty_or_force(out, args.force)
     if (args.interval is None) == (args.edges_per_snapshot is None):
         raise ConfigError("pass exactly one of --interval or --edges-per-snapshot")
     if args.interval is not None:
@@ -255,6 +259,7 @@ def _val_hook(sequence, spec, config, eval_ratio):
 
 
 def cmd_train(args) -> int:
+    out = _out_directory(args.out)
     config = RunConfig.resolve(_load_config_file(args.config), _collect_overrides(args))
     if not config["dataset"]:
         raise ConfigError("a dataset is required (--dataset or dataset= in the config file)")
@@ -264,7 +269,6 @@ def cmd_train(args) -> int:
     hook = None
     if training.early_stop_patience is not None:
         hook = _val_hook(sequence, spec, training, config["eval_negative_ratio"])
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = config.to_text()
     fingerprint = config.fingerprint()
@@ -299,6 +303,7 @@ def _spec_fields(spec: ModelSpec) -> dict[str, str]:
 
 
 def cmd_eval(args) -> int:
+    out = _out_directory(args.out)
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint {args.checkpoint} does not exist")
@@ -320,7 +325,6 @@ def cmd_eval(args) -> int:
     if not times:
         raise ConfigError(f"dataset has no {args.split} snapshots")
     training = config.training_config()
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fingerprint = config.fingerprint()
     (out / "config.resolved").write_text(config.to_text())

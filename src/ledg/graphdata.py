@@ -222,6 +222,10 @@ class DynamicGraphSequence:
     ``split`` is (train_end, val_end, test_end) in 1-based snapshot times:
     training covers 1..train_end, validation train_end+1..val_end, test
     val_end+1..test_end. All snapshots or none carry :class:`IdentityFeatures`.
+    It owns the task rules: a known task, at least two classes and two for
+    link prediction, which is binary; under a classification task every
+    snapshot holds the labels the task reads, each in [0, ``num_classes``),
+    and ``num_classes`` is at most MIN_CLASS_LIMIT or the largest label + 1.
     """
 
     def __init__(self, snapshots, split, task, num_classes, node_names=None):
@@ -251,9 +255,20 @@ class DynamicGraphSequence:
         self.snapshots = snapshots
         self.split = (train_end, val_end, test_end)
         self.task = task
-        self.num_classes = int(num_classes)
-        if self.num_classes < 2:
-            raise ValidationError("num_classes must be at least 2")
+        self.num_classes = c = int(num_classes)
+        if task == "link_prediction" and c != 2:
+            raise ValidationError(f"link_prediction is binary: num_classes must be 2, got {c}")
+        top = -1  # the largest label the task reads
+        for s in snapshots if task != "link_prediction" else ():
+            labels = s.edge_labels if task == "edge_classification" else s.node_labels
+            if labels is None:
+                raise ValidationError(f"snapshot {s.time_index} has no labels for {task}")
+            top = max(top, int(labels.max(initial=-1)))
+            if top >= c or labels.min(initial=0) < 0:
+                raise ValidationError(f"snapshot {s.time_index}: {task} labels must lie in [0, {c})")
+        limit = max(MIN_CLASS_LIMIT, top + 1)
+        if not 2 <= c <= limit:
+            raise ValidationError(f"num_classes must lie in [2, {limit}], got {c}")
         if node_names is None:
             node_names = tuple(str(i) for i in range(n))
         node_names = tuple(str(x) for x in node_names)
@@ -673,21 +688,16 @@ def supervised_batch(
 # dataset directory serialization
 
 def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
-    """Write a sequence as a dataset directory (format tag TGDS3).
+    """Write a sequence as a dataset directory (format tag TGDS3) that
+    :func:`load_dataset` reads back to an equal sequence.
 
     Layout: a ``meta`` key=value file, ``nodes.map`` with one original node
     id per line, and per snapshot ``snapshot_NNN.edges``, one ``u v`` line
     per edge (``u v label`` under edge classification), ``labels_NNN.npy``
     node labels only under node classification and, under
     ``features=files``, ``snapshot_NNN.npy`` features; ``features=identity``
-    stands for identity marks and writes none. A snapshot without the labels
-    its classification task reads is a ValidationError, before any write.
+    stands for identity marks and writes none.
     """
-    task = sequence.task
-    for snap in sequence:
-        if (task == "edge_classification" and snap.edge_labels is None
-                or task == "node_classification" and snap.node_labels is None):
-            raise ValidationError(f"snapshot {snap.time_index} has no labels for {task}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     t0, t1, t2 = sequence.split
@@ -708,12 +718,12 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
     for snap in sequence:
         stem = f"snapshot_{snap.time_index:03d}"
         edges = snap.pairs
-        if task == "edge_classification":
+        if sequence.task == "edge_classification":
             edges = np.column_stack((edges, snap.edge_labels))
         np.savetxt(directory / f"{stem}.edges", edges, fmt="%d")
         if not sequence.identity_features:
             np.save(directory / f"{stem}.npy", snap.features.data)
-        if task == "node_classification":
+        if sequence.task == "node_classification":
             np.save(directory / f"labels_{snap.time_index:03d}.npy", snap.node_labels)
 
 
@@ -726,54 +736,38 @@ def _read(path: Path, reader):
         raise DatasetError(f"{path}: cannot read: {reason}") from None
 
 
-def _finite(path: Path, values: np.ndarray, what: str) -> np.ndarray:
+def _npy(path: Path, what: str, shape: tuple, width_source: Path | None = None) -> np.ndarray:
+    # the finite numbers of ``shape`` in a .npy file; ``width_source`` names where its width is set
+    values = _read(path, np.load)
     if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
         raise DatasetError(f"{path}: every {what} must be a finite number")
-    return values
-
-
-def _node_labels(path: Path, num_classes: int, num_nodes: int) -> np.ndarray:
-    # checked before SnapshotGraph's int64 cast, which would make 0.5 class 0
-    values = _finite(path, _read(path, np.load), "node label")
-    if values.shape != (num_nodes,):
-        raise DatasetError(f"{path}: need one node label per node ({num_nodes},), got shape {values.shape}")
-    if np.any((values != np.floor(values)) | (values < 0) | (values >= num_classes)):
-        raise DatasetError(f"{path}: every node label must be an integer in [0, {num_classes})")
-    return values
-
-
-def _features(path: Path, num_nodes: int, width: int, meta_path: Path) -> np.ndarray:
-    """A snapshot's feature matrix; ``width`` is ``meta_path``'s ``feature_width``."""
-    values = _finite(path, _read(path, np.load), "feature")
-    if values.ndim != 2 or values.shape[0] != num_nodes:
-        raise DatasetError(f"{path}: features must be a ({num_nodes}, F) matrix, got shape {values.shape}")
-    if values.shape[1] != width:
-        raise DatasetError(f"{path}: feature width {values.shape[1]} != feature_width {width} in {meta_path}")
+    if values.shape != shape:
+        source = f" (feature_width in {width_source})" if width_source else ""
+        raise DatasetError(f"{path}: need {what}s of shape {shape}{source}, got shape {values.shape}")
     return values
 
 
 def load_dataset(directory) -> DynamicGraphSequence:
     """Load a dataset directory written by :func:`save_dataset`.
 
-    A missing or unreadable file, a missing meta key, a meta value that is
-    not an integer, a ``num_nodes`` or ``num_snapshots`` below 1, a
-    ``num_classes`` below 2 (or other than 2 for link prediction), an
-    unknown task, an unordered split, a ``nodes.map`` without one line per
-    node, an edge line without the task's fields (``u v``, or ``u v label``
-    for edge classification), a non-finite feature, an edge label outside
-    [0, ``num_classes``), an edge out of range, a self-loop or a repeated
-    edge, a feature file that is not an (N, F) matrix of the meta's
-    ``feature_width``, a node-label file without one entry per node and a
-    node label that is not an integer in [0, ``num_classes``) are each a
-    DatasetError naming the file; the checks run here, on data read from
-    disk, and not in :class:`SnapshotGraph` or the sequence. So are, naming
-    ``meta``, a format other than TGDS3 (TGDS1 and TGDS2 must be
-    regenerated), ``features`` other than ``identity`` or ``files`` and
-    identity features of a width other than ``num_nodes``.
-    ``features=identity`` loads as one shared :class:`IdentityFeatures`
-    mark; only ``features=files`` reads features, and only node
-    classification reads ``labels_NNN.npy``, which it needs for every
-    snapshot.
+    Each refusal is a DatasetError naming its file: a missing or unreadable
+    file; in ``meta``, a line without ``=``, a missing key, a value that is
+    not an integer, a format other than TGDS3 (TGDS1 and TGDS2 must be
+    regenerated), ``num_nodes`` below 1, ``features`` other than
+    ``identity`` or ``files``, identity features of a width other than
+    ``num_nodes``, and what :class:`DynamicGraphSequence` refuses:
+    ``num_snapshots`` below 1, an unknown task, ``num_classes`` below 2,
+    other than 2 for link prediction or above both MIN_CLASS_LIMIT and the
+    largest label + 1, and an unordered split; a ``nodes.map`` without one
+    line per node; a blank ``.edges`` line or one without the task's integer
+    fields (``u v``, or ``u v label`` for edge classification), an edge
+    label outside [0, ``num_classes``) (naming its line), an edge out of
+    range, a self-loop or a repeated edge; a feature file that is not a
+    finite (N, F) matrix of the meta's ``feature_width``; a node-label file
+    without one finite entry per node or with a label that is not an integer
+    in [0, ``num_classes``). ``features=identity`` loads as one shared
+    :class:`IdentityFeatures` mark, and only node classification reads
+    ``labels_NNN.npy``, one per snapshot.
     """
     directory = Path(directory)
     meta_path = directory / "meta"
@@ -803,13 +797,6 @@ def load_dataset(directory) -> DynamicGraphSequence:
         raise DatasetError(f"{meta_path}: {exc}") from None
     problems = [problem for bad, problem in (
         (num_nodes < 1, f"num_nodes must be at least 1, got {num_nodes}"),
-        (num_snapshots < 1, f"num_snapshots must be at least 1, got {num_snapshots}"),
-        (task not in TASKS, f"unknown task {task!r}, expected one of {TASKS}"),
-        (num_classes < 2, f"num_classes must be at least 2, got {num_classes}"),
-        (task == "link_prediction" and num_classes != 2,
-         f"link_prediction is binary: num_classes must be 2, got {num_classes}"),
-        (not 1 <= split[0] <= split[1] <= split[2] <= num_snapshots,
-         f"split {split} must be ordered within [1, {num_snapshots}]"),
         (features not in ("identity", "files"),
          f"unknown features {features!r}, expected 'identity' or 'files'"),
         (features == "identity" and width != num_nodes,
@@ -828,15 +815,15 @@ def load_dataset(directory) -> DynamicGraphSequence:
     for t in range(1, num_snapshots + 1):
         stem = f"snapshot_{t:03d}"
         edges_path = directory / f"{stem}.edges"
-        lines = _read(edges_path, Path.read_text).splitlines()
-        fields = [line.split() for line in lines]
-        for lineno, (line, parts) in enumerate(zip(lines, fields), 1):
-            if len(parts) != columns:
-                raise DatasetError(f"{edges_path} line {lineno}: malformed edge {line!r}")
-        try:
-            table = np.array(fields, dtype=str).reshape(len(fields), columns).astype(np.int64)
+        text = _read(edges_path, Path.read_text)
+        lines, table = text.splitlines(), np.empty((0, columns), np.int64)
+        try:  # numpy warns on no data; it skips blank lines, which the shape check refuses
+            if text.strip():
+                table = np.loadtxt(lines, np.int64, comments=None, ndmin=2)
         except ValueError as exc:
             raise DatasetError(f"{edges_path}: {exc}") from None
+        if table.shape != (len(lines), columns):  # so row i is line i + 1
+            raise DatasetError(f"{edges_path}: need {len(lines)} lines of {columns} fields, got {table.shape}")
         edge_labels = None
         if task == "edge_classification":
             edge_labels = table[:, 2]
@@ -846,10 +833,14 @@ def load_dataset(directory) -> DynamicGraphSequence:
                     f"{edges_path} line {outside[0] + 1}: edge label {edge_labels[outside[0]]}"
                     f" outside class range [0, {num_classes})"
                 )
-        values = identity or _features(directory / f"{stem}.npy", num_nodes, width, meta_path)
+        values = identity or _npy(directory / f"{stem}.npy", "feature", (num_nodes, width), meta_path)
         labels = None
         if task == "node_classification":
-            labels = _node_labels(directory / f"labels_{t:03d}.npy", num_classes, num_nodes)
+            labels_path = directory / f"labels_{t:03d}.npy"
+            # checked before SnapshotGraph's int64 cast, which would make 0.5 class 0
+            labels = _npy(labels_path, "node label", (num_nodes,))
+            if np.any((labels != np.floor(labels)) | (labels < 0) | (labels >= num_classes)):
+                raise DatasetError(f"{labels_path}: every node label must be an integer in [0, {num_classes})")
         try:
             snapshots.append(SnapshotGraph(
                 t, num_nodes, table[:, :2], values, node_labels=labels, edge_labels=edge_labels,
@@ -858,7 +849,11 @@ def load_dataset(directory) -> DynamicGraphSequence:
             # the node count, features and labels are checked above, so what
             # the snapshot refuses is an edge: out of range, a loop or a repeat
             raise DatasetError(f"{edges_path}: {exc}") from None
-    return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
+    try:
+        return DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
+    except ValidationError as exc:
+        # every file is checked above, so what the sequence refuses is in meta
+        raise DatasetError(f"{meta_path}: {exc}") from None
 
 
 def sequence_summary(sequence: DynamicGraphSequence) -> str:

@@ -429,6 +429,42 @@ def test_train_on_an_edge_label_outside_the_classes_exits_1_naming_the_file(
     assert f"{edges} line 1: edge label {label} outside class range [0, 3)" in capsys.readouterr().err
 
 
+def test_train_on_a_meta_of_a_trillion_classes_exits_1_naming_meta(tmp_path, capsys):
+    """A classifier head has one column per class: num_classes past both
+    MIN_CLASS_LIMIT and the largest label + 1 is refused as the dataset
+    loads, not met as a 29 TiB allocation."""
+    src, data = tmp_path / "edges.txt", tmp_path / "ds"
+    src.write_text("a b 0 0\nb c 1 1\nc d 2 2\nd a 3 0\n")
+    assert cli.main(["ingest", "--input", str(src), "--out", str(data), "--interval", "1",
+                     "--task", "edge_classification"]) == 0
+    _replace_meta_value("num_classes", "1000000000000")(data / "meta")
+    rc = cli.main(["train", "--dataset", str(data), "--out", str(tmp_path / "run"),
+                   "--task", "edge_classification", "--hidden-dim", "4",
+                   "--window-size", "1", "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{data / 'meta'}: num_classes must lie in [2, 1000], got 1000000000000" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "ingest", "train", "eval"])
+def test_out_naming_a_file_exits_1_and_leaves_the_file(command, dataset_dir, trained_dir, tmp_path,
+                                                       capsys):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory\n")
+    stream = tmp_path / "edges.txt"
+    stream.write_text(EDGE_FILE)
+    args = {
+        "generate": ["generate", "--num-nodes", "12"],
+        "ingest": ["ingest", "--input", str(stream), "--interval", "10"],
+        "train": ["train", "--dataset", str(dataset_dir), "--hidden-dim", "4", "--epochs", "0"],
+        "eval": ["eval", "--checkpoint", str(trained_dir / "checkpoint.npz")],
+    }[command]
+    assert cli.main(args + ["--out", str(afile)]) == 1
+    assert f"--out {afile} exists and is not a directory" in capsys.readouterr().err
+    assert afile.read_bytes() == b"not a directory\n"
+
+
 def test_out_of_memory_exits_2_and_says_so(monkeypatch, tmp_path, capsys):
     def exhausted(args):
         raise MemoryError()
@@ -610,6 +646,9 @@ _BAD_DATASET_FILES = {
     "self-loop edge": ("snapshot_003.edges", _first_edge_as("{u} {u}")),
     "repeated edge": ("snapshot_003.edges", _first_edge_as("{u} {v}\n{v} {u}")),
     "link-prediction edge line with a third field": ("snapshot_003.edges", _first_edge_as("{u} {v} 1")),
+    "blank edge line": ("snapshot_003.edges", _first_edge_as("{u} {v}\n")),
+    "commented-out edge line": ("snapshot_003.edges", _first_edge_as("# {u} {v}")),
+    "non-integer edge field": ("snapshot_003.edges", _first_edge_as("{u} 1.5")),
 }
 
 

@@ -3,6 +3,7 @@
 import io
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -790,8 +791,9 @@ def test_dataset_roundtrip(tmp_path):
 def test_dataset_files_hold_only_what_the_task_reads(tmp_path):
     """Link-prediction directories hold ``u v`` lines and no node labels,
     though the generated snapshots carry them; edge classification adds
-    the label column. A classification snapshot without the labels its
-    task reads is refused before anything is written."""
+    the label column. A classification sequence whose snapshot lacks the
+    labels its task reads is refused when it is built, so it never reaches
+    ``save_dataset``."""
     seq = gd.generate_drifting_sbm(12, 3, 0.6, 0.05, 0.1, 3, seed=21)
     assert seq.snapshot_at(1).node_labels is not None
     gd.save_dataset(seq, tmp_path / "link")
@@ -805,13 +807,118 @@ def test_dataset_files_hold_only_what_the_task_reads(tmp_path):
     gd.save_dataset(seq, tmp_path / "class")
     assert (tmp_path / "class" / "snapshot_001.edges").read_text() == "0 1 2\n1 2 1\n"
     unlabelled = gd.SnapshotGraph(1, 3, [(0, 1)], np.eye(3))
-    seq = gd.DynamicGraphSequence([unlabelled], (1, 1, 1), "edge_classification", 2)
-    with pytest.raises(ValidationError, match="snapshot 1 has no labels for edge_classification"):
-        gd.save_dataset(seq, tmp_path / "unlabelled")
-    seq = gd.DynamicGraphSequence([unlabelled], (1, 1, 1), "node_classification", 2)
-    with pytest.raises(ValidationError, match="snapshot 1 has no labels for node_classification"):
-        gd.save_dataset(seq, tmp_path / "unlabelled")
-    assert not (tmp_path / "unlabelled").exists()
+    for task in ("edge_classification", "node_classification"):
+        with pytest.raises(ValidationError, match=f"snapshot 1 has no labels for {task}"):
+            gd.DynamicGraphSequence([unlabelled], (1, 1, 1), task, 2)
+
+
+@pytest.mark.parametrize("task, num_classes, labels, message", [
+    ("link_prediction", 3, None, "link_prediction is binary: num_classes must be 2, got 3"),
+    ("edge_classification", 2, [5], "snapshot 1: edge_classification labels must lie in [0, 2)"),
+    ("node_classification", 3, [7, 0, 1], "snapshot 1: node_classification labels must lie in [0, 3)"),
+    ("node_classification", 3, [-1, 0, 1], "snapshot 1: node_classification labels must lie in [0, 3)"),
+])
+def test_sequence_refuses_labels_outside_its_classes(task, num_classes, labels, message):
+    """Each of these sequences used to be built and saved into a directory
+    that ``load_dataset`` then refused."""
+    snap = gd.SnapshotGraph(
+        1, 3, [(0, 1)], gd.IdentityFeatures(3),
+        node_labels=labels if task == "node_classification" else None,
+        edge_labels=labels if task == "edge_classification" else None,
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        gd.DynamicGraphSequence([snap], (1, 1, 1), task, num_classes)
+
+
+def test_sequence_bounds_num_classes_by_its_largest_label():
+    """num_classes reaches MIN_CLASS_LIMIT or the largest label + 1, not
+    past both: a head of 10^12 class columns does not fit in memory."""
+    limit = gd.MIN_CLASS_LIMIT
+
+    def sequence(label, num_classes):
+        snap = gd.SnapshotGraph(1, 3, [(0, 1)], gd.IdentityFeatures(3), edge_labels=[label])
+        return gd.DynamicGraphSequence([snap], (1, 1, 1), "edge_classification", num_classes)
+
+    assert sequence(1, limit).num_classes == limit
+    assert sequence(2 * limit, 2 * limit + 1).num_classes == 2 * limit + 1
+    for label, num_classes in ((1, limit + 1), (2 * limit, 2 * limit + 2), (0, 10**12), (0, 1)):
+        with pytest.raises(ValidationError, match=r"^num_classes must lie in \[2, "):
+            sequence(label, num_classes)
+
+
+@pytest.mark.parametrize("task", ["link_prediction", "edge_classification"])
+def test_an_empty_edges_file_loads_as_an_edgeless_snapshot_without_warning(task, tmp_path):
+    labels = ([1], []) if task == "edge_classification" else (None, None)
+    snaps = [gd.SnapshotGraph(t, 3, pairs, gd.IdentityFeatures(3), edge_labels=labels[t - 1])
+             for t, pairs in ((1, [(0, 1)]), (2, []))]
+    gd.save_dataset(gd.DynamicGraphSequence(snaps, (1, 1, 2), task, 2), tmp_path / "ds")
+    assert (tmp_path / "ds" / "snapshot_002.edges").read_bytes() == b""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = gd.load_dataset(tmp_path / "ds")
+    assert loaded.snapshot_at(2).num_edges == 0
+    assert loaded.snapshot_at(1).edges == snaps[0].edges
+
+
+@st.composite
+def built_sequences(draw):
+    """Arguments of a sequence of any task, with identity or file features,
+    which now and then break a rule of the sequence: every label one past
+    an end of the classes, or a node name with a line break. Features are
+    finite, as ``load_dataset`` requires."""
+    task = draw(st.sampled_from(gd.TASKS))
+    n, num_snapshots, width = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    num_classes = 2 if task == "link_prediction" else draw(st.sampled_from([2, 3, 7]))
+    label = st.integers(0, num_classes - 1)
+    if draw(st.integers(0, 9)) == 0:
+        label = st.sampled_from([-1, num_classes])
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    feature = st.floats(allow_nan=False, allow_infinity=False)
+    identity = draw(st.booleans())
+    snapshots = []
+    for t in range(1, num_snapshots + 1):
+        pairs = draw(st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]))
+        pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs]
+        features = gd.IdentityFeatures(n) if identity else np.array(
+            draw(st.lists(feature, min_size=n * width, max_size=n * width))).reshape(n, width)
+        edge_labels = node_labels = None
+        if task == "edge_classification":
+            edge_labels = draw(st.lists(label, min_size=len(pairs), max_size=len(pairs)))
+        if task == "node_classification":
+            node_labels = draw(st.lists(label, min_size=n, max_size=n))
+        snapshots.append(gd.SnapshotGraph(t, n, pairs, features, node_labels=node_labels,
+                                          edge_labels=edge_labels))
+    train_end = draw(st.integers(1, num_snapshots))
+    split = (train_end, draw(st.integers(train_end, num_snapshots)), num_snapshots)
+    names = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n))
+    return snapshots, split, task, num_classes, names
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(args=built_sequences())
+def test_every_sequence_the_constructor_accepts_roundtrips(args):
+    """``save_dataset`` then ``load_dataset`` give back equal pairs, task
+    labels, features, node names, split, task and class count."""
+    snapshots, split, task, num_classes, names = args
+    try:
+        seq = gd.DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
+    except ValidationError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        gd.save_dataset(seq, tmp)
+        loaded = gd.load_dataset(tmp)
+    assert (loaded.node_names, loaded.split) == (seq.node_names, seq.split)
+    assert (loaded.task, loaded.num_classes) == (seq.task, seq.num_classes)
+    for a, b in zip(seq, loaded, strict=True):
+        assert b.pairs.tobytes() == a.pairs.tobytes()
+        if task == "edge_classification":
+            assert b.edge_labels.tobytes() == a.edge_labels.tobytes()
+        if task == "node_classification":
+            assert b.node_labels.tobytes() == a.node_labels.tobytes()
+        if seq.identity_features:
+            assert isinstance(b.features, gd.IdentityFeatures) and b.feature_width == a.feature_width
+        else:
+            assert b.features.data.tobytes() == a.features.data.tobytes()
 
 
 def test_dataset_roundtrip_through_ingest(tmp_path):
