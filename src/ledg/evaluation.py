@@ -187,6 +187,19 @@ class MetricReport:
         object.__setattr__(self, "value", value)
 
 
+def evaluation_batch(
+    sequence: DynamicGraphSequence,
+    t: int,
+    config: mt.TrainingConfig,
+    negative_ratio: int = EVAL_NEGATIVE_RATIO,
+) -> TaskBatch | None:
+    """The batch evaluation scores at time t, or None when the snapshot offers
+    no supervised items; its negatives are drawn from one seed that depends
+    only on ``config.seed``, so runs sharing a seed score the same batches."""
+    seed = int(seed_from(config.seed, "evalbatch").generate_state(1)[0])
+    return supervised_batch(sequence.snapshot_at(t), sequence.task, negative_ratio, "eval", seed)
+
+
 def evaluate_sequence(
     sequence: DynamicGraphSequence,
     params: ParameterSet,
@@ -194,47 +207,36 @@ def evaluate_sequence(
     config: mt.TrainingConfig,
     times,
     negative_ratio: int = EVAL_NEGATIVE_RATIO,
-    scorer=None,
 ) -> dict[str, MetricReport]:
-    """Adapt to each evaluation time, score its batch, and aggregate metrics.
+    """Adapt to each evaluation time, score its :func:`evaluation_batch`, and
+    aggregate metrics.
 
     Link prediction reports ``map`` and ``mrr`` over per-source queries;
     classification tasks report ``micro_f1``. Aggregation is the unweighted
     mean over snapshots; times whose snapshot has no supervised items are
-    skipped. ``scorer`` (a callable ``batch -> scores``) replaces the whole
-    model path, for oracle tests. Raises NumericalError, naming the time,
-    when the adapted model's scores or class probabilities are not finite.
+    skipped. Raises NumericalError, naming the time, when the adapted
+    model's scores or class probabilities are not finite.
     """
     times = [int(t) for t in times]
     if not times:
         raise ValidationError("no evaluation times given")
-    batch_seed = int(seed_from(config.seed, "evalbatch").generate_state(1)[0])
     per_time: dict[str, list[tuple[int, float]]] = {}
     for t in times:
-        batch = supervised_batch(
-            sequence.snapshot_at(t), sequence.task, negative_ratio, "eval", batch_seed
-        )
+        batch = evaluation_batch(sequence, t, config, negative_ratio)
         if batch is None:
             continue
-        if scorer is None:
-            bundle, state = mt.adapt_and_predict(sequence, params, t, spec, config)
+        bundle, state = mt.adapt_and_predict(sequence, params, t, spec, config)
         if sequence.task == "link_prediction":
-            if scorer is not None:
-                scores = np.asarray(scorer(batch), dtype=np.float64)
-            else:
-                scores = _require_finite(t, symmetrized_edge_scores(bundle, state, spec, batch))
+            scores = _require_finite(t, symmetrized_edge_scores(bundle, state, spec, batch))
             queries = queries_from_batch(batch, scores)
             per_time.setdefault("map", []).append((t, mean_average_precision(queries)))
             per_time.setdefault("mrr", []).append((t, mean_reciprocal_rank(queries)))
         else:
-            if scorer is not None:
-                predicted = np.asarray(scorer(batch), dtype=np.int64)
+            if batch.kind == "node":
+                probabilities = task_predict(bundle, state, spec, batch).data
             else:
-                if batch.kind == "node":
-                    probabilities = task_predict(bundle, state, spec, batch).data
-                else:
-                    probabilities = symmetric_pair_probabilities(state, spec, bundle.head_parts, batch.items)
-                predicted = np.argmax(_require_finite(t, probabilities), axis=1)
+                probabilities = symmetric_pair_probabilities(state, spec, bundle.head_parts, batch.items)
+            predicted = np.argmax(_require_finite(t, probabilities), axis=1)
             score = micro_f1(predicted, batch.labels, sequence.num_classes)
             per_time.setdefault("micro_f1", []).append((t, score))
     if not per_time:

@@ -94,9 +94,9 @@ class SnapshotGraph:
     with ``u < v`` sorted by ``u * n + v`` and ``edge_labels`` (E,) int64 or
     None. There are no self-loops and no duplicates, and an edge carries no
     weight: both encoders read only which pairs a snapshot holds.
-    ``features`` is an (N, F) Tensor, or for one-hot node ids an
-    :class:`IdentityFeatures` mark of width N, which holds no array (the
-    generator's ``identity`` mode and a dataset's ``features=identity``
+    ``features`` is an (N, F) Tensor of finite numbers, or for one-hot node
+    ids an :class:`IdentityFeatures` mark of width N, which holds no array
+    (the generator's ``identity`` mode and a dataset's ``features=identity``
     make one). The neighbour pairs' checked :class:`PairPlan` and the
     normalized adjacency's values at those pairs are computed on first use
     and cached.
@@ -150,6 +150,8 @@ class SnapshotGraph:
             features = Tensor(features)
         if features.shape[0] != n:
             raise ValidationError(f"feature rows {features.shape[0]} != num_nodes {n}")
+        if isinstance(features, Tensor) and not np.isfinite(features.data).all():
+            raise ValidationError("every feature must be a finite number")
         self.features = features
         if node_labels is not None:
             node_labels = np.asarray(node_labels, dtype=np.int64)
@@ -275,9 +277,13 @@ class DynamicGraphSequence:
         if len(node_names) != n:
             raise ValidationError("node_names must have one entry per node")
         for i, name in enumerate(node_names):
-            # nodes.map holds one name per line, so a name must not split
+            # nodes.map holds one UTF-8 name per line, so a name must encode and not split
             if name != "".join(name.splitlines()):
                 raise ValidationError(f"node name {i} ({name!r}) holds a line break")
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"node name {i} ({name!r}) does not encode as UTF-8") from None
         self.node_names = node_names
 
     def __len__(self) -> int:
@@ -714,13 +720,15 @@ def save_dataset(sequence: DynamicGraphSequence, directory) -> None:
         f"test_end={t2}",
     ]
     (directory / "meta").write_text("\n".join(meta) + "\n")
-    (directory / "nodes.map").write_text("\n".join(sequence.node_names) + "\n")
+    (directory / "nodes.map").write_text("\n".join(sequence.node_names) + "\n", encoding="utf-8")
     for snap in sequence:
         stem = f"snapshot_{snap.time_index:03d}"
         edges = snap.pairs
         if sequence.task == "edge_classification":
             edges = np.column_stack((edges, snap.edge_labels))
-        np.savetxt(directory / f"{stem}.edges", edges, fmt="%d")
+        # one % per table writes np.savetxt(fmt="%d")'s bytes about 10x faster
+        line = " ".join(["%d"] * edges.shape[1]) + "\n"
+        (directory / f"{stem}.edges").write_text((line * len(edges)) % tuple(edges.ravel().tolist()))
         if not sequence.identity_features:
             np.save(directory / f"{stem}.npy", snap.features.data)
         if sequence.task == "node_classification":
@@ -806,7 +814,7 @@ def load_dataset(directory) -> DynamicGraphSequence:
         raise DatasetError(f"{meta_path}: {'; '.join(problems)}")
 
     names_path = directory / "nodes.map"
-    names = _read(names_path, Path.read_text).splitlines()
+    names = _read(names_path, lambda path: path.read_text(encoding="utf-8")).splitlines()
     if len(names) != num_nodes:
         raise DatasetError(f"{names_path}: {len(names)} lines for {num_nodes} nodes, need one per node")
     identity = IdentityFeatures(num_nodes) if features == "identity" else None

@@ -8,17 +8,21 @@ and reuses those embeddings for every later time. Training is kept
 protocol-compatible with the episodic trainer (same target times, same
 structure mode, same batch sampling seeds) so comparisons isolate the
 method rather than the data pipeline.
+
+This is criterion 7's static arm (``benchmark.py``). It lives beside the
+tests because only they run it: no command or benchmark workload trains or
+scores a static model. It reaches ``ledg`` through public names alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import numerics as nx
-from .errors import ConfigError
-from .graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch
-from .meta import SgdStep, TrainingConfig, build_window, training_batch, training_targets
-from .model import (
+from ledg import numerics as nx
+from ledg.errors import ConfigError
+from ledg.graphdata import DynamicGraphSequence, SnapshotGraph, TaskBatch
+from ledg.meta import SgdStep, TrainingConfig, build_window, training_batch, training_targets
+from ledg.model import (
     ModelSpec,
     encode,
     head_logits,
@@ -26,7 +30,7 @@ from .model import (
     symmetric_pair_probabilities,
     task_loss,
 )
-from .numerics import ParameterSet, Tape, Tensor
+from ledg.numerics import ParameterSet, Tape, Tensor
 
 
 def init_static_parameters(spec: ModelSpec, seed: int) -> ParameterSet:

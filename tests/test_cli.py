@@ -81,13 +81,13 @@ def trained_dir(tmp_path_factory, dataset_dir):
 
 
 def test_importing_the_library_loads_no_scipy_or_test_tools():
-    """Importing every module of the library (``ledg.cli`` and
-    ``ledg.baselines`` between them import the rest) in a fresh process
-    pulls in none of scipy, pytest or hypothesis: importing scipy.sparse
-    alone adds about 22 MB of resident memory to every run."""
+    """Importing every module of the library (``ledg.cli`` imports the rest)
+    in a fresh process pulls in none of scipy, pytest or hypothesis:
+    importing scipy.sparse alone adds about 22 MB of resident memory to
+    every run."""
     source = str(Path(ledg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, ledg.cli, ledg.baselines; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    probe = "import sys, ledg.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
     loaded = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout

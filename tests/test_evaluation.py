@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import baselines as bl
 import oracles
 from ledg import evaluation as ev
 from ledg import graphdata as gd
@@ -223,8 +224,6 @@ def test_symmetric_edge_class_probabilities_match_two_task_predicts():
 
 
 def test_static_scorer_matches_the_two_order_static_predict():
-    from ledg import baselines as bl
-
     seq = _link_sequence()
     spec = ModelSpec(EncoderConfig(num_layers=2, input_dim=16, hidden_dim=4))
     params = bl.init_static_parameters(spec, seed=1)
@@ -238,8 +237,6 @@ def test_static_scorer_matches_the_two_order_static_predict():
 
 
 def test_static_scorer_encodes_once_over_a_multi_time_evaluation(monkeypatch):
-    from ledg import baselines as bl
-
     seq, spec, _, config = _link_setup()
     params = bl.init_static_parameters(spec, seed=1)
     frozen = seq.snapshot_at(seq.split[0])
@@ -247,13 +244,8 @@ def test_static_scorer_encodes_once_over_a_multi_time_evaluation(monkeypatch):
     encode = md.encode
     monkeypatch.setattr(bl, "encode", lambda snap, *args: encoded.append(snap) or encode(snap, *args))
     scorer = bl.static_scorer(seq, params, spec)
-    scored = []
-
-    def recorded(batch):
-        scored.append((batch, scorer(batch)))
-        return scored[-1][1]
-
-    ev.evaluate_sequence(seq, params, spec, config, range(3, 7), negative_ratio=5, scorer=recorded)
+    batches = [ev.evaluation_batch(seq, t, config, negative_ratio=5) for t in range(3, 7)]
+    scored = [(batch, scorer(batch)) for batch in batches]
     assert encoded == [frozen]
     assert len({batch.time_index for batch, _ in scored}) == 4
     # the embedding made once gives the bits of a scorer built for each batch
@@ -499,14 +491,36 @@ def test_evaluate_sequence_single_snapshot_equals_its_breakdown():
         assert report.value == report.breakdown[0][1]
 
 
-def test_evaluate_sequence_perfect_scorer_scores_one():
+def test_a_perfect_scorer_ranks_each_evaluation_batch_first():
+    seq, _, _, config = _link_setup()
+    for t in seq.times_in("test"):
+        batch = ev.evaluation_batch(seq, t, config, negative_ratio=5)
+        queries = ev.queries_from_batch(batch, batch.labels.astype(float))
+        assert ev.mean_average_precision(queries) == 1.0
+        assert ev.mean_reciprocal_rank(queries) == 1.0
+
+
+def test_evaluation_batch_depends_only_on_the_seed():
+    """Criterion 7's arms differ in every training setting but the seed, and
+    score identical batches because the evaluation batch ignores the rest."""
+    seq, _, _, config = _link_setup()
+    other = TrainingConfig(window_size=3, eta_in=0.0, eta_out=0.2, seed=config.seed)
+    for t in seq.times_in("test"):
+        batch = ev.evaluation_batch(seq, t, config, negative_ratio=5)
+        again = ev.evaluation_batch(seq, t, other, negative_ratio=5)
+        assert np.array_equal(batch.items, again.items)
+        assert np.array_equal(batch.labels, again.labels)
+
+
+def test_evaluate_sequence_scores_the_evaluation_batch_of_each_time():
     seq, spec, params, config = _link_setup()
-    reports = ev.evaluate_sequence(
-        seq, params, spec, config, seq.times_in("test"), negative_ratio=5,
-        scorer=lambda batch: batch.labels.astype(float),
-    )
-    assert reports["map"].value == 1.0
-    assert reports["mrr"].value == 1.0
+    reports = ev.evaluate_sequence(seq, params, spec, config, seq.times_in("test"),
+                                   negative_ratio=5)
+    for t, value in reports["map"].breakdown:
+        batch = ev.evaluation_batch(seq, t, config, negative_ratio=5)
+        bundle, state = mt.adapt_and_predict(seq, params, t, spec, config)
+        scores = ev.symmetrized_edge_scores(bundle, state, spec, batch)
+        assert value == ev.mean_average_precision(ev.queries_from_batch(batch, scores))
 
 
 def test_evaluate_sequence_micro_f1_path():
@@ -517,10 +531,12 @@ def test_evaluate_sequence_micro_f1_path():
                      task="node_classification")
     params = md.init_parameters(spec, seed=1)
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01)
-    reports = ev.evaluate_sequence(seq, params, spec, config, [5],
-                                   scorer=lambda batch: batch.labels)
+    reports = ev.evaluate_sequence(seq, params, spec, config, [5])
     assert set(reports) == {"micro_f1"}
-    assert reports["micro_f1"].value == 1.0
+    batch = ev.evaluation_batch(seq, 5, config)
+    bundle, state = mt.adapt_and_predict(seq, params, 5, spec, config)
+    predicted = np.argmax(md.task_predict(bundle, state, spec, batch).data, axis=1)
+    assert reports["micro_f1"].value == ev.micro_f1(predicted, batch.labels, seq.num_classes)
 
 
 @pytest.mark.parametrize("task", ["link_prediction", "node_classification"])
@@ -535,13 +551,6 @@ def test_evaluate_sequence_non_finite_model_is_a_numerical_error(task):
     config = TrainingConfig(window_size=2, eta_in=0.1, eta_out=0.01)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="time 5"):
         ev.evaluate_sequence(seq, broken, spec, config, [5], negative_ratio=2)
-
-
-def test_evaluate_sequence_non_finite_oracle_scores_are_invalid_input():
-    seq, spec, params, config = _link_setup()
-    with pytest.raises(ValidationError, match="finite"):
-        ev.evaluate_sequence(seq, params, spec, config, [6], negative_ratio=5,
-                             scorer=lambda batch: np.full(batch.size, np.nan))
 
 
 def test_evaluate_sequence_validation():

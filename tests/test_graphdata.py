@@ -4,6 +4,7 @@ import io
 import re
 import tempfile
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -864,8 +865,9 @@ def test_an_empty_edges_file_loads_as_an_edgeless_snapshot_without_warning(task,
 def built_sequences(draw):
     """Arguments of a sequence of any task, with identity or file features,
     which now and then break a rule of the sequence: every label one past
-    an end of the classes, or a node name with a line break. Features are
-    finite, as ``load_dataset`` requires."""
+    an end of the classes, a feature that is not finite, or a node name
+    with a line break or one that UTF-8 cannot encode. Snapshots come as
+    calls to make, since a snapshot refuses a non-finite feature itself."""
     task = draw(st.sampled_from(gd.TASKS))
     n, num_snapshots, width = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     num_classes = 2 if task == "link_prediction" else draw(st.sampled_from([2, 3, 7]))
@@ -874,6 +876,8 @@ def built_sequences(draw):
         label = st.sampled_from([-1, num_classes])
     candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
     feature = st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.integers(0, 9)) == 0:
+        feature = st.floats()
     identity = draw(st.booleans())
     snapshots = []
     for t in range(1, num_snapshots + 1):
@@ -886,11 +890,14 @@ def built_sequences(draw):
             edge_labels = draw(st.lists(label, min_size=len(pairs), max_size=len(pairs)))
         if task == "node_classification":
             node_labels = draw(st.lists(label, min_size=n, max_size=n))
-        snapshots.append(gd.SnapshotGraph(t, n, pairs, features, node_labels=node_labels,
-                                          edge_labels=edge_labels))
+        snapshots.append(partial(gd.SnapshotGraph, t, n, pairs, features,
+                                 node_labels=node_labels, edge_labels=edge_labels))
     train_end = draw(st.integers(1, num_snapshots))
     split = (train_end, draw(st.integers(train_end, num_snapshots)), num_snapshots)
-    names = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n))
+    name = st.text(max_size=3)
+    if draw(st.integers(0, 9)) == 0:
+        name = name | st.just("\ud800")
+    names = draw(st.lists(name, min_size=n, max_size=n))
     return snapshots, split, task, num_classes, names
 
 
@@ -901,6 +908,7 @@ def test_every_sequence_the_constructor_accepts_roundtrips(args):
     labels, features, node names, split, task and class count."""
     snapshots, split, task, num_classes, names = args
     try:
+        snapshots = [make() for make in snapshots]
         seq = gd.DynamicGraphSequence(snapshots, split, task, num_classes, node_names=names)
     except ValidationError:
         return
@@ -937,6 +945,25 @@ def test_sequence_refuses_a_node_name_that_nodes_map_would_split(name):
     with pytest.raises(ValidationError, match="node name 1 "):
         gd.DynamicGraphSequence(snaps, (1, 2, 3), "link_prediction", 2,
                                 node_names=("a", name, "d"))
+
+
+def test_sequences_that_would_not_load_are_refused_before_saving(tmp_path):
+    """A NaN feature used to build and save into a directory ``load_dataset``
+    refused; a name UTF-8 cannot encode used to build, then fail mid-save
+    and leave ``meta`` and part of ``nodes.map`` behind."""
+    features = np.eye(3)
+    features[1, 2] = np.nan
+    builds = {
+        "every feature must be a finite number": lambda: gd.DynamicGraphSequence(
+            [gd.SnapshotGraph(1, 3, [(0, 1)], features)], (1, 1, 1), "link_prediction", 2),
+        r"node name 1 \('\\ud800'\) does not encode as UTF-8": lambda: gd.DynamicGraphSequence(
+            [gd.SnapshotGraph(1, 2, [(0, 1)], np.eye(2))], (1, 1, 1), "link_prediction", 2,
+            node_names=["a", "\ud800"]),
+    }
+    for message, build in builds.items():
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            gd.save_dataset(build(), tmp_path / "ds")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dataset_roundtrip_keeps_one_line_node_names(tmp_path):

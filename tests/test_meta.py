@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import baselines as bl
 import benchmark
 import oracles
 from ledg import graphdata as gd
@@ -788,8 +789,6 @@ def test_train_rejects_windows_wider_than_the_training_split(monkeypatch):
     """In same_snapshot mode a window as wide as the training split leaves
     one target, t = train_end; a wider one leaves none, and both trainers
     refuse it alike."""
-    from ledg import baselines as bl
-
     seq = _small_sequence()  # train_end = 4
     spec = _small_spec()
     config = TrainingConfig(window_size=4, eta_out=0.01, epochs=2)
@@ -813,8 +812,6 @@ def test_train_rejects_windows_wider_than_the_training_split(monkeypatch):
 def test_both_trainers_refuse_a_training_split_with_no_supervised_target():
     """Edgeless training snapshots give no target a batch: neither trainer
     returns its seeded init as if it had trained."""
-    from ledg import baselines as bl
-
     edges = [[], [], [(0, 1), (2, 3)], [(0, 2)]]
     snaps = [gd.SnapshotGraph(t, 4, e, np.eye(4)) for t, e in enumerate(edges, start=1)]
     seq = gd.DynamicGraphSequence(snaps, (2, 3, 4), "link_prediction", 2)
@@ -1047,8 +1044,6 @@ def test_static_gcn_training_reproduces_its_recorded_bits(mode, fingerprint, los
     # became exact draws of the r-th non-neighbour); the fingerprints are
     # those of the head's per-node pair projections, whose rounding differs
     # from a head on concatenated pair rows by about 1e-16 relative
-    from ledg import baselines as bl
-
     config = TrainingConfig(window_size=2, eta_out=0.05, epochs=2, seed=3,
                             target_structure_mode=mode)
     params, epoch_losses = bl.train_static_gcn(_small_sequence(), _small_spec(), config)

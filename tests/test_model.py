@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import baselines as bl
 import oracles
 from ledg import graphdata as gd
 from ledg import model as md
@@ -467,8 +468,6 @@ def test_apply_pairs_rejects_a_pair_width_mismatch():
 
 
 def test_task_and_static_predict_score_pairs_with_apply_pairs(monkeypatch):
-    from ledg import baselines as bl
-
     roles = []
     apply_pairs = md.MlpHead.apply_pairs
 
